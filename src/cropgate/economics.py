@@ -135,6 +135,10 @@ def marginal_share_sweep(model: FarmModel,
         scale = (model.total_area_ha - marginal_area) / fixed_area
         income_first = base * scale + marginal_area * balances[first_name]
         income_second = base * scale + marginal_area * balances[second_name]
+        if income_second == 0.0:
+            raise ValueError(
+                f"farm income with {second_name!r} is zero at marginal share "
+                f"{share!r}; the relative difference is undefined")
         points.append(SweepPoint(
             share=share, income_first=income_first,
             income_second=income_second,

@@ -108,13 +108,6 @@ class FactorDB:
         except KeyError:
             raise MissingFlowError(flow_id) from None
 
-    def lookup_or_zero(self, flow_id: str) -> tuple[FactorRecord, bool]:
-        """Cut-off resolution: (record, missing). Missing flows count zero."""
-        record = self.records.get(flow_id)
-        if record is not None:
-            return record, False
-        return FactorRecord(flow_id, "Mg", 0.0, 0.0, 0.0, "cut-off"), True
-
     def gas_gwp(self, gas: str) -> float:
         return self.gases[gas].gwp100
 

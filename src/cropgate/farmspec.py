@@ -288,6 +288,15 @@ class _SectionReader:
             return default
         return value.value / scale
 
+    def years(self, key: str, default: int) -> int:
+        """A whole number of years; a fraction is reported, not truncated."""
+        value = self.quantity(key, "y", default)
+        if not float(value).is_integer():
+            self.report.error(f"{self.where}.{key}",
+                              "expected a whole number of years")
+            return default
+        return int(value)
+
     def fraction(self, key: str, default: float | None = None) -> float | None:
         value = self._take(key)
         if value is None:
@@ -437,7 +446,7 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
                      "expected marginal, non_marginal or fallow")
 
     perennial = reader.boolean("perennial", False)
-    life_span = reader.quantity("life_span", "y", 1.0)
+    life_span = reader.years("life_span", 1)
     area = reader.quantity("area", "ha")
 
     sowing_dose = reader.quantity("sowing_dose", "Mg/ha", 0.0)
@@ -517,7 +526,7 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         return None
     return CropPlan(
         name=name, land_class=land_class, perennial=perennial,
-        life_span_years=int(life_span), area_ha=area if area is not None else 0.0,
+        life_span_years=life_span, area_ha=area if area is not None else 0.0,
         sowing_dose_mg_ha=sowing_dose, sowing_timing=sowing_timing,
         seed_source=seed_source, seed_flow=seed_flow, seed_yield_mg_ha=seed_yield,
         fertilizations=tuple(fertilizations), herbicides=tuple(herbicides),
@@ -545,8 +554,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     name = freader.text("name", "")
     total_area = freader.quantity("total_area", "ha")
     cap_aid = freader.quantity("cap_aid", "EUR/ha", 0.0)
-    horizon = freader.quantity("amortization_horizon", "y",
-                               float(DEFAULT_AMORTIZATION_YEARS))
+    horizon = freader.years("amortization_horizon", DEFAULT_AMORTIZATION_YEARS)
     marginal_area = freader.quantity("marginal_area", "ha", 0.0)
     pair = freader.ident_list("marginal_pair")
     factors_ref = freader.text("factors")
@@ -634,7 +642,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
 
     model = FarmModel(
         name=name or "", total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
-        amortization_horizon_years=int(horizon), marginal_area_ha=marginal_area,
+        amortization_horizon_years=horizon, marginal_area_ha=marginal_area,
         marginal_pair=(pair[0], pair[1]), crops=resolved, products=products,
         soil_samples=tuple(samples), factors_ref=factors_ref)
     report.extend(validate_model(model))

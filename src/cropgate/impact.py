@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factors import FactorDB
+from .factors import FactorDB, FactorRecord
 from .inventory import GAS_FLOWS, Inventory, Phase
 
 __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize_gwp",
@@ -51,13 +51,14 @@ class EnergyBreakdown:
 
 
 def _resolve(db: FactorDB, flow_id: str, cutoff_missing: bool,
-             missing: set[str]):
-    if cutoff_missing:
-        record, absent = db.lookup_or_zero(flow_id)
-        if absent:
-            missing.add(flow_id)
-        return record
-    return db.lookup(flow_id)
+             missing: set[str]) -> FactorRecord | None:
+    """Factor record of a flow. In cut-off mode a flow without one is added
+    to ``missing`` and resolves to None: it adds zero burden, whatever its
+    unit."""
+    record = db.records.get(flow_id) if cutoff_missing else db.lookup(flow_id)
+    if record is None:
+        missing.add(flow_id)
+    return record
 
 
 def characterize_gwp(inventory: Inventory, db: FactorDB,
@@ -78,8 +79,9 @@ def characterize_gwp(inventory: Inventory, db: FactorDB,
                                         * db.gas_gwp(flow.flow_id))
         else:
             record = _resolve(db, flow.flow_id, cutoff_missing, missing)
-            kg_by_phase[flow.phase] += (flow.amount.to(record.unit)
-                                        * record.gwp100)
+            if record is not None:
+                kg_by_phase[flow.phase] += (flow.amount.to(record.unit)
+                                            * record.gwp100)
     by_phase = {phase: kg_by_phase[phase] / 1000.0 for phase in Phase}
     by_phase[Phase.SOC] = soc_mg
     positive = sum(by_phase[phase] for phase in POSITIVE_PHASES)
@@ -100,6 +102,8 @@ def characterize_energy(inventory: Inventory, db: FactorDB,
         if flow.phase is Phase.SOC or flow.flow_id in GAS_FLOWS:
             continue
         record = _resolve(db, flow.flow_id, cutoff_missing, missing)
+        if record is None:
+            continue
         basis = flow.amount.to(record.unit)
         ren[flow.phase] += basis * record.pe_renewable / 1000.0
         non[flow.phase] += basis * record.pe_nonrenewable / 1000.0

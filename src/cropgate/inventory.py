@@ -9,21 +9,23 @@ to. Flow amounts are quantities in the basis unit of their factor record
 Seed is special. Farm-multiplied seed ("own") is produced with the same
 cultivation inputs as the crop itself plus processing and transport, which
 makes the seed demand self-referential: growing seed consumes seed. The
-vector of flows behind 1 Mg of seed is the fixed point of
+vector of flows behind 1 Mg of seed solves
 
     x = (c + dose * x) / seed_yield + p
 
 where c are the per-hectare cultivation flows (production-side flows and
 field works; field emissions and soil carbon stay attributed to the parcel
 that farms, not to the seed supply chain) and p the per-Mg processing,
-transport, and intrinsic calorific content flows. The iteration converges
-exactly when dose < seed_yield.
+transport, and intrinsic calorific content flows. With r = dose / seed_yield
+the solution is x = (c / seed_yield + p) / (1 - r), the one-product case of
+the (I - A)^-1 matrix inversion of Heijungs & Suh (2002). It exists exactly
+when r < 1.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from .farmspec import (CropPlan, FarmModel, LandClass, MachineClass,
@@ -158,104 +160,98 @@ def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
                     f"{dose.unit or '1'}")
 
 
-def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
-                       exhaust: ExhaustFactors) -> dict[str, Quantity]:
-    """Production-side and field-work flows per ha*y, keyed by flow id.
+def _production_flows(model: FarmModel, ann: AnnualizedPlan,
+                      exhaust: ExhaustFactors) -> list[Flow]:
+    """Fertilizer, pesticide and field-work flows per ha*y, in report order.
 
-    Used both for the crop itself and as the cultivation part of its own
-    seed production. Field emissions and soil carbon are excluded here.
+    The order fixes the order of the per-phase float sums downstream.
     """
-    flows: dict[str, Quantity] = {}
-
-    def add(flow_id: str, amount: Quantity) -> None:
-        if flow_id in flows:
-            flows[flow_id] = flows[flow_id] + amount
-        else:
-            flows[flow_id] = amount
-
-    for product_id, dose in ann.fertilizations:
-        add(product_id, Quantity(dose, _MG))
+    flows = [Flow(product_id, Quantity(dose, _MG), Phase.FERTILIZER)
+             for product_id, dose in ann.fertilizations]
     for product_id, dose in ann.herbicides:
         product = model.products[product_id]
         ai_kg = _active_ingredient_kg(dose, product.active_fraction)
-        add(product_id, Quantity(ai_kg * _KG_VALUE, _MG))
+        flows.append(Flow(product_id, Quantity(ai_kg * _KG_VALUE, _MG),
+                          Phase.PESTICIDE))
     if ann.diesel_l_ha:
-        add("diesel", Quantity(ann.diesel_l_ha, _L))
+        flows.append(Flow("diesel", Quantity(ann.diesel_l_ha, _L),
+                          Phase.FIELD_WORKS))
         gases = exhaust_emissions(ann.diesel_l_ha, exhaust)
         for gas, kg in (("co2", gases.co2_kg), ("ch4", gases.ch4_kg),
                         ("n2o", gases.n2o_kg)):
             if kg:
-                add(gas, Quantity(kg * _KG_VALUE, _MG))
-    for cls, mass in ann.machinery_mg_ha.items():
+                flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
+                                  Phase.FIELD_WORKS))
+    for cls in MachineClass:
+        mass = ann.machinery_mg_ha.get(cls)
         if mass:
-            add(MACHINERY_FLOWS[cls], Quantity(mass, _MG))
+            flows.append(Flow(MACHINERY_FLOWS[cls], Quantity(mass, _MG),
+                              Phase.FIELD_WORKS))
     return flows
 
 
-def seed_inventory(crop: CropPlan, model: FarmModel,
-                   exhaust: ExhaustFactors = DEFAULT_EXHAUST,
-                   tolerance: float = 1e-12, max_iterations: int = 10_000,
-                   one_level: bool = False) -> dict[str, Quantity]:
-    """Flow vector behind 1 Mg of farm-multiplied seed.
+def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
+    totals: dict[str, Quantity] = {}
+    for flow in flows:
+        previous = totals.get(flow.flow_id)
+        totals[flow.flow_id] = (flow.amount if previous is None
+                                else previous + flow.amount)
+    return totals
 
-    Solves the self-referential seed demand by fixed-point iteration. With
-    ratio r = sowing dose / seed yield the solution equals the geometric
-    series sum (c/Y + p) / (1 - r); the iteration stops when the largest
-    relative change drops below ``tolerance``.
 
-    Args:
-        one_level: truncate after the first level instead (the seed used to
-            grow seed is left out), for sensitivity runs.
+def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
+                       exhaust: ExhaustFactors) -> dict[str, Quantity]:
+    """Production-side and field-work flows per ha*y, keyed by flow id.
 
-    Raises:
-        SeedRecursionError: dose >= yield (the series diverges), or the
-            iteration cap is hit.
+    This is the cultivation vector c of the crop's own seed chain. Field
+    emissions and soil carbon are excluded.
     """
-    if crop.seed_yield_mg_ha is None or crop.seed_yield_mg_ha <= 0:
-        raise SeedRecursionError(f"crop {crop.name!r} has no seed yield")
-    ann = annualize_schedule(crop, model.amortization_horizon_years)
-    dose = ann.sowing_dose_mg_ha
+    return _by_flow_id(_production_flows(model, ann, exhaust))
+
+
+def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
+                 cultivation: dict[str, Quantity],
+                 one_level: bool) -> dict[str, Quantity]:
     yield_mg = crop.seed_yield_mg_ha
+    if yield_mg is None or yield_mg <= 0:
+        raise SeedRecursionError(f"crop {crop.name!r} has no seed yield")
+    dose = ann.sowing_dose_mg_ha
     if dose >= yield_mg:
         raise SeedRecursionError(
             f"seed dose {dose!r} Mg/ha meets or exceeds seed yield "
             f"{yield_mg!r} Mg/ha; the seed chain diverges")
-
-    cultivation = _cultivation_flows(crop, model, ann, exhaust)
-    extras = {flow_id: Quantity(1.0, _MG) for flow_id in SEED_CHAIN_FLOWS}
-
-    def step(x: dict[str, Quantity]) -> dict[str, Quantity]:
-        out: dict[str, Quantity] = {}
-        for flow_id, amount in cultivation.items():
-            recursive = x.get(flow_id)
-            total = amount if recursive is None else amount + recursive * dose
-            out[flow_id] = total / yield_mg
-        for flow_id, amount in x.items():
-            if flow_id not in cultivation:
-                out[flow_id] = amount * (dose / yield_mg)
-        for flow_id, amount in extras.items():
-            out[flow_id] = out[flow_id] + amount if flow_id in out else amount
-        return out
-
-    vector = step({})
+    vector = {flow_id: amount / yield_mg
+              for flow_id, amount in cultivation.items()}
+    per_mg = Quantity(1.0, _MG)
+    for flow_id in SEED_CHAIN_FLOWS:
+        vector[flow_id] = (vector[flow_id] + per_mg if flow_id in vector
+                           else per_mg)
     if one_level:
         return vector
-    for _ in range(max_iterations):
-        updated = step(vector)
-        worst = 0.0
-        for flow_id, amount in updated.items():
-            previous = vector.get(flow_id)
-            if previous is None:
-                worst = float("inf")
-                break
-            scale = max(abs(amount.value), abs(previous.value), 1e-300)
-            worst = max(worst, abs(amount.value - previous.value) / scale)
-        vector = updated
-        if worst < tolerance:
-            return vector
-    raise SeedRecursionError(
-        f"seed chain for {crop.name!r} did not converge within "
-        f"{max_iterations} iterations")
+    one_minus_r = 1.0 - dose / yield_mg
+    return {flow_id: amount / one_minus_r for flow_id, amount in vector.items()}
+
+
+def seed_inventory(crop: CropPlan, model: FarmModel,
+                   exhaust: ExhaustFactors = DEFAULT_EXHAUST,
+                   one_level: bool = False) -> dict[str, Quantity]:
+    """Flow vector behind 1 Mg of farm-multiplied seed.
+
+    Solves the self-referential seed demand in closed form: with ratio
+    r = sowing dose / seed yield, x = (c/Y + p) / (1 - r), the sum of the
+    geometric series of seed used to grow seed. The series converges, and
+    the solution exists, exactly when r < 1.
+
+    Args:
+        one_level: truncate after the first level instead, x = c/Y + p (the
+            seed used to grow seed is left out), for sensitivity runs.
+
+    Raises:
+        SeedRecursionError: no seed yield, or r >= 1 (the series diverges).
+    """
+    ann = annualize_schedule(crop, model.amortization_horizon_years)
+    cultivation = _cultivation_flows(crop, model, ann, exhaust)
+    return _seed_vector(crop, ann, cultivation, one_level)
 
 
 def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None]:
@@ -280,46 +276,20 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
     """Full per-ha*y inventory of one crop, all flows tagged by phase."""
     horizon = (model.amortization_horizon_years
                if horizon_years is None else horizon_years)
-    if horizon != model.amortization_horizon_years:
-        model = replace(model, amortization_horizon_years=int(horizon))
-        crop = model.crops[crop.name]
     ann = annualize_schedule(crop, horizon)
+    production = _production_flows(model, ann, db.exhaust)
     flows: list[Flow] = []
-    notes: list[str] = []
 
     if ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.OWN:
-        vector = seed_inventory(crop, model, db.exhaust,
-                                one_level=seed_one_level)
+        vector = _seed_vector(crop, ann, _by_flow_id(production),
+                              seed_one_level)
         for flow_id in sorted(vector):
             flows.append(Flow(flow_id, vector[flow_id] * ann.sowing_dose_mg_ha,
                               Phase.SEED))
     elif ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.EXTERNAL:
         flows.append(Flow(crop.seed_flow, Quantity(ann.sowing_dose_mg_ha, _MG),
                           Phase.SEED))
-
-    for product_id, dose in ann.fertilizations:
-        flows.append(Flow(product_id, Quantity(dose, _MG), Phase.FERTILIZER))
-
-    for product_id, dose in ann.herbicides:
-        product = model.products[product_id]
-        ai_kg = _active_ingredient_kg(dose, product.active_fraction)
-        flows.append(Flow(product_id, Quantity(ai_kg * _KG_VALUE, _MG),
-                          Phase.PESTICIDE))
-
-    if ann.diesel_l_ha:
-        flows.append(Flow("diesel", Quantity(ann.diesel_l_ha, _L),
-                          Phase.FIELD_WORKS))
-        gases = exhaust_emissions(ann.diesel_l_ha, db.exhaust)
-        for gas, kg in (("co2", gases.co2_kg), ("ch4", gases.ch4_kg),
-                        ("n2o", gases.n2o_kg)):
-            if kg:
-                flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
-                                  Phase.FIELD_WORKS))
-    for cls in MachineClass:
-        mass = ann.machinery_mg_ha.get(cls)
-        if mass:
-            flows.append(Flow(MACHINERY_FLOWS[cls], Quantity(mass, _MG),
-                              Phase.FIELD_WORKS))
+    flows.extend(production)
 
     n_applied_kg = sum(
         dose * model.products[product_id].composition.n * 1000.0
@@ -332,8 +302,6 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
     soc_flow, note = _soc_flow(crop, model)
     if soc_flow is not None:
         flows.append(soc_flow)
-    if note:
-        notes.append(note)
 
     for flow in flows:
         if flow.amount.value < 0 and flow.phase is not Phase.SOC:
@@ -341,4 +309,4 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
                 f"negative amount for flow {flow.flow_id!r} in phase "
                 f"{flow.phase.value}")
     return Inventory(crop_name=crop.name, flows=tuple(flows),
-                     notes=tuple(notes))
+                     notes=(note,) if note else ())

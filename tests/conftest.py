@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 from hypothesis import strategies as st
 
@@ -37,7 +39,11 @@ def factors_path() -> str:
 #  document generator for grammar round-trip properties
 # ---------------------------------------------------------------------- #
 
-idents = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
+# [a-z][a-z0-9_]{0,10}, built directly: st.from_regex generates it slowly
+idents = st.builds(
+    str.__add__, st.sampled_from(string.ascii_lowercase),
+    st.text(alphabet=string.ascii_lowercase + string.digits + "_",
+            max_size=10))
 
 _UNITS = st.sampled_from(
     ["", "Mg", "kg", "L", "ha", "m", "y", "MJ", "GJ", "EUR",

@@ -21,6 +21,12 @@ pe_nonrenewable = 49.3
 """
 
 
+@pytest.fixture(scope="module")
+def factors_text(factors_path):
+    with open(factors_path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 class TestAssessCrop:
     def test_tall_wheatgrass_assessment(self, farm_model, factor_db):
         result = assess_crop(farm_model, factor_db, "tall_wheatgrass")
@@ -55,6 +61,26 @@ class TestAssessCrop:
         for flow_id in result.gwp.missing:
             assert (f"flow {flow_id!r} has no factor record; cut off at "
                     "zero burden") in result.notes
+
+    def test_cut_off_volume_flow_adds_zero_burden(self, farm_model,
+                                                  factors_text):
+        """A cut-off flow counts zero whatever its unit: dropping the diesel
+        record (per L) gives the numbers of a zero-factor diesel record."""
+        start = factors_text.index("[flow.diesel]")
+        block = factors_text[start:factors_text.index("\n[", start)]
+        zeroed = ("[flow.diesel]\nunit = L\ngwp100 = 0\n"
+                  "pe_renewable = 0\npe_nonrenewable = 0\n")
+        cut = assess_crop(
+            farm_model, load_factor_db(factors_text.replace(block, "")),
+            "rye", cutoff_missing=True)
+        zero = assess_crop(
+            farm_model, load_factor_db(factors_text.replace(block, zeroed)),
+            "rye")
+        assert cut.gwp.missing == cut.energy.missing == ("diesel",)
+        assert cut.gwp.by_phase == zero.gwp.by_phase
+        assert cut.energy.renewable_by_phase == zero.energy.renewable_by_phase
+        assert cut.energy.nonrenewable_by_phase \
+            == zero.energy.nonrenewable_by_phase
 
     def test_longer_horizon_shrinks_establishment_burden(self, farm_model,
                                                          factor_db):

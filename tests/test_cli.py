@@ -37,6 +37,27 @@ land_class = marginal
 soc_equilibrium = true
 """
 
+ZERO_INCOME_FARM = """
+[farm]
+name = "x"
+total_area = 20 ha
+marginal_area = 10 ha
+marginal_pair = a, b
+
+[crop.a]
+land_class = marginal
+soc_equilibrium = true
+
+[crop.b]
+land_class = marginal
+soc_equilibrium = true
+
+[crop.rest]
+land_class = fallow
+area = 10 ha
+soc_equilibrium = true
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -222,6 +243,16 @@ class TestSweep:
              "--out", str(tmp_path)], capsys)
         assert code == EXIT_DOMAIN
         assert "outside [0, 1]" in err
+
+    def test_zero_income_is_a_domain_error(self, tmp_path, capsys):
+        farm = tmp_path / "farm.cg"
+        farm.write_text(ZERO_INCOME_FARM, encoding="utf-8")
+        code, _, err = run(
+            ["sweep", "--farm", str(farm), "--shares", "0.5",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: farm income with 'b' is zero")
+        assert err.count("\n") == 1
 
 
 class TestParser:

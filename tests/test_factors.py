@@ -1,4 +1,4 @@
-"""Factor database loading, defaults, and strict vs cut-off lookups."""
+"""Factor database loading, defaults, and strict lookups."""
 
 import pytest
 
@@ -83,15 +83,6 @@ class TestLookups:
         with pytest.raises(MissingFlowError) as err:
             db.lookup("unobtainium")
         assert "unobtainium" in str(err.value)
-
-    def test_cutoff_lookup_returns_zero_record(self):
-        db = load_factor_db(SAMPLE)
-        record, missing = db.lookup_or_zero("unobtainium")
-        assert missing
-        assert record.gwp100 == 0.0
-        assert record.pe_renewable == 0.0
-        record, missing = db.lookup_or_zero("diesel")
-        assert not missing
 
 
 class TestProblems:

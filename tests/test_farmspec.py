@@ -216,6 +216,25 @@ class TestValidation:
                                             "organic_carbon = 0.9 percent"))
         assert any("organic carbon above" in m for m in messages)
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("cap_aid = 100 EUR/ha",
+         "cap_aid = 100 EUR/ha\namortization_horizon = 2.5 y",
+         "farm.amortization_horizon"),
+        ("life_span = 4 y", "life_span = 4.5 y", "crop.grass.life_span"),
+    ], ids=["amortization_horizon", "life_span"])
+    def test_fractional_years_rejected(self, old, new, where):
+        with pytest.raises(FarmValidationError) as err:
+            parse_farm_document(VALID.replace(old, new))
+        assert [(d.where, d.message) for d in err.value.report.errors] \
+            == [(where, "expected a whole number of years")]
+
+    def test_whole_years_accepted(self):
+        model = parse_farm_document(VALID.replace(
+            "cap_aid = 100 EUR/ha",
+            "cap_aid = 100 EUR/ha\namortization_horizon = 6 y"))
+        assert model.amortization_horizon_years == 6
+        assert model.crop("grass").life_span_years == 4
+
     def test_unknown_key_reported(self):
         messages = _errors_of(VALID.replace("soc_equilibrium = true",
                                             "soc_equilibrium = true\nwings = 2"))

@@ -5,14 +5,20 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from cropgate.factors import DEFAULT_EXHAUST
 from cropgate.farmspec import Timing, parse_farm_document
 from cropgate.inventory import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, Inventory,
                                 InventoryError, Phase, SeedRecursionError,
-                                annualize_schedule, build_lci, seed_inventory)
+                                _cultivation_flows, annualize_schedule,
+                                build_lci, seed_inventory)
 from cropgate.units import Quantity, parse_quantity
 
 
-def seed_farm(dose: float, seed_yield: float) -> str:
+def seed_farm(dose: float, seed_yield: float,
+              establishment: bool = False) -> str:
+    stand = ("perennial = true\nlife_span = 5 y\n"
+             "sowing_timing = establishment\nbase_timing = establishment\n"
+             if establishment else "")
     return f"""
 [farm]
 name = "seed farm"
@@ -33,7 +39,7 @@ active_fraction = 50 percent
 
 [crop.a]
 land_class = marginal
-sowing_dose = {dose} Mg/ha
+{stand}sowing_dose = {dose} Mg/ha
 seed_source = own
 seed_yield = {seed_yield} Mg/ha
 base_product = fert
@@ -110,9 +116,7 @@ class TestSeedChain:
         crop = model.crop("a")
         vector = seed_inventory(crop, model)
 
-        from cropgate.inventory import _cultivation_flows
         ann = annualize_schedule(crop, model.amortization_horizon_years)
-        from cropgate.factors import DEFAULT_EXHAUST
         cultivation = _cultivation_flows(crop, model, ann, DEFAULT_EXHAUST)
 
         geometric = 1.0 / (1.0 - ratio)
@@ -146,12 +150,35 @@ class TestSeedChain:
         assert truncated["diesel"].value * 2.0 \
             == pytest.approx(full["diesel"].value)
 
-    def test_iteration_cap(self):
-        model = parse_farm_document(seed_farm(1.4999999, 1.5))
+    def test_ratio_near_one_matches_closed_form(self):
+        seed_yield = 1.5
+        model = parse_farm_document(seed_farm(0.999 * seed_yield, seed_yield))
+        crop = model.crop("a")
+        vector = seed_inventory(crop, model)
+
+        ann = annualize_schedule(crop, model.amortization_horizon_years)
+        cultivation = _cultivation_flows(crop, model, ann, DEFAULT_EXHAUST)
+        dose = crop.sowing_dose_mg_ha
+        ratio = dose / seed_yield
+        assert ratio == pytest.approx(0.999)
+        for flow_id, amount in cultivation.items():
+            expected = (amount.value / seed_yield) / (1.0 - ratio)
+            assert vector[flow_id].value == pytest.approx(expected, rel=1e-12)
+            # x = (c + dose * x) / Y + p, with p = 0 off the chain flows
+            recursive = (amount.value + dose * vector[flow_id].value) \
+                / seed_yield
+            assert vector[flow_id].value == pytest.approx(recursive,
+                                                          rel=1e-12)
+        for flow_id in SEED_CHAIN_FLOWS:
+            assert vector[flow_id].value == pytest.approx(
+                1.0 / (1.0 - ratio), rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.2])
+    def test_ratio_at_or_above_one_diverges(self, ratio, factor_db):
+        model = parse_farm_document(seed_farm(ratio * 1.5, 1.5))
         with pytest.raises(SeedRecursionError) as err:
-            seed_inventory(model.crop("a"), model, tolerance=0.0,
-                           max_iterations=5)
-        assert "did not converge" in str(err.value)
+            build_lci(model.crop("a"), model, factor_db)
+        assert "diverges" in str(err.value)
 
 
 class TestBuildLci:
@@ -204,6 +231,30 @@ class TestBuildLci:
         lci8 = build_lci(twg, farm_model, factor_db, horizon_years=8)
         assert lci8.amount("seed_tall_wheatgrass", Phase.SEED).to("Mg") \
             == pytest.approx(0.02 / 8)
+
+    def test_fractional_horizon_reaches_the_seed_chain(self, factor_db):
+        model = parse_farm_document(seed_farm(0.6, 1.5, establishment=True))
+        crop = model.crop("a")
+        lci = build_lci(crop, model, factor_db, horizon_years=2.5)
+
+        def seed_flows(horizon: float) -> dict[str, float]:
+            ann = annualize_schedule(crop, horizon)
+            dose = ann.sowing_dose_mg_ha
+            per_mg = {flow_id: amount.value / 1.5 for flow_id, amount in
+                      _cultivation_flows(crop, model, ann,
+                                         factor_db.exhaust).items()}
+            for flow_id in SEED_CHAIN_FLOWS:
+                per_mg[flow_id] = per_mg.get(flow_id, 0.0) + 1.0
+            return {flow_id: value / (1.0 - dose / 1.5) * dose
+                    for flow_id, value in per_mg.items()}
+
+        expected = seed_flows(2.5)
+        got = {f.flow_id: f.amount.value for f in lci.by_phase(Phase.SEED)}
+        assert set(got) == set(expected)
+        for flow_id, value in expected.items():
+            assert got[flow_id] == pytest.approx(value, rel=1e-12), flow_id
+        truncated = seed_flows(2)
+        assert got["diesel"] != pytest.approx(truncated["diesel"], rel=1e-3)
 
     def test_soil_pair_route(self, farm_model, factor_db):
         # strip the measured override so the stock pair drives the credit
