@@ -17,6 +17,9 @@ Typical use::
     print(result.gwp.net_total)
 """
 
+# the one version string: packaging metadata and the report run hash read it
+__version__ = "1.0.0"
+
 from . import assess
 from .assess import (CropAssessment, PairComparison, assess_crop,
                      bundled_data_path, compare_pair, load_factors,
@@ -36,8 +39,6 @@ from .inventory import (Flow, Inventory, InventoryError, Phase,
 from .sections import SectionSyntaxError, parse_document, serialize_document
 from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, Unit, UnitError, parse_quantity, parse_unit
-
-__version__ = "1.0.0"
 
 __all__ = [
     "__version__",

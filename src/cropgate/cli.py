@@ -9,13 +9,14 @@ usage problems (unreadable files, grammar errors, bad flags).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .assess import (assess_crop, compare_pair, resolve_factors_path,
-                     sweep_shares)
-from .factors import FactorFileError, MissingFlowError, load_factor_db
-from .farmspec import FarmValidationError, build_farm_model, \
-    parse_farm_document
+from . import __version__
+from .assess import (assess_crop, compare_pair, load_factors, load_farm,
+                     resolve_factors_path, sweep_shares)
+from .factors import FactorFileError, MissingFlowError
+from .farmspec import FarmValidationError, build_farm_model
 from .inventory import InventoryError
 from .reports import build_manifest, write_assessment, write_comparison, \
     write_sweep
@@ -24,41 +25,30 @@ from .units import UnitError
 
 __all__ = ["main"]
 
-_VERSION = "1.0.0"
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+
+# a sweep this long is a typo in --range, not a question about the farm
+MAX_SWEEP_POINTS = 10_000
 
 
 class _InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_model(path: str):
-    return parse_farm_document(_read_text(path))
-
-
-def _load_db(path: str):
-    return load_factor_db(_read_text(path))
-
-
 def _parse_share(text: str) -> float:
     try:
         if "/" in text:
             numerator, denominator = text.split("/", 1)
-            return float(numerator) / float(denominator)
-        return float(text)
+            share = float(numerator) / float(denominator)
+        else:
+            share = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"bad share {text!r}") from exc
+    if not math.isfinite(share):
+        raise _InputError(f"bad share {text!r}")
+    return share
 
 
 def _sweep_points(args) -> list[float]:
@@ -73,14 +63,14 @@ def _sweep_points(args) -> list[float]:
     start, stop, step = (_parse_share(part) for part in start_stop_step)
     if step <= 0:
         raise _InputError("--range step must be positive")
-    shares = []
-    value = start
-    while value <= stop + 1e-12:
-        shares.append(round(value, 12))
-        value += step
-    if not shares:
+    # count the points before building any: stop is inclusive up to 1e-12
+    count = math.floor((stop + 1e-12 - start) / step) + 1
+    if count < 1:
         raise _InputError("--range produced no shares")
-    return shares
+    if count > MAX_SWEEP_POINTS:
+        raise _InputError(f"--range gives {count} shares, more than "
+                          f"{MAX_SWEEP_POINTS}")
+    return [round(start + i * step, 12) for i in range(count)]
 
 
 # ---------------------------------------------------------------------- #
@@ -88,8 +78,8 @@ def _sweep_points(args) -> list[float]:
 # ---------------------------------------------------------------------- #
 
 def _cmd_validate(args) -> int:
-    text = _read_text(args.farm)
-    doc = parse_document(text)  # SectionSyntaxError -> exit 2
+    with open(args.farm, encoding="utf-8") as handle:
+        doc = parse_document(handle.read())  # SectionSyntaxError -> exit 2
     model, report = build_farm_model(doc)
     for diagnostic in report.diagnostics:
         print(diagnostic.render())
@@ -98,6 +88,13 @@ def _cmd_validate(args) -> int:
         return EXIT_DOMAIN
     print(f"ok: {len(model.crops)} crops on {model.total_area_ha:g} ha")
     return EXIT_OK
+
+
+def _load(args):
+    """The farm model, the factor file path and its database."""
+    model = load_farm(args.farm)
+    factors_path = resolve_factors_path(args.farm, model, args.factors)
+    return model, factors_path, load_factors(factors_path)
 
 
 def _flags(args, **extra) -> dict:
@@ -109,54 +106,56 @@ def _flags(args, **extra) -> dict:
     return flags
 
 
+def _write(args, factors_path, flags: dict, write, *subject) -> int:
+    """Hash the run, write the reports on ``subject`` and list their paths."""
+    try:
+        manifest = build_manifest(args.farm, factors_path, flags)
+    except ValueError as exc:  # a malformed SOURCE_DATE_EPOCH
+        raise _InputError(str(exc)) from exc
+    try:
+        paths = write(*subject, manifest, args.out, args.format)
+    except OSError as exc:
+        raise _InputError(f"cannot write {exc.filename}: {exc.strerror}") \
+            from exc
+    for path in paths:
+        print(path)
+    return EXIT_OK
+
+
 def _cmd_assess(args) -> int:
-    model = _load_model(args.farm)
-    factors_path = resolve_factors_path(args.farm, model, args.factors)
-    db = _load_db(factors_path)
+    model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) != 1:
         raise _InputError("assess needs exactly one --crop")
     result = assess_crop(model, db, crops[0],
                          cutoff_missing=args.cutoff_missing,
                          horizon_years=args.horizon)
-    manifest = build_manifest(args.farm, factors_path,
-                              _flags(args, crop=crops[0]))
-    for path in write_assessment(result, manifest, args.out, args.format):
-        print(path)
+    code = _write(args, factors_path, _flags(args, crop=crops[0]),
+                  write_assessment, result)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
-    return EXIT_OK
+    return code
 
 
 def _cmd_compare(args) -> int:
-    model = _load_model(args.farm)
-    factors_path = resolve_factors_path(args.farm, model, args.factors)
-    db = _load_db(factors_path)
+    model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) not in (0, 2):
         raise _InputError("compare takes no --crop (the farm's pair) or two")
-    first, second = crops if crops else model.marginal_pair
-    comparison = compare_pair(model, db, first, second,
+    comparison = compare_pair(model, db, *crops,
                               cutoff_missing=args.cutoff_missing,
                               horizon_years=args.horizon)
-    manifest = build_manifest(args.farm, factors_path,
-                              _flags(args, crops=f"{first},{second}"))
-    for path in write_comparison(comparison, manifest, args.out, args.format):
-        print(path)
-    return EXIT_OK
+    pair = f"{comparison.first.crop_name},{comparison.second.crop_name}"
+    return _write(args, factors_path, _flags(args, crops=pair),
+                  write_comparison, comparison)
 
 
 def _cmd_sweep(args) -> int:
-    model = _load_model(args.farm)
+    model = load_farm(args.farm)
     shares = _sweep_points(args)
     points = sweep_shares(model, shares)
-    manifest = build_manifest(args.farm, None, _flags(
-        args, shares=",".join(f"{share:.6f}" for share in shares)))
-    paths = write_sweep(points, model.marginal_pair, manifest, args.out,
-                        args.format)
-    for path in paths:
-        print(path)
-    return EXIT_OK
+    flags = _flags(args, shares=",".join(f"{share:.6f}" for share in shares))
+    return _write(args, None, flags, write_sweep, points, model.marginal_pair)
 
 
 # ---------------------------------------------------------------------- #
@@ -169,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cradle-to-farm-gate economics, carbon footprint and "
                     "primary energy accounting for crop alternatives.")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_VERSION}")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(cmd, factors=True):
@@ -232,14 +231,21 @@ def main(argv: list[str] | None = None) -> int:
     except SectionSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # _write turns failures to write into _InputError: this is a read
+        message = (f"cannot read {exc.filename}: {exc.strerror}"
+                   if exc.filename else exc)
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
-    except FarmValidationError as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read input: not UTF-8 text ({exc.reason} at "
+              f"byte {exc.start})", file=sys.stderr)
+        return EXIT_INPUT
+    except (FarmValidationError, FactorFileError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
-    except (FactorFileError, MissingFlowError, InventoryError, UnitError,
-            KeyError, ValueError) as exc:
+    except (MissingFlowError, InventoryError, UnitError, KeyError,
+            ValueError) as exc:
         if type(exc) is KeyError and exc.args:
             message = exc.args[0]  # plain KeyError str() adds quotes
         else:

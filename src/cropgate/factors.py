@@ -20,11 +20,10 @@ the command line resolves missing flows to zero and reports them instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .sections import Section, parse_document
-from .units import Quantity, parse_unit
+from .sections import SectionReader, ValidationReport, parse_document
+from .units import UnitError, parse_unit
 
 __all__ = [
     "FactorFileError", "MissingFlowError", "FactorRecord", "GasGWP",
@@ -115,89 +114,41 @@ class FactorDB:
         return self.emissions.get(crop_name, N2OParams())
 
 
-class _Problems:
-    def __init__(self):
-        self.messages: list[str] = []
-
-    def add(self, where: str, message: str) -> None:
-        self.messages.append(f"[{where}] {message}")
-
-    def raise_if_any(self) -> None:
-        if self.messages:
-            raise FactorFileError("\n".join(self.messages))
-
-
-def _number(section: Section, key: str, problems: _Problems,
-            unit_text: str | None = None, default: float | None = None,
-            ) -> float | None:
-    value = section.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, Quantity):
-        problems.add(section.name, f"{key} must be numeric")
-        return default
-    if unit_text is None or value.unit.dimensionless:
-        return value.value
-    expected, scale = parse_unit(unit_text)
-    if value.unit != expected:
-        problems.add(section.name, f"{key} must be in {unit_text}")
-        return default
-    return value.value / scale
+def _read_flow(reader: SectionReader) -> FactorRecord:
+    unit = reader.text("unit")
+    if unit is None:
+        reader.error("unit", "flow needs a unit basis")
+    else:
+        try:
+            parse_unit(unit)
+        except UnitError:
+            reader.error("unit", f"unknown unit basis {unit!r}")
+    record = FactorRecord(
+        flow_id=reader.section.path[1], unit=unit,
+        gwp100=reader.number("gwp100", 0.0),
+        pe_renewable=reader.number("pe_renewable", 0.0),
+        pe_nonrenewable=reader.number("pe_nonrenewable", 0.0),
+        note=reader.text("note", ""))
+    for key in ("pe_renewable", "pe_nonrenewable"):
+        if getattr(record, key) < 0:
+            reader.error(key, "primary energy factors cannot be negative")
+    return record
 
 
-def _read_flow(section: Section, problems: _Problems) -> FactorRecord | None:
-    unit = section.get("unit")
-    if not isinstance(unit, str):
-        problems.add(section.name, "flow needs a unit basis")
-        return None
-    try:
-        parse_unit(unit)
-    except Exception:
-        problems.add(section.name, f"unknown unit basis {unit!r}")
-        return None
-    gwp = _number(section, "gwp100", problems, default=0.0)
-    pe_r = _number(section, "pe_renewable", problems, default=0.0)
-    pe_nr = _number(section, "pe_nonrenewable", problems, default=0.0)
-    note = section.get("note", "")
-    for key in section.entries:
-        if key not in ("unit", "gwp100", "pe_renewable", "pe_nonrenewable", "note"):
-            problems.add(section.name, f"unknown key {key!r}")
-    if gwp is None or not math.isfinite(gwp):
-        problems.add(section.name, "gwp100 must be finite")
-        return None
-    if pe_r is None or pe_r < 0 or pe_nr is None or pe_nr < 0:
-        problems.add(section.name, "primary energy factors cannot be negative")
-        return None
-    return FactorRecord(flow_id=section.path[1], unit=unit, gwp100=gwp,
-                        pe_renewable=pe_r, pe_nonrenewable=pe_nr,
-                        note=note if isinstance(note, str) else "")
+def _read_emissions(reader: SectionReader) -> N2OParams:
+    return N2OParams(
+        ef_direct=reader.fraction("ef_direct", 0.01),
+        residue_n_kg_ha=reader.quantity("residue_n", "kg/ha", 0.0),
+        nh3_loss_fraction=reader.fraction("nh3_loss_fraction", 0.0),
+        ef_indirect_nh3=reader.fraction("ef_indirect_nh3", 0.0),
+        override_mg_ha=reader.quantity("override", "Mg/ha"))
 
 
-def _read_emissions(section: Section, problems: _Problems) -> N2OParams:
-    override = _number(section, "override", problems, "Mg/ha")
-    params = N2OParams(
-        ef_direct=_number(section, "ef_direct", problems, default=0.01),
-        residue_n_kg_ha=_number(section, "residue_n", problems, "kg/ha", 0.0),
-        nh3_loss_fraction=_number(section, "nh3_loss_fraction", problems,
-                                  default=0.0),
-        ef_indirect_nh3=_number(section, "ef_indirect_nh3", problems,
-                                default=0.0),
-        override_mg_ha=override)
-    for key in section.entries:
-        if key not in ("override", "ef_direct", "residue_n",
-                       "nh3_loss_fraction", "ef_indirect_nh3"):
-            problems.add(section.name, f"unknown key {key!r}")
-    return params
-
-
-def _read_exhaust(section: Section, problems: _Problems) -> ExhaustFactors:
-    co2 = _number(section, "co2", problems, "kg/L", DEFAULT_EXHAUST.co2_kg_l)
-    ch4 = _number(section, "ch4", problems, "kg/L", 0.0)
-    n2o = _number(section, "n2o", problems, "kg/L", 0.0)
-    for key in section.entries:
-        if key not in ("co2", "ch4", "n2o"):
-            problems.add(section.name, f"unknown key {key!r}")
-    return ExhaustFactors(co2_kg_l=co2, ch4_kg_l=ch4, n2o_kg_l=n2o)
+def _read_exhaust(reader: SectionReader) -> ExhaustFactors:
+    return ExhaustFactors(
+        co2_kg_l=reader.quantity("co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
+        ch4_kg_l=reader.quantity("ch4", "kg/L", 0.0),
+        n2o_kg_l=reader.quantity("n2o", "kg/L", 0.0))
 
 
 def load_factor_db(text: str) -> FactorDB:
@@ -208,26 +159,26 @@ def load_factor_db(text: str) -> FactorDB:
         FactorFileError: malformed records, all problems listed together.
     """
     doc = parse_document(text)
-    problems = _Problems()
+    report = ValidationReport()
     db = FactorDB()
     for section in doc.sections:
-        kind = section.path[0]
-        if kind == "flow" and len(section.path) == 2:
-            record = _read_flow(section, problems)
-            if record is not None:
-                db.records[record.flow_id] = record
-        elif kind == "gas" and len(section.path) == 2:
-            gwp = _number(section, "gwp100", problems)
-            if gwp is None or not math.isfinite(gwp):
-                problems.add(section.name, "gas needs a finite gwp100")
-            else:
-                db.gases[section.path[1]] = GasGWP(section.path[1], gwp)
-        elif kind == "emissions" and len(section.path) == 2:
-            if section.path[1] == "exhaust":
-                db.exhaust = _read_exhaust(section, problems)
-            else:
-                db.emissions[section.path[1]] = _read_emissions(section, problems)
+        kind, name = section.path[0], section.path[-1]
+        if len(section.path) != 2 or kind not in ("flow", "gas", "emissions"):
+            report.error(section.name, "unknown section")
+            continue
+        reader = SectionReader(section, report)
+        if kind == "flow":
+            db.records[name] = _read_flow(reader)
+        elif kind == "gas":
+            gwp = reader.number("gwp100")
+            if gwp is None:
+                reader.error("gwp100", "gas needs a finite gwp100")
+            db.gases[name] = GasGWP(name, gwp)
+        elif name == "exhaust":
+            db.exhaust = _read_exhaust(reader)
         else:
-            problems.add(section.name, "unknown section")
-    problems.raise_if_any()
+            db.emissions[name] = _read_emissions(reader)
+        reader.finish()
+    if not report.ok:
+        raise FactorFileError("invalid factor file:\n" + report.render())
     return db

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-from .sections import Document, Section, SectionSyntaxError, parse_document
-from .units import DIMENSIONLESS, Quantity, UnitError, parse_unit
+from .sections import (Diagnostic, Document, Section, SectionReader,
+                       ValidationReport, parse_document)
+from .units import Quantity
 
 __all__ = [
     "LandClass", "Timing", "SeedSource", "MachineClass",
@@ -65,45 +66,6 @@ class MachineClass(enum.Enum):
     HARVESTER = "harvester"
     TILLAGE = "tillage"
     IMPLEMENT = "implements"
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    where: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.severity}: [{self.where}] {self.message}"
-
-
-@dataclass
-class ValidationReport:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def error(self, where: str, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", where, message))
-
-    def warning(self, where: str, message: str) -> None:
-        self.diagnostics.append(Diagnostic("warning", where, message))
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def extend(self, other: "ValidationReport") -> None:
-        self.diagnostics.extend(other.diagnostics)
-
-    def render(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)
 
 
 # ---------------------------------------------------------------------- #
@@ -257,118 +219,8 @@ def parse_product_label(label: str) -> Composition:
 #  section readers
 # ---------------------------------------------------------------------- #
 
-class _SectionReader:
-    """Typed access to one section, collecting diagnostics instead of raising."""
-
-    def __init__(self, section: Section, report: ValidationReport):
-        self.section = section
-        self.report = report
-        self.where = section.name
-        self._consumed: set[str] = set()
-
-    def _take(self, key: str):
-        self._consumed.add(key)
-        return self.section.get(key)
-
-    def quantity(self, key: str, unit_text: str, default: float | None = None,
-                 ) -> float | None:
-        value = self._take(key)
-        if value is None:
-            return default
-        if not isinstance(value, Quantity):
-            self.report.error(f"{self.where}.{key}", "expected a quantity")
-            return default
-        expected, scale = parse_unit(unit_text)
-        if value.unit == DIMENSIONLESS and not expected.dimensionless:
-            # bare numbers are accepted where the unit is unambiguous
-            return value.value
-        if value.unit != expected:
-            self.report.error(f"{self.where}.{key}",
-                              f"expected a value in {unit_text}")
-            return default
-        return value.value / scale
-
-    def years(self, key: str, default: int) -> int:
-        """A whole number of years; a fraction is reported, not truncated."""
-        value = self.quantity(key, "y", default)
-        if not float(value).is_integer():
-            self.report.error(f"{self.where}.{key}",
-                              "expected a whole number of years")
-            return default
-        return int(value)
-
-    def fraction(self, key: str, default: float | None = None) -> float | None:
-        value = self._take(key)
-        if value is None:
-            return default
-        if not isinstance(value, Quantity) or not value.unit.dimensionless:
-            self.report.error(f"{self.where}.{key}", "expected a fraction")
-            return default
-        if not 0.0 <= value.value <= 1.0:
-            self.report.error(f"{self.where}.{key}",
-                              f"fraction {value.value!r} outside [0, 1]")
-            return default
-        return value.value
-
-    def text(self, key: str, default: str | None = None) -> str | None:
-        value = self._take(key)
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            self.report.error(f"{self.where}.{key}", "expected text")
-            return default
-        return value
-
-    def boolean(self, key: str, default: bool = False) -> bool:
-        value = self._take(key)
-        if value is None:
-            return default
-        if not isinstance(value, bool):
-            self.report.error(f"{self.where}.{key}", "expected true or false")
-            return default
-        return value
-
-    def ident_list(self, key: str) -> list[str]:
-        value = self._take(key)
-        if value is None:
-            return []
-        items = value if isinstance(value, list) else [value]
-        out = []
-        for item in items:
-            if isinstance(item, str):
-                out.append(item)
-            else:
-                self.report.error(f"{self.where}.{key}", "expected identifiers")
-        return out
-
-    def timing(self, key: str, default: Timing = Timing.RECURRENT) -> Timing:
-        value = self._take(key)
-        if value is None:
-            return default
-        try:
-            return Timing(value)
-        except (ValueError, TypeError):
-            self.report.error(f"{self.where}.{key}",
-                              "expected 'establishment' or 'recurrent'")
-            return default
-
-    def raw_quantity(self, key: str) -> Quantity | None:
-        value = self._take(key)
-        if value is None:
-            return None
-        if not isinstance(value, Quantity):
-            self.report.error(f"{self.where}.{key}", "expected a quantity")
-            return None
-        return value
-
-    def finish(self) -> None:
-        for key in self.section.entries:
-            if key not in self._consumed:
-                self.report.error(f"{self.where}.{key}", "unknown key")
-
-
 def _read_product(section: Section, report: ValidationReport) -> ProductSpec | None:
-    reader = _SectionReader(section, report)
+    reader = SectionReader(section, report)
     product_id = section.path[1]
     kind = reader.text("kind")
     label = reader.text("label", "")
@@ -415,7 +267,7 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
     except ValueError:
         report.error(section.name, "soil section needs a numeric year segment")
         return None
-    reader = _SectionReader(section, report)
+    reader = SectionReader(section, report)
     depth = reader.quantity("depth", "m")
     density = reader.quantity("bulk_density", "Mg/m3")
     coarse = reader.fraction("coarse_fraction")
@@ -433,31 +285,22 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
 def _read_crop(section: Section, sub: dict[str, list[Section]],
                prices: dict[str, float], report: ValidationReport) -> CropPlan | None:
     name = section.path[1]
-    reader = _SectionReader(section, report)
+    reader = SectionReader(section, report)
     where = section.name
 
-    land_text = reader.text("land_class")
-    try:
-        land_class = LandClass(land_text) if land_text else None
-    except ValueError:
-        land_class = None
-    if land_class is None:
-        report.error(f"{where}.land_class",
-                     "expected marginal, non_marginal or fallow")
+    land_class = reader.choice("land_class", LandClass)
+    if "land_class" not in section:
+        reader.error("land_class", "land_class is required")
 
     perennial = reader.boolean("perennial", False)
     life_span = reader.years("life_span", 1)
     area = reader.quantity("area", "ha")
 
     sowing_dose = reader.quantity("sowing_dose", "Mg/ha", 0.0)
-    sowing_timing = reader.timing("sowing_timing")
-    seed_source_text = reader.text(
-        "seed_source", "own" if sowing_dose else "none")
-    try:
-        seed_source = SeedSource(seed_source_text)
-    except ValueError:
-        report.error(f"{where}.seed_source", "expected own, external or none")
-        seed_source = SeedSource.NONE
+    sowing_timing = reader.choice("sowing_timing", Timing, Timing.RECURRENT)
+    seed_source = reader.choice(
+        "seed_source", SeedSource,
+        SeedSource.OWN if sowing_dose else SeedSource.NONE)
     seed_flow = reader.text("seed_flow")
     seed_yield = reader.quantity("seed_yield", "Mg/ha")
 
@@ -465,7 +308,7 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
     for role in ("base", "top"):
         product = reader.text(f"{role}_product")
         dose = reader.quantity(f"{role}_dose", "Mg/ha")
-        timing = reader.timing(f"{role}_timing")
+        timing = reader.choice(f"{role}_timing", Timing, Timing.RECURRENT)
         if product is None and dose is None:
             continue
         if product is None or dose is None:
@@ -485,9 +328,9 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
 
     herbicides = []
     for hsec in sub.get("herbicide", []):
-        hreader = _SectionReader(hsec, report)
+        hreader = SectionReader(hsec, report)
         dose = hreader.raw_quantity("dose")
-        timing = hreader.timing("timing")
+        timing = hreader.choice("timing", Timing, Timing.RECURRENT)
         hreader.finish()
         if dose is None:
             report.error(hsec.name, "herbicide application needs a dose")
@@ -497,8 +340,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
 
     operations = []
     for osec in sub.get("op", []):
-        oreader = _SectionReader(osec, report)
-        timing = oreader.timing("timing")
+        oreader = SectionReader(osec, report)
+        timing = oreader.choice("timing", Timing, Timing.RECURRENT)
         diesel = oreader.quantity("diesel", "L/ha", 0.0)
         machinery = {}
         for cls in MachineClass:
@@ -513,14 +356,12 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
     costs = CostBlock()
     cost_secs = sub.get("costs", [])
     if cost_secs:
-        creader = _SectionReader(cost_secs[0], report)
-        kwargs = {}
-        for part in ("seed", "herbicide", "fertilizer", "machinery_labor"):
-            kwargs[part] = creader.quantity(part, "EUR/ha", 0.0)
-            kwargs[f"{part}_establishment"] = creader.quantity(
-                f"{part}_establishment", "EUR/ha", 0.0)
+        # the keys are the CostBlock field names
+        creader = SectionReader(cost_secs[0], report)
+        costs = CostBlock(**{
+            part.name: creader.quantity(part.name, "EUR/ha", 0.0)
+            for part in fields(CostBlock)})
         creader.finish()
-        costs = CostBlock(**kwargs)
 
     if land_class is None:
         return None
@@ -550,7 +391,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     if farm_sec is None:
         report.error("farm", "document has no [farm] section")
         return None, report
-    freader = _SectionReader(farm_sec, report)
+    freader = SectionReader(farm_sec, report)
     name = freader.text("name", "")
     total_area = freader.quantity("total_area", "ha")
     cap_aid = freader.quantity("cap_aid", "EUR/ha", 0.0)
@@ -570,12 +411,11 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     prices: dict[str, float] = {}
     price_sec = doc.section("prices")
     if price_sec is not None:
-        preader = _SectionReader(price_sec, report)
+        preader = SectionReader(price_sec, report)
         for key in list(price_sec.entries):
             value = preader.quantity(key, "EUR/Mg")
             if value is not None:
                 prices[key] = value
-        preader.finish()
 
     products: dict[str, ProductSpec] = {}
     for psec in doc.find("product"):
@@ -637,7 +477,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             if plan.area_ha:
                 report.error(f"crop.{crop_name}.area",
                              "marginal alternatives take the shared marginal_area")
-            plan = _replace_area(plan, marginal_area)
+            plan = replace(plan, area_ha=marginal_area)
         resolved[crop_name] = plan
 
     model = FarmModel(
@@ -647,11 +487,6 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         soil_samples=tuple(samples), factors_ref=factors_ref)
     report.extend(validate_model(model))
     return model, report
-
-
-def _replace_area(plan: CropPlan, area: float) -> CropPlan:
-    from dataclasses import replace
-    return replace(plan, area_ha=area)
 
 
 def validate_model(model: FarmModel) -> ValidationReport:

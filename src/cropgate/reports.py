@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
+from . import __version__
 from .assess import FUNCTIONAL_UNIT, CropAssessment, PairComparison
-from .economics import SweepPoint
+from .economics import EconomicBalance, SweepPoint
 from .inventory import Phase
 
 __all__ = ["RunManifest", "build_manifest", "write_assessment",
@@ -28,7 +29,6 @@ __all__ = ["RunManifest", "build_manifest", "write_assessment",
            "fmt_eur", "fmt_mg_co2e", "fmt_gj", "fmt_share"]
 
 _TOOL = "cropgate"
-_VERSION = "1.0.0"
 
 # fixed report order for the life-cycle phases
 _PHASE_ORDER = (Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE,
@@ -74,17 +74,7 @@ class RunManifest:
         return f"# run {self.run_hash}"
 
     def as_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "farm_path": self.farm_path,
-            "farm_sha256": self.farm_sha256,
-            "factors_path": self.factors_path,
-            "factors_sha256": self.factors_sha256,
-            "flags": dict(self.flags),
-            "run_hash": self.run_hash,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
 def _sha256_file(path: str) -> str:
@@ -95,6 +85,19 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _build_timestamp() -> str | None:
+    """UTC time from SOURCE_DATE_EPOCH, or None when it is unset."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if not epoch:
+        return None
+    try:
+        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be a Unix time in whole "
+                         f"seconds, not {epoch!r}") from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def build_manifest(farm_path: str, factors_path: str | None,
                    flags: dict[str, object]) -> RunManifest:
     """Hash the run inputs. The hash covers content hashes, tool version and
@@ -103,96 +106,96 @@ def build_manifest(farm_path: str, factors_path: str | None,
     factors_hash = _sha256_file(factors_path) if factors_path else None
     flag_text = {key: str(value) for key, value in sorted(flags.items())}
     region = "\n".join(
-        [f"tool={_TOOL} {_VERSION}", f"farm={farm_hash}",
+        [f"tool={_TOOL} {__version__}", f"farm={farm_hash}",
          f"factors={factors_hash or 'none'}"]
         + [f"flag:{key}={value}" for key, value in flag_text.items()])
     run_hash = hashlib.sha256(region.encode("utf-8")).hexdigest()
 
-    timestamp = None
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-        timestamp = moment.strftime("%Y-%m-%dT%H:%M:%SZ")
     return RunManifest(
-        tool=_TOOL, version=_VERSION,
+        tool=_TOOL, version=__version__,
         farm_path=os.path.basename(os.fspath(farm_path)),
         farm_sha256=farm_hash,
         factors_path=(os.path.basename(os.fspath(factors_path))
                       if factors_path else None),
         factors_sha256=factors_hash, flags=flag_text, run_hash=run_hash,
-        timestamp=timestamp)
+        timestamp=_build_timestamp())
 
 
-def _write(path: str, lines: list[str]) -> None:
-    # newline="" so LF survives on every platform
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _emit(out_dir: str, fmt: str, manifest: RunManifest,
+          tables: dict[str, list[tuple[str, ...]]], json_name: str,
+          payload: dict) -> list[str]:
+    """Write the CSV tables (``csv`` format only), then the JSON file.
 
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Each table is a header row plus data rows of already formatted cells;
+    the JSON payload gains the manifest. Returns the paths in write order.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    texts = {}
+    if fmt == "csv":
+        for name, rows in tables.items():
+            lines = [manifest.comment_line()] + [",".join(row) for row in rows]
+            texts[name] = "\n".join(lines) + "\n"
+    texts[json_name] = json.dumps({"manifest": manifest.as_dict(), **payload},
+                                  indent=2, sort_keys=True) + "\n"
+    written = []
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        # newline="" so LF survives on every platform
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        written.append(path)
+    return written
 
 
 # ---------------------------------------------------------------------- #
 #  single-crop assessment
 # ---------------------------------------------------------------------- #
 
+# every EconomicBalance field after crop_name, in report row order
+_BALANCE_FIELDS = tuple(f.name for f in fields(EconomicBalance)[1:])
+
+
 def _balance_rows(result: CropAssessment) -> list[tuple[str, float]]:
-    eco = result.economics
-    return [
-        ("seed_cost", eco.seed_cost),
-        ("herbicide_cost", eco.herbicide_cost),
-        ("fertilizer_cost", eco.fertilizer_cost),
-        ("machinery_labor_cost", eco.machinery_labor_cost),
-        ("total_cost", eco.total_cost),
-        ("grain_sales", eco.grain_sales),
-        ("straw_sales", eco.straw_sales),
-        ("total_sales", eco.total_sales),
-        ("balance_without_cap", eco.balance_without_cap),
-        ("balance_with_cap", eco.balance_with_cap),
-    ]
+    return [(name, getattr(result.economics, name))
+            for name in _BALANCE_FIELDS]
 
 
-def _gwp_json(result: CropAssessment) -> dict:
+def _assessment_json(result: CropAssessment) -> dict:
+    gwp, energy = result.gwp, result.energy
     return {
-        "by_phase_mg_co2e": {phase.value: result.gwp.by_phase[phase]
-                             for phase in _PHASE_ORDER},
-        "positive_total_mg_co2e": result.gwp.positive_total,
-        "net_total_mg_co2e": result.gwp.net_total,
-        "shares_pct": {phase.value: share
-                       for phase, share in result.gwp_shares.items()},
-        "missing_flows": list(result.gwp.missing),
-    }
-
-
-def _energy_json(result: CropAssessment) -> dict:
-    energy = result.energy
-    return {
-        "renewable_by_phase_gj": {phase.value: energy.renewable_by_phase[phase]
-                                  for phase in _PHASE_ORDER},
-        "nonrenewable_by_phase_gj": {
-            phase.value: energy.nonrenewable_by_phase[phase]
-            for phase in _PHASE_ORDER},
-        "renewable_total_gj": energy.renewable_total,
-        "nonrenewable_total_gj": energy.nonrenewable_total,
-        "total_gj": energy.total,
-        "shares_pct": {phase.value: share
-                       for phase, share in result.energy_shares.items()},
-        "missing_flows": list(energy.missing),
-    }
-
-
-def _assessment_json(result: CropAssessment, manifest: RunManifest) -> dict:
-    return {
-        "manifest": manifest.as_dict(),
         "functional_unit": FUNCTIONAL_UNIT,
         "crop": result.crop_name,
         "economics_eur_ha": dict(_balance_rows(result)),
-        "gwp": _gwp_json(result),
-        "energy": _energy_json(result),
+        "gwp": {
+            "by_phase_mg_co2e": {phase.value: gwp.by_phase[phase]
+                                 for phase in _PHASE_ORDER},
+            "positive_total_mg_co2e": gwp.positive_total,
+            "net_total_mg_co2e": gwp.net_total,
+            "shares_pct": {phase.value: share
+                           for phase, share in result.gwp_shares.items()},
+            "missing_flows": list(gwp.missing),
+        },
+        "energy": {
+            "renewable_by_phase_gj": {
+                phase.value: energy.renewable_by_phase[phase]
+                for phase in _PHASE_ORDER},
+            "nonrenewable_by_phase_gj": {
+                phase.value: energy.nonrenewable_by_phase[phase]
+                for phase in _PHASE_ORDER},
+            "renewable_total_gj": energy.renewable_total,
+            "nonrenewable_total_gj": energy.nonrenewable_total,
+            "total_gj": energy.total,
+            "shares_pct": {phase.value: share
+                           for phase, share in result.energy_shares.items()},
+            "missing_flows": list(energy.missing),
+        },
         "notes": list(result.notes),
     }
+
+
+def _share_cell(shares: dict, phase) -> str:
+    share = shares.get(phase)
+    return fmt_share(share) if share is not None else ""
 
 
 def write_assessment(result: CropAssessment, manifest: RunManifest,
@@ -202,54 +205,33 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     ``csv`` writes the three tables plus result.json; ``json`` writes only
     result.json.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-
-    if fmt == "csv":
-        lines = [manifest.comment_line(), "concept,eur_per_ha"]
-        for concept, value in _balance_rows(result):
-            lines.append(f"{concept},{fmt_eur(value)}")
-        path = os.path.join(out_dir, "balance.csv")
-        _write(path, lines)
-        written.append(path)
-
-        lines = [manifest.comment_line(), "phase,mg_co2e_per_ha_y,share_pct"]
-        for phase in _PHASE_ORDER:
-            share = result.gwp_shares.get(phase)
-            lines.append(",".join([
-                phase.value, fmt_mg_co2e(result.gwp.by_phase[phase]),
-                fmt_share(share) if share is not None else ""]))
-        lines.append(
-            f"positive_total,{fmt_mg_co2e(result.gwp.positive_total)},"
-            + (fmt_share(100.0) if result.gwp_shares else ""))
-        lines.append(f"net_total,{fmt_mg_co2e(result.gwp.net_total)},")
-        path = os.path.join(out_dir, "gwp_phases.csv")
-        _write(path, lines)
-        written.append(path)
-
-        lines = [manifest.comment_line(),
-                 "phase,renewable_gj_per_ha_y,nonrenewable_gj_per_ha_y,"
-                 "total_gj_per_ha_y,share_pct"]
-        energy = result.energy
-        for phase in _PHASE_ORDER:
-            ren = energy.renewable_by_phase[phase]
-            non = energy.nonrenewable_by_phase[phase]
-            share = result.energy_shares.get(phase)
-            lines.append(",".join([
-                phase.value, fmt_gj(ren), fmt_gj(non), fmt_gj(ren + non),
-                fmt_share(share) if share is not None else ""]))
-        lines.append(",".join([
-            "total", fmt_gj(energy.renewable_total),
-            fmt_gj(energy.nonrenewable_total), fmt_gj(energy.total),
-            fmt_share(100.0) if result.energy_shares else ""]))
-        path = os.path.join(out_dir, "energy_phases.csv")
-        _write(path, lines)
-        written.append(path)
-
-    path = os.path.join(out_dir, "result.json")
-    _write_json(path, _assessment_json(result, manifest))
-    written.append(path)
-    return written
+    gwp, energy = result.gwp, result.energy
+    balance = [("concept", "eur_per_ha")] + [
+        (concept, fmt_eur(value)) for concept, value in _balance_rows(result)]
+    gwp_rows = [("phase", "mg_co2e_per_ha_y", "share_pct")] + [
+        (phase.value, fmt_mg_co2e(gwp.by_phase[phase]),
+         _share_cell(result.gwp_shares, phase)) for phase in _PHASE_ORDER]
+    gwp_rows += [
+        ("positive_total", fmt_mg_co2e(gwp.positive_total),
+         fmt_share(100.0) if result.gwp_shares else ""),
+        ("net_total", fmt_mg_co2e(gwp.net_total), "")]
+    energy_rows = [("phase", "renewable_gj_per_ha_y",
+                    "nonrenewable_gj_per_ha_y", "total_gj_per_ha_y",
+                    "share_pct")]
+    for phase in _PHASE_ORDER:
+        ren = energy.renewable_by_phase[phase]
+        non = energy.nonrenewable_by_phase[phase]
+        energy_rows.append((phase.value, fmt_gj(ren), fmt_gj(non),
+                            fmt_gj(ren + non),
+                            _share_cell(result.energy_shares, phase)))
+    energy_rows.append((
+        "total", fmt_gj(energy.renewable_total),
+        fmt_gj(energy.nonrenewable_total), fmt_gj(energy.total),
+        fmt_share(100.0) if result.energy_shares else ""))
+    return _emit(out_dir, fmt, manifest,
+                 {"balance.csv": balance, "gwp_phases.csv": gwp_rows,
+                  "energy_phases.csv": energy_rows},
+                 "result.json", _assessment_json(result))
 
 
 # ---------------------------------------------------------------------- #
@@ -258,10 +240,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
 
 def write_comparison(comparison: PairComparison, manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
     first, second = comparison.first, comparison.second
-
     metrics = [
         ("balance_with_cap_eur_ha", fmt_eur,
          first.economics.balance_with_cap, second.economics.balance_with_cap),
@@ -281,20 +260,12 @@ def write_comparison(comparison: PairComparison, manifest: RunManifest,
         ("nonrenewable_energy_gj", fmt_gj, first.energy.nonrenewable_total,
          second.energy.nonrenewable_total),
     ]
-
-    if fmt == "csv":
-        lines = [manifest.comment_line(),
-                 f"metric,{first.crop_name},{second.crop_name},difference"]
-        for name, fmt_fn, a, b in metrics:
-            lines.append(f"{name},{fmt_fn(a)},{fmt_fn(b)},{fmt_fn(a - b)}")
-        for metric, winner in sorted(comparison.verdicts.items()):
-            lines.append(f"verdict_{metric},{winner},,")
-        path = os.path.join(out_dir, "comparison.csv")
-        _write(path, lines)
-        written.append(path)
-
+    rows = [("metric", first.crop_name, second.crop_name, "difference")]
+    rows += [(name, fmt_fn(a), fmt_fn(b), fmt_fn(a - b))
+             for name, fmt_fn, a, b in metrics]
+    rows += [(f"verdict_{metric}", winner, "", "")
+             for metric, winner in sorted(comparison.verdicts.items())]
     payload = {
-        "manifest": manifest.as_dict(),
         "functional_unit": FUNCTIONAL_UNIT,
         "crops": [first.crop_name, second.crop_name],
         "metrics": {name: {first.crop_name: a, second.crop_name: b,
@@ -304,10 +275,8 @@ def write_comparison(comparison: PairComparison, manifest: RunManifest,
         "verdicts": dict(comparison.verdicts),
         "notes": sorted(set(first.notes) | set(second.notes)),
     }
-    path = os.path.join(out_dir, "comparison.json")
-    _write_json(path, payload)
-    written.append(path)
-    return written
+    return _emit(out_dir, fmt, manifest, {"comparison.csv": rows},
+                 "comparison.json", payload)
 
 
 # ---------------------------------------------------------------------- #
@@ -317,25 +286,14 @@ def write_comparison(comparison: PairComparison, manifest: RunManifest,
 def write_sweep(points: list[SweepPoint], pair: tuple[str, str],
                 manifest: RunManifest, out_dir: str,
                 fmt: str = "csv") -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
     first_name, second_name = pair
-
-    if fmt == "csv":
-        lines = [manifest.comment_line(),
-                 f"share,income_{first_name},income_{second_name},"
-                 "relative_difference_pct"]
-        for point in points:
-            lines.append(",".join([
-                f"{point.share:.6f}", fmt_eur(point.income_first),
-                fmt_eur(point.income_second),
-                fmt_share(point.relative_difference * 100.0)]))
-        path = os.path.join(out_dir, "sweep.csv")
-        _write(path, lines)
-        written.append(path)
-
+    rows = [("share", f"income_{first_name}", f"income_{second_name}",
+             "relative_difference_pct")]
+    rows += [(f"{point.share:.6f}", fmt_eur(point.income_first),
+              fmt_eur(point.income_second),
+              fmt_share(point.relative_difference * 100.0))
+             for point in points]
     payload = {
-        "manifest": manifest.as_dict(),
         "crops": [first_name, second_name],
         "points": [{
             "share": point.share,
@@ -344,7 +302,5 @@ def write_sweep(points: list[SweepPoint], pair: tuple[str, str],
             "relative_difference": point.relative_difference,
         } for point in points],
     }
-    path = os.path.join(out_dir, "sweep.json")
-    _write_json(path, payload)
-    written.append(path)
-    return written
+    return _emit(out_dir, fmt, manifest, {"sweep.csv": rows}, "sweep.json",
+                 payload)

@@ -9,17 +9,25 @@ Grammar (see docs/formats.md for the full description):
 * A value is a scalar or a comma-separated sequence of scalars. Scalars are
   quantity literals ("0.15 Mg/ha"), quoted text, bare identifiers, or the
   booleans ``true``/``false``.
+
+Farm and factor files read their sections through one :class:`SectionReader`,
+which converts each key to the type the file kind expects and collects every
+problem in a :class:`ValidationReport` instead of raising at the first one.
 """
 
 from __future__ import annotations
 
+import enum
+import math
 import re
 from dataclasses import dataclass, field
 
-from .units import Quantity, UnitError, format_quantity, parse_quantity
+from .units import (DIMENSIONLESS, Quantity, UnitError, format_quantity,
+                    parse_quantity, parse_unit)
 
 __all__ = ["SectionSyntaxError", "Entry", "Section", "Document",
-           "parse_document", "serialize_document"]
+           "parse_document", "serialize_document", "Diagnostic",
+           "ValidationReport", "SectionReader"]
 
 Scalar = Quantity | str | bool
 Value = Scalar | list
@@ -206,3 +214,162 @@ def serialize_document(doc: Document) -> str:
             lines.append(f"{entry.key} = {rendered}")
         lines.append("")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------- #
+#  typed section reading
+# ---------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Diagnostic:
+    severity: str  # "error" | "warning"
+    where: str
+    message: str
+
+    def render(self) -> str:
+        return f"{self.severity}: [{self.where}] {self.message}"
+
+
+@dataclass
+class ValidationReport:
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    def error(self, where: str, message: str) -> None:
+        self.diagnostics.append(Diagnostic("error", where, message))
+
+    def warning(self, where: str, message: str) -> None:
+        self.diagnostics.append(Diagnostic("warning", where, message))
+
+    @property
+    def errors(self) -> list[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity == "error"]
+
+    @property
+    def warnings(self) -> list[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity == "warning"]
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+    def extend(self, other: "ValidationReport") -> None:
+        self.diagnostics.extend(other.diagnostics)
+
+    def render(self) -> str:
+        return "\n".join(d.render() for d in self.diagnostics)
+
+
+class SectionReader:
+    """Typed access to one section, collecting diagnostics instead of raising.
+
+    Every problem is reported at ``<section>.<key>`` and the reader returns
+    the default, so one pass over a file reports all of its mistakes.
+    """
+
+    def __init__(self, section: Section, report: ValidationReport):
+        self.section = section
+        self.report = report
+        self.where = section.name
+        self._consumed: set[str] = set()
+
+    def _take(self, key: str):
+        self._consumed.add(key)
+        return self.section.get(key)
+
+    def _typed(self, key: str, kind: type, expected: str, default=None):
+        value = self._take(key)
+        if value is None:
+            return default
+        if not isinstance(value, kind):
+            self.error(key, f"expected {expected}")
+            return default
+        return value
+
+    def error(self, key: str, message: str) -> None:
+        self.report.error(f"{self.where}.{key}", message)
+
+    def quantity(self, key: str, unit_text: str, default: float | None = None,
+                 ) -> float | None:
+        """The value expressed in ``unit_text``; a bare number is taken as
+        already written in that unit."""
+        value = self.raw_quantity(key)
+        if value is None:
+            return default
+        expected, scale = parse_unit(unit_text)
+        if value.unit == DIMENSIONLESS and not expected.dimensionless:
+            return value.value
+        if value.unit != expected:
+            self.error(key, f"must be in {unit_text}")
+            return default
+        return value.value / scale
+
+    def number(self, key: str, default: float | None = None) -> float | None:
+        """A finite plain number; a value written with a unit is an error."""
+        value = self.raw_quantity(key)
+        if value is None:
+            return default
+        if not value.unit.dimensionless:
+            self.error(key, "must be a plain number")
+            return default
+        if not math.isfinite(value.value):
+            self.error(key, "must be finite")
+            return default
+        return value.value
+
+    def years(self, key: str, default: int) -> int:
+        """A whole number of years; a fraction is reported, not truncated."""
+        value = self.quantity(key, "y", default)
+        if not float(value).is_integer():
+            self.error(key, "expected a whole number of years")
+            return default
+        return int(value)
+
+    def fraction(self, key: str, default: float | None = None) -> float | None:
+        """A plain number in [0, 1]; ``percent`` values qualify."""
+        value = self.number(key)
+        if value is None:
+            return default
+        if not 0.0 <= value <= 1.0:
+            self.error(key, f"fraction {value!r} outside [0, 1]")
+            return default
+        return value
+
+    def text(self, key: str, default: str | None = None) -> str | None:
+        return self._typed(key, str, "text", default)
+
+    def boolean(self, key: str, default: bool = False) -> bool:
+        return self._typed(key, bool, "true or false", default)
+
+    def choice(self, key: str, kind: type[enum.Enum], default=None):
+        """One member of the enum ``kind``, written as its value."""
+        value = self._take(key)
+        if value is None:
+            return default
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            names = [member.value for member in kind]
+            self.error(key, f"expected {', '.join(names[:-1])} or {names[-1]}")
+            return default
+
+    def ident_list(self, key: str) -> list[str]:
+        value = self._take(key)
+        if value is None:
+            return []
+        items = value if isinstance(value, list) else [value]
+        out = []
+        for item in items:
+            if isinstance(item, str):
+                out.append(item)
+            else:
+                self.error(key, "expected identifiers")
+        return out
+
+    def raw_quantity(self, key: str) -> Quantity | None:
+        return self._typed(key, Quantity, "a quantity")
+
+    def finish(self) -> None:
+        """Report every key of the section that no typed read consumed."""
+        for key in self.section.entries:
+            if key not in self._consumed:
+                self.error(key, "unknown key")

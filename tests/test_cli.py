@@ -175,6 +175,38 @@ class TestAssess:
                 == (tmp_path / "two" / name).read_bytes(), name
 
 
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
+    def test_malformed_build_epoch_exit_2(self, farm_path, tmp_path, capsys,
+                                          monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, err = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: SOURCE_DATE_EPOCH ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_dir_exit_2(self, farm_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(blocker / "sub")], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_factor_file_exit_2(self, farm_path, tmp_path, capsys):
+        factors = tmp_path / "latin1.cg"
+        factors.write_bytes("[flow.x]\nnote = \"ca\xf1a\"\n".encode("latin-1"))
+        code, _, err = run(
+            ["assess", "--farm", farm_path, "--factors", str(factors),
+             "--crop", "rye", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1
+
+
 class TestCompare:
     def test_defaults_to_the_farm_pair(self, farm_path, tmp_path, capsys):
         code, out, err = run(
@@ -228,6 +260,8 @@ class TestSweep:
         ["--range", "0.1:0.5"],
         ["--range", "0.1:0.5:0"],
         ["--range", "0.6:0.5:0.1"],
+        ["--range", "0:inf:0.1"],
+        ["--shares", "nan"],
     ])
     def test_malformed_share_specs_exit_2(self, farm_path, tmp_path, capsys,
                                           argv_tail):
@@ -236,6 +270,17 @@ class TestSweep:
             + argv_tail, capsys)
         assert code == EXIT_INPUT
         assert err.startswith("error:")
+
+    def test_range_point_count_is_bounded(self, farm_path, tmp_path,
+                                          capsys):
+        # a billion points: the count is checked before any is built
+        code, _, err = run(
+            ["sweep", "--farm", farm_path, "--range", "0:1:1e-9",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: --range gives 1000000001 shares")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_share_beyond_the_farm_exit_1(self, farm_path, tmp_path, capsys):
         code, _, err = run(

@@ -94,6 +94,16 @@ class TestProblems:
         ("[gas.xe]\nnote = 1", "finite gwp100"),
         ("[party]\nballoons = 9", "unknown section"),
         ("[emissions.exhaust]\nco2 = 2.64 Mg/ha", "must be in kg/L"),
+        # values with a unit, or outside [0, 1], used to load silently
+        ("[gas.xe]\ngwp100 = 7 kg", "[gas.xe.gwp100] must be a plain number"),
+        ("[flow.x]\nunit = Mg\npe_renewable = 3 GJ",
+         "[flow.x.pe_renewable] must be a plain number"),
+        ("[emissions.c]\nef_direct = 2 kg/ha",
+         "[emissions.c.ef_direct] must be a plain number"),
+        ("[emissions.c]\nef_direct = 1.5",
+         "[emissions.c.ef_direct] fraction 1.5 outside [0, 1]"),
+        ("[emissions.c]\nnh3_loss_fraction = -3",
+         "[emissions.c.nh3_loss_fraction] fraction -3.0 outside [0, 1]"),
     ])
     def test_malformed_files(self, text, fragment):
         with pytest.raises(FactorFileError) as err:
