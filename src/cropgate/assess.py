@@ -7,22 +7,23 @@ database, and bundles everything a report needs into plain result objects.
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .economics import (EconomicBalance, FarmIncome, SweepPoint, crop_balance,
+from .economics import (EconomicBalance, FarmIncome, crop_balance,
                         farm_income, marginal_share_sweep)
 from .factors import FactorDB, load_factor_db
 from .farmspec import FarmModel, parse_farm_document
-from .impact import (EnergyBreakdown, GwpBreakdown, characterize_energy,
-                     characterize_gwp, phase_shares)
+from .impact import (EnergyBreakdown, GwpBreakdown, characterize,
+                     phase_shares)
 from .inventory import Inventory, Phase, build_lci
 
 __all__ = [
     "CropAssessment", "PairComparison", "assess_crop", "compare_pair",
-    "sweep_shares", "load_farm", "load_factors", "resolve_factors_path",
-    "bundled_data_path",
+    "sweep_shares", "read_text", "load_farm", "load_factors",
+    "resolve_factors_path", "bundled_data_path",
 ]
 
 FUNCTIONAL_UNIT = "1 ha cultivated for 1 year"
@@ -53,27 +54,23 @@ class PairComparison:
 
 def assess_crop(model: FarmModel, db: FactorDB, crop_name: str, *,
                 cutoff_missing: bool = False,
-                horizon_years: float | None = None,
-                seed_one_level: bool = False) -> CropAssessment:
+                horizon_years: float | None = None) -> CropAssessment:
     """Everything about one crop, per hectare and year."""
     crop = model.crop(crop_name)
     horizon = (model.amortization_horizon_years
                if horizon_years is None else horizon_years)
     economics = crop_balance(crop, model.cap_aid_eur_ha, horizon)
-    inventory = build_lci(crop, model, db, horizon_years=horizon_years,
-                          seed_one_level=seed_one_level)
-    gwp = characterize_gwp(inventory, db, cutoff_missing=cutoff_missing)
-    energy = characterize_energy(inventory, db, cutoff_missing=cutoff_missing)
-    notes = list(inventory.notes)
-    for flow_id in sorted(set(gwp.missing) | set(energy.missing)):
-        notes.append(f"flow {flow_id!r} has no factor record; "
-                     "cut off at zero burden")
+    inventory = build_lci(crop, model, db, horizon_years=horizon)
+    gwp, energy = characterize(inventory, db, cutoff_missing=cutoff_missing)
+    notes = inventory.notes + tuple(
+        f"flow {flow_id!r} has no factor record; cut off at zero burden"
+        for flow_id in gwp.missing)
     return CropAssessment(
         crop_name=crop_name, economics=economics, inventory=inventory,
         gwp=gwp, energy=energy,
         gwp_shares=phase_shares(gwp) if gwp.positive_total else {},
         energy_shares=phase_shares(energy) if energy.total else {},
-        notes=tuple(notes))
+        notes=notes)
 
 
 def _verdicts(first: CropAssessment, second: CropAssessment) -> dict[str, str]:
@@ -110,31 +107,36 @@ def compare_pair(model: FarmModel, db: FactorDB,
                          horizon_years=horizon_years)
     return PairComparison(
         first=first, second=second,
-        income_first=farm_income(model, first_name),
-        income_second=farm_income(model, second_name),
+        income_first=farm_income(model, first_name, horizon_years),
+        income_second=farm_income(model, second_name, horizon_years),
         margin_difference_eur_ha=(first.economics.balance_with_cap
                                   - second.economics.balance_with_cap),
         verdicts=_verdicts(first, second))
 
 
-def sweep_shares(model: FarmModel, shares: list[float]) -> list[SweepPoint]:
-    if not shares:
-        raise ValueError("sweep needs at least one marginal share")
-    return marginal_share_sweep(model, shares)
+sweep_shares = marginal_share_sweep
 
 
 # ---------------------------------------------------------------------- #
 #  input loading
 # ---------------------------------------------------------------------- #
 
-def load_farm(path: str | os.PathLike) -> FarmModel:
+def read_text(path: str | os.PathLike) -> str:
+    """UTF-8 text of an input file; other text is an OSError naming it."""
     with open(path, encoding="utf-8") as handle:
-        return parse_farm_document(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
+                          f"byte {exc.start})", os.fspath(path)) from None
+
+
+def load_farm(path: str | os.PathLike) -> FarmModel:
+    return parse_farm_document(read_text(path))
 
 
 def load_factors(path: str | os.PathLike) -> FactorDB:
-    with open(path, encoding="utf-8") as handle:
-        return load_factor_db(handle.read())
+    return load_factor_db(read_text(path))
 
 
 def resolve_factors_path(farm_path: str | os.PathLike, model: FarmModel,

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .assess import (assess_crop, compare_pair, load_factors, load_farm,
-                     resolve_factors_path, sweep_shares)
+                     read_text, resolve_factors_path, sweep_shares)
 from .factors import FactorFileError, MissingFlowError
 from .farmspec import FarmValidationError, build_farm_model
 from .inventory import InventoryError
@@ -78,8 +78,7 @@ def _sweep_points(args) -> list[float]:
 # ---------------------------------------------------------------------- #
 
 def _cmd_validate(args) -> int:
-    with open(args.farm, encoding="utf-8") as handle:
-        doc = parse_document(handle.read())  # SectionSyntaxError -> exit 2
+    doc = parse_document(read_text(args.farm))  # SectionSyntaxError -> exit 2
     model, report = build_farm_model(doc)
     for diagnostic in report.diagnostics:
         print(diagnostic.render())
@@ -236,10 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         message = (f"cannot read {exc.filename}: {exc.strerror}"
                    if exc.filename else exc)
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnicodeDecodeError as exc:
-        print(f"error: cannot read input: not UTF-8 text ({exc.reason} at "
-              f"byte {exc.start})", file=sys.stderr)
         return EXIT_INPUT
     except (FarmValidationError, FactorFileError) as exc:
         print(str(exc), file=sys.stderr)

@@ -75,8 +75,15 @@ class FarmIncome:
     by_crop: dict[str, tuple[float, float]]  # name -> (area ha, balance w/ aid)
 
 
-def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
-    """Whole-farm income with the marginal land planted to one alternative."""
+def farm_income(model: FarmModel, marginal_choice: str,
+                horizon_years: float | None = None) -> FarmIncome:
+    """Whole-farm income with the marginal land planted to one alternative.
+
+    Establishment costs are spread over ``horizon_years``, by default the
+    farm's amortization horizon.
+    """
+    horizon = (model.amortization_horizon_years
+               if horizon_years is None else horizon_years)
     chosen = model.crop(marginal_choice)
     if chosen.land_class is not LandClass.MARGINAL:
         raise ValueError(f"{marginal_choice!r} is not a marginal-land crop")
@@ -85,8 +92,7 @@ def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
     for crop in model.crops.values():
         if crop.land_class is LandClass.MARGINAL and crop.name != marginal_choice:
             continue
-        balance = crop_balance(crop, model.cap_aid_eur_ha,
-                               model.amortization_horizon_years)
+        balance = crop_balance(crop, model.cap_aid_eur_ha, horizon)
         by_crop[crop.name] = (crop.area_ha, balance.balance_with_cap)
         total += crop.area_ha * balance.balance_with_cap
     return FarmIncome(marginal_choice=marginal_choice, total_eur=total,
@@ -110,6 +116,8 @@ def marginal_share_sweep(model: FarmModel,
     of the crop mix (fallow included) is scaled proportionally to fill the
     remainder; per-hectare balances stay as they are.
     """
+    if not shares:
+        raise ValueError("sweep needs at least one marginal share")
     first_name, second_name = model.marginal_pair
     fixed_area = sum(c.area_ha for c in model.crops.values()
                      if c.land_class is not LandClass.MARGINAL)

@@ -50,6 +50,7 @@ class SeedRecursionError(InventoryError):
 
 
 class Phase(enum.Enum):
+    # declaration order is the row order of every report
     SEED = "seed_pt"
     FERTILIZER = "fertilizer_pt"
     PESTICIDE = "pesticide_pt"

@@ -30,10 +30,6 @@ __all__ = ["RunManifest", "build_manifest", "write_assessment",
 
 _TOOL = "cropgate"
 
-# fixed report order for the life-cycle phases
-_PHASE_ORDER = (Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE,
-                Phase.FIELD_WORKS, Phase.FIELD_EMISSIONS, Phase.SOC)
-
 
 def _fixed(value: float, decimals: int) -> str:
     rounded = round(value, decimals)
@@ -168,7 +164,7 @@ def _assessment_json(result: CropAssessment) -> dict:
         "economics_eur_ha": dict(_balance_rows(result)),
         "gwp": {
             "by_phase_mg_co2e": {phase.value: gwp.by_phase[phase]
-                                 for phase in _PHASE_ORDER},
+                                 for phase in Phase},
             "positive_total_mg_co2e": gwp.positive_total,
             "net_total_mg_co2e": gwp.net_total,
             "shares_pct": {phase.value: share
@@ -178,10 +174,10 @@ def _assessment_json(result: CropAssessment) -> dict:
         "energy": {
             "renewable_by_phase_gj": {
                 phase.value: energy.renewable_by_phase[phase]
-                for phase in _PHASE_ORDER},
+                for phase in Phase},
             "nonrenewable_by_phase_gj": {
                 phase.value: energy.nonrenewable_by_phase[phase]
-                for phase in _PHASE_ORDER},
+                for phase in Phase},
             "renewable_total_gj": energy.renewable_total,
             "nonrenewable_total_gj": energy.nonrenewable_total,
             "total_gj": energy.total,
@@ -210,7 +206,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
         (concept, fmt_eur(value)) for concept, value in _balance_rows(result)]
     gwp_rows = [("phase", "mg_co2e_per_ha_y", "share_pct")] + [
         (phase.value, fmt_mg_co2e(gwp.by_phase[phase]),
-         _share_cell(result.gwp_shares, phase)) for phase in _PHASE_ORDER]
+         _share_cell(result.gwp_shares, phase)) for phase in Phase]
     gwp_rows += [
         ("positive_total", fmt_mg_co2e(gwp.positive_total),
          fmt_share(100.0) if result.gwp_shares else ""),
@@ -218,7 +214,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     energy_rows = [("phase", "renewable_gj_per_ha_y",
                     "nonrenewable_gj_per_ha_y", "total_gj_per_ha_y",
                     "share_pct")]
-    for phase in _PHASE_ORDER:
+    for phase in Phase:
         ren = energy.renewable_by_phase[phase]
         non = energy.nonrenewable_by_phase[phase]
         energy_rows.append((phase.value, fmt_gj(ren), fmt_gj(non),

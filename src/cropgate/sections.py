@@ -290,31 +290,44 @@ class SectionReader:
 
     def quantity(self, key: str, unit_text: str, default: float | None = None,
                  ) -> float | None:
-        """The value expressed in ``unit_text``; a bare number is taken as
-        already written in that unit."""
+        """The finite value expressed in ``unit_text``; a bare number is
+        taken as already written in that unit, a percent value is an error."""
         value = self.raw_quantity(key)
         if value is None:
             return default
         expected, scale = parse_unit(unit_text)
-        if value.unit == DIMENSIONLESS and not expected.dimensionless:
-            return value.value
-        if value.unit != expected:
+        if (value.unit == DIMENSIONLESS and not value.unit_written
+                and not expected.dimensionless):
+            result = value.value
+        elif value.unit != expected:
             self.error(key, f"must be in {unit_text}")
             return default
-        return value.value / scale
-
-    def number(self, key: str, default: float | None = None) -> float | None:
-        """A finite plain number; a value written with a unit is an error."""
-        value = self.raw_quantity(key)
-        if value is None:
-            return default
-        if not value.unit.dimensionless:
-            self.error(key, "must be a plain number")
-            return default
-        if not math.isfinite(value.value):
+        else:
+            result = value.value / scale
+        if not math.isfinite(result):
             self.error(key, "must be finite")
             return default
+        return result
+
+    def _plain(self, key: str, percent: bool) -> float | None:
+        """A finite dimensionless value, None if absent or reported."""
+        value = self.raw_quantity(key)
+        if value is None:
+            return None
+        if not value.unit.dimensionless or (value.unit_written
+                                            and not percent):
+            self.error(key, "must be a plain number")
+            return None
+        if not math.isfinite(value.value):
+            self.error(key, "must be finite")
+            return None
         return value.value
+
+    def number(self, key: str, default: float | None = None) -> float | None:
+        """A finite plain number; a value written with a unit, ``percent``
+        included, is an error."""
+        value = self._plain(key, percent=False)
+        return default if value is None else value
 
     def years(self, key: str, default: int) -> int:
         """A whole number of years; a fraction is reported, not truncated."""
@@ -326,7 +339,7 @@ class SectionReader:
 
     def fraction(self, key: str, default: float | None = None) -> float | None:
         """A plain number in [0, 1]; ``percent`` values qualify."""
-        value = self.number(key)
+        value = self._plain(key, percent=True)
         if value is None:
             return default
         if not 0.0 <= value <= 1.0:

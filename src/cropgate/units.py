@@ -127,12 +127,28 @@ _UNIT_TOKEN_RE = re.compile(r"[A-Za-z%][A-Za-z0-9]*|1")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+# parse_unit results by written text; files use a few dozen spellings, the
+# bound only keeps a file of arbitrary unit strings from growing it forever
+_UNIT_CACHE: dict[str, tuple[Unit, float]] = {}
+_UNIT_CACHE_MAX = 1024
+
+
 def parse_unit(text: str) -> tuple[Unit, float]:
     """Parse a unit expression, returning (canonical unit, scale factor).
 
     The scale factor converts a value expressed in the written unit into the
-    canonical one, e.g. ``parse_unit("kg/ha")`` gives scale 0.001.
+    canonical one, e.g. ``parse_unit("kg/ha")`` gives scale 0.001. The result
+    is memoized by ``text``: every ``Quantity.to`` call parses its target.
     """
+    cached = _UNIT_CACHE.get(text)
+    if cached is None:
+        cached = _parse_unit(text)
+        if len(_UNIT_CACHE) < _UNIT_CACHE_MAX:
+            _UNIT_CACHE[text] = cached
+    return cached
+
+
+def _parse_unit(text: str) -> tuple[Unit, float]:
     unit = DIMENSIONLESS
     scale = 1.0
     sign = 1  # +1 numerator, -1 denominator
@@ -180,11 +196,14 @@ class Quantity:
     """A float value bound to a canonical :class:`Unit`.
 
     Quantities compare equal when both value and unit match after
-    normalization, so "2 kg" == "0.002 Mg".
+    normalization, so "2 kg" == "0.002 Mg". ``unit_written`` tells a parsed
+    ``27 percent`` from a bare ``0.27``; it is not a field, so it takes no
+    part in equality and costs the arithmetic nothing.
     """
 
     value: float
     unit: Unit = DIMENSIONLESS
+    unit_written = False  # set by parse_quantity only
 
     # ---- arithmetic ---------------------------------------------------- #
 
@@ -251,7 +270,9 @@ def parse_quantity(text: str) -> Quantity:
     if not rest:
         return Quantity(value, DIMENSIONLESS)
     unit, scale = parse_unit(rest)
-    return Quantity(value * scale, unit)
+    quantity = Quantity(value * scale, unit)
+    object.__setattr__(quantity, "unit_written", True)  # frozen, set once here
+    return quantity
 
 
 def format_quantity(q: Quantity) -> str:

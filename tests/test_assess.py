@@ -9,6 +9,7 @@ from cropgate.assess import (assess_crop, bundled_data_path, compare_pair,
                              load_factors, load_farm, resolve_factors_path,
                              sweep_shares)
 from cropgate.factors import MissingFlowError, load_factor_db
+from cropgate.farmspec import parse_farm_document
 from cropgate.impact import ENERGY_PHASES, POSITIVE_PHASES
 from cropgate.inventory import Phase
 
@@ -115,6 +116,18 @@ class TestComparePair:
         result = compare_pair(farm_model, factor_db, "rye", "tall_wheatgrass")
         assert result.margin_difference_eur_ha == pytest.approx(-11.0519)
         assert result.verdicts["profit_margin"] == "tall_wheatgrass"
+
+    def test_horizon_reaches_farm_income(self, farm_path, factor_db):
+        with open(farm_path, encoding="utf-8") as handle:
+            text = handle.read().replace(
+                "[crop.tall_wheatgrass.costs]\n",
+                "[crop.tall_wheatgrass.costs]\n"
+                "seed_establishment = 100 EUR/ha\n")
+        result = compare_pair(parse_farm_document(text), factor_db,
+                              horizon_years=8)
+        first = result.first
+        assert result.income_first.by_crop[first.crop_name][1] \
+            == first.economics.balance_with_cap
 
     def test_single_name_rejected(self, farm_model, factor_db):
         with pytest.raises(ValueError):

@@ -203,7 +203,19 @@ class TestAssess:
             ["assess", "--farm", farm_path, "--factors", str(factors),
              "--crop", "rye", "--out", str(tmp_path)], capsys)
         assert code == EXIT_INPUT
-        assert err.startswith("error: cannot read ")
+        assert err.startswith(f"error: cannot read {factors}: not UTF-8 text ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "assess"])
+    def test_non_utf8_farm_file_exit_2(self, command, tmp_path, capsys):
+        farm = tmp_path / "latin1.cg"
+        farm.write_bytes("[farm]\nname = \"ca\xf1a\"\n".encode("latin-1"))
+        argv = [command, "--farm", str(farm)]
+        if command == "assess":
+            argv += ["--crop", "rye", "--out", str(tmp_path)]
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: cannot read {farm}: not UTF-8 text ")
         assert err.count("\n") == 1
 
 

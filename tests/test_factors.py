@@ -96,6 +96,8 @@ class TestProblems:
         ("[emissions.exhaust]\nco2 = 2.64 Mg/ha", "must be in kg/L"),
         # values with a unit, or outside [0, 1], used to load silently
         ("[gas.xe]\ngwp100 = 7 kg", "[gas.xe.gwp100] must be a plain number"),
+        ("[gas.xe]\ngwp100 = 28 percent",
+         "[gas.xe.gwp100] must be a plain number"),
         ("[flow.x]\nunit = Mg\npe_renewable = 3 GJ",
          "[flow.x.pe_renewable] must be a plain number"),
         ("[emissions.c]\nef_direct = 2 kg/ha",

@@ -216,17 +216,29 @@ class TestValidation:
                                             "organic_carbon = 0.9 percent"))
         assert any("organic carbon above" in m for m in messages)
 
-    @pytest.mark.parametrize("old,new,where", [
+    @pytest.mark.parametrize("old,new,where,message", [
         ("cap_aid = 100 EUR/ha",
          "cap_aid = 100 EUR/ha\namortization_horizon = 2.5 y",
-         "farm.amortization_horizon"),
-        ("life_span = 4 y", "life_span = 4.5 y", "crop.grass.life_span"),
-    ], ids=["amortization_horizon", "life_span"])
-    def test_fractional_years_rejected(self, old, new, where):
+         "farm.amortization_horizon", "expected a whole number of years"),
+        ("life_span = 4 y", "life_span = 4.5 y", "crop.grass.life_span",
+         "expected a whole number of years"),
+        # a non-finite value used to reach the reports as Infinity
+        ("cap_aid = 100 EUR/ha", "cap_aid = 1e999 EUR/ha", "farm.cap_aid",
+         "must be finite"),
+        ("diesel = 30 L/ha", "diesel = 1e999 L/ha",
+         "crop.grass.op.works.diesel", "must be finite"),
+        # percent used to pass as a bare number in the key's unit
+        ("cap_aid = 100 EUR/ha", "cap_aid = 10 percent", "farm.cap_aid",
+         "must be in EUR/ha"),
+        ("diesel = 30 L/ha", "diesel = 3000 %", "crop.grass.op.works.diesel",
+         "must be in L/ha"),
+    ], ids=["amortization_horizon", "life_span", "infinite_aid",
+            "infinite_diesel", "percent_aid", "percent_diesel"])
+    def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))
         assert [(d.where, d.message) for d in err.value.report.errors] \
-            == [(where, "expected a whole number of years")]
+            == [(where, message)]
 
     def test_whole_years_accepted(self):
         model = parse_farm_document(VALID.replace(

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cropgate.factors import MissingFlowError, load_factor_db
-from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize_energy,
-                             characterize_gwp, phase_shares)
+from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
+                             characterize_energy, characterize_gwp,
+                             phase_shares)
 from cropgate.inventory import Flow, Inventory, Phase, build_lci
 from cropgate.units import parse_quantity
 
@@ -153,6 +154,31 @@ class TestMissingFlows:
         pe = characterize_energy(inv, sample_db, cutoff_missing=True)
         assert pe.missing == ("mystery_input",)
         assert pe.total == pytest.approx(0.5)
+
+
+class TestOnePass:
+    def test_views_are_the_halves_of_one_pass(self, sample_inventory,
+                                              sample_db):
+        gwp, energy = characterize(sample_inventory, sample_db)
+        assert gwp == characterize_gwp(sample_inventory, sample_db)
+        assert energy == characterize_energy(sample_inventory, sample_db)
+
+    def test_each_record_resolved_once(self, sample_inventory, sample_db,
+                                       monkeypatch):
+        resolved = []
+        lookup = sample_db.lookup
+        monkeypatch.setattr(sample_db, "lookup", lambda flow_id: (
+            resolved.append(flow_id), lookup(flow_id))[1])
+        characterize(sample_inventory, sample_db)
+        # gases and the soil carbon flow need no record
+        assert resolved == ["fert", "herb", "diesel"]
+
+    def test_one_sorted_missing_tuple_for_both(self, sample_db):
+        inv = Inventory("s", (flow("zeta", "1 Mg", Phase.SEED),
+                              flow("alpha", "2 L", Phase.FIELD_WORKS),
+                              flow("zeta", "3 Mg", Phase.SEED)))
+        gwp, energy = characterize(inv, sample_db, cutoff_missing=True)
+        assert gwp.missing == energy.missing == ("alpha", "zeta")
 
 
 class TestLinearity:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import quantities
+from cropgate import units
 from cropgate.units import (DIMENSIONLESS, Quantity, UnitError,
                             format_quantity, parse_quantity, parse_unit)
 
@@ -44,6 +45,19 @@ class TestParseUnit:
     def test_malformed_units_raise(self, bad):
         with pytest.raises(UnitError):
             parse_unit(bad)
+
+    def test_memo_is_bounded_and_keeps_errors_out(self, monkeypatch):
+        # repeated calls give the first result; a bad unit raises every time
+        monkeypatch.setattr(units, "_UNIT_CACHE", {})
+        assert parse_unit("kg/ha") is parse_unit("kg/ha")
+        for _ in range(2):
+            with pytest.raises(UnitError):
+                parse_unit("furlong")
+        assert "furlong" not in units._UNIT_CACHE
+        for width in range(2 * units._UNIT_CACHE_MAX):
+            assert parse_unit(" " * width + "kg") == (units._base_unit("mass"),
+                                                      1e-3)
+        assert len(units._UNIT_CACHE) == units._UNIT_CACHE_MAX
 
 
 class TestParseQuantity:
