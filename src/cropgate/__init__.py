@@ -20,6 +20,18 @@ Typical use::
 # the one version string: packaging metadata and the report run hash read it
 __version__ = "1.0.0"
 
+
+class CropgateError(ValueError):
+    """Anything a farm file, a factor file or a flag can get wrong. The
+    command line prints ``prefix`` and the message, and exits ``exit_code``."""
+    exit_code = 1
+    prefix = "error: "
+
+
+class InputError(CropgateError):
+    """An input that cannot be read or used at all: a bad flag or syntax."""
+    exit_code = 2
+
 from . import assess
 from .assess import (CropAssessment, PairComparison, assess_crop,
                      bundled_data_path, compare_pair, load_factors,
@@ -41,7 +53,7 @@ from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, Unit, UnitError, parse_quantity, parse_unit
 
 __all__ = [
-    "__version__",
+    "__version__", "CropgateError", "InputError",
     "assess",
     # assessments
     "CropAssessment", "PairComparison", "assess_crop", "compare_pair",

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
+from . import CropgateError
 from .economics import (EconomicBalance, FarmIncome, crop_balance,
                         farm_income, marginal_share_sweep)
 from .factors import FactorDB, load_factor_db
@@ -100,7 +101,7 @@ def compare_pair(model: FarmModel, db: FactorDB,
     if first_name is None and second_name is None:
         first_name, second_name = model.marginal_pair
     if first_name is None or second_name is None:
-        raise ValueError("compare needs either no crop names or both")
+        raise CropgateError("compare needs either no crop names or both")
     first = assess_crop(model, db, first_name, cutoff_missing=cutoff_missing,
                         horizon_years=horizon_years)
     second = assess_crop(model, db, second_name, cutoff_missing=cutoff_missing,

@@ -1,9 +1,9 @@
 """Command line: validate farm files, assess crops, compare the pair,
 sweep the marginal share.
 
-Exit codes: 0 on success, 1 for domain errors (validation failures, unknown
-crops, missing factor records, divergent seed chains), 2 for syntax and
-usage problems (unreadable files, grammar errors, bad flags).
+Exit codes: 0 on success, otherwise the class of the error decides: 1 for
+a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
+2 for its subclass ``InputError`` (bad flags, grammar) and unreadable files.
 """
 
 from __future__ import annotations
@@ -12,29 +12,22 @@ import argparse
 import math
 import sys
 
-from . import __version__
+from . import CropgateError, InputError, __version__
 from .assess import (assess_crop, compare_pair, load_factors, load_farm,
                      read_text, resolve_factors_path, sweep_shares)
-from .factors import FactorFileError, MissingFlowError
-from .farmspec import FarmValidationError, build_farm_model
-from .inventory import InventoryError
+from .farmspec import build_farm_model
 from .reports import build_manifest, write_assessment, write_comparison, \
     write_sweep
-from .sections import SectionSyntaxError, parse_document
-from .units import UnitError
+from .sections import parse_document
 
 __all__ = ["main"]
 
 EXIT_OK = 0
-EXIT_DOMAIN = 1
-EXIT_INPUT = 2
+EXIT_DOMAIN = CropgateError.exit_code
+EXIT_INPUT = InputError.exit_code
 
 # a sweep this long is a typo in --range, not a question about the farm
 MAX_SWEEP_POINTS = 10_000
-
-
-class _InputError(Exception):
-    pass
 
 
 def _parse_share(text: str) -> float:
@@ -45,9 +38,9 @@ def _parse_share(text: str) -> float:
         else:
             share = float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _InputError(f"bad share {text!r}") from exc
+        raise InputError(f"bad share {text!r}") from exc
     if not math.isfinite(share):
-        raise _InputError(f"bad share {text!r}")
+        raise InputError(f"bad share {text!r}")
     return share
 
 
@@ -55,21 +48,22 @@ def _sweep_points(args) -> list[float]:
     if args.shares is not None:
         shares = [_parse_share(part) for part in args.shares.split(",") if part]
         if not shares:
-            raise _InputError("--shares produced no shares")
+            raise InputError("--shares produced no shares")
         return shares
     start_stop_step = args.range.split(":")
     if len(start_stop_step) != 3:
-        raise _InputError("--range takes start:stop:step")
+        raise InputError("--range takes start:stop:step")
     start, stop, step = (_parse_share(part) for part in start_stop_step)
     if step <= 0:
-        raise _InputError("--range step must be positive")
+        raise InputError("--range step must be positive")
     # count the points before building any: stop is inclusive up to 1e-12
-    count = math.floor((stop + 1e-12 - start) / step) + 1
+    span = (stop + 1e-12 - start) / step
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count < 1:
-        raise _InputError("--range produced no shares")
+        raise InputError("--range produced no shares")
     if count > MAX_SWEEP_POINTS:
-        raise _InputError(f"--range gives {count} shares, more than "
-                          f"{MAX_SWEEP_POINTS}")
+        raise InputError(f"--range gives {count} shares, more than "
+                         f"{MAX_SWEEP_POINTS}")
     return [round(start + i * step, 12) for i in range(count)]
 
 
@@ -107,14 +101,11 @@ def _flags(args, **extra) -> dict:
 
 def _write(args, factors_path, flags: dict, write, *subject) -> int:
     """Hash the run, write the reports on ``subject`` and list their paths."""
-    try:
-        manifest = build_manifest(args.farm, factors_path, flags)
-    except ValueError as exc:  # a malformed SOURCE_DATE_EPOCH
-        raise _InputError(str(exc)) from exc
+    manifest = build_manifest(args.farm, factors_path, flags)
     try:
         paths = write(*subject, manifest, args.out, args.format)
     except OSError as exc:
-        raise _InputError(f"cannot write {exc.filename}: {exc.strerror}") \
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") \
             from exc
     for path in paths:
         print(path)
@@ -125,7 +116,7 @@ def _cmd_assess(args) -> int:
     model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) != 1:
-        raise _InputError("assess needs exactly one --crop")
+        raise InputError("assess needs exactly one --crop")
     result = assess_crop(model, db, crops[0],
                          cutoff_missing=args.cutoff_missing,
                          horizon_years=args.horizon)
@@ -140,7 +131,7 @@ def _cmd_compare(args) -> int:
     model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) not in (0, 2):
-        raise _InputError("compare takes no --crop (the farm's pair) or two")
+        raise InputError("compare takes no --crop (the farm's pair) or two")
     comparison = compare_pair(model, db, *crops,
                               cutoff_missing=args.cutoff_missing,
                               horizon_years=args.horizon)
@@ -220,33 +211,18 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SectionSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except CropgateError as exc:
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
-        # _write turns failures to write into _InputError: this is a read
+        # _write turns failures to write into InputError: this is a read
         message = (f"cannot read {exc.filename}: {exc.strerror}"
                    if exc.filename else exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
-    except (FarmValidationError, FactorFileError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
-    except (MissingFlowError, InventoryError, UnitError, KeyError,
-            ValueError) as exc:
-        if type(exc) is KeyError and exc.args:
-            message = exc.args[0]  # plain KeyError str() adds quotes
-        else:
-            message = exc
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import CropgateError
 from .farmspec import CropPlan, FarmModel, LandClass
 
 __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
@@ -40,7 +41,7 @@ def crop_balance(crop: CropPlan, cap_aid_eur_ha: float,
     components, and the with-aid balance is the without-aid balance plus aid.
     """
     if horizon_years < 1:
-        raise ValueError("amortization horizon must be at least 1 year")
+        raise CropgateError("amortization horizon must be at least 1 year")
     costs = crop.costs
     seed = costs.seed + costs.seed_establishment / horizon_years
     herbicide = costs.herbicide + costs.herbicide_establishment / horizon_years
@@ -86,7 +87,7 @@ def farm_income(model: FarmModel, marginal_choice: str,
                if horizon_years is None else horizon_years)
     chosen = model.crop(marginal_choice)
     if chosen.land_class is not LandClass.MARGINAL:
-        raise ValueError(f"{marginal_choice!r} is not a marginal-land crop")
+        raise CropgateError(f"{marginal_choice!r} is not a marginal-land crop")
     by_crop: dict[str, tuple[float, float]] = {}
     total = 0.0
     for crop in model.crops.values():
@@ -117,12 +118,12 @@ def marginal_share_sweep(model: FarmModel,
     remainder; per-hectare balances stay as they are.
     """
     if not shares:
-        raise ValueError("sweep needs at least one marginal share")
+        raise CropgateError("sweep needs at least one marginal share")
     first_name, second_name = model.marginal_pair
     fixed_area = sum(c.area_ha for c in model.crops.values()
                      if c.land_class is not LandClass.MARGINAL)
     if fixed_area <= 0:
-        raise ValueError("no non-marginal crop mix to scale")
+        raise CropgateError("no non-marginal crop mix to scale")
     base = 0.0
     for crop in model.crops.values():
         if crop.land_class is LandClass.MARGINAL:
@@ -138,13 +139,13 @@ def marginal_share_sweep(model: FarmModel,
     points = []
     for share in shares:
         if not 0.0 <= share <= 1.0:
-            raise ValueError(f"marginal share {share!r} outside [0, 1]")
+            raise CropgateError(f"marginal share {share!r} outside [0, 1]")
         marginal_area = share * model.total_area_ha
         scale = (model.total_area_ha - marginal_area) / fixed_area
         income_first = base * scale + marginal_area * balances[first_name]
         income_second = base * scale + marginal_area * balances[second_name]
         if income_second == 0.0:
-            raise ValueError(
+            raise CropgateError(
                 f"farm income with {second_name!r} is zero at marginal share "
                 f"{share!r}; the relative difference is undefined")
         points.append(SweepPoint(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import CropgateError
 from .sections import SectionReader, ValidationReport, parse_document
 from .units import UnitError, parse_unit
 
@@ -35,11 +36,12 @@ __all__ = [
 DEFAULT_GAS_GWP = {"co2": 1.0, "n2o": 265.0, "ch4": 30.5}
 
 
-class FactorFileError(ValueError):
+class FactorFileError(CropgateError):
     """Malformed factor file; message lists every problem found."""
+    prefix = ""  # the message opens with "invalid factor file:"
 
 
-class MissingFlowError(KeyError):
+class MissingFlowError(CropgateError, KeyError):
     def __init__(self, flow_id: str):
         super().__init__(flow_id)
         self.flow_id = flow_id
@@ -117,7 +119,8 @@ class FactorDB:
 def _read_flow(reader: SectionReader) -> FactorRecord:
     unit = reader.text("unit")
     if unit is None:
-        reader.error("unit", "flow needs a unit basis")
+        if "unit" not in reader.section:
+            reader.error("unit", "flow needs a unit basis")
     else:
         try:
             parse_unit(unit)
@@ -135,20 +138,30 @@ def _read_flow(reader: SectionReader) -> FactorRecord:
     return record
 
 
+def _non_negative(reader: SectionReader, key: str, unit_text: str,
+                  default: float | None = None) -> float | None:
+    """A quantity in ``unit_text`` that cannot be negative."""
+    value = reader.quantity(key, unit_text, default)
+    if value is not None and value < 0:
+        reader.error(key, "cannot be negative")
+        return default
+    return value
+
+
 def _read_emissions(reader: SectionReader) -> N2OParams:
     return N2OParams(
         ef_direct=reader.fraction("ef_direct", 0.01),
-        residue_n_kg_ha=reader.quantity("residue_n", "kg/ha", 0.0),
+        residue_n_kg_ha=_non_negative(reader, "residue_n", "kg/ha", 0.0),
         nh3_loss_fraction=reader.fraction("nh3_loss_fraction", 0.0),
         ef_indirect_nh3=reader.fraction("ef_indirect_nh3", 0.0),
-        override_mg_ha=reader.quantity("override", "Mg/ha"))
+        override_mg_ha=_non_negative(reader, "override", "Mg/ha"))
 
 
 def _read_exhaust(reader: SectionReader) -> ExhaustFactors:
     return ExhaustFactors(
-        co2_kg_l=reader.quantity("co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
-        ch4_kg_l=reader.quantity("ch4", "kg/L", 0.0),
-        n2o_kg_l=reader.quantity("n2o", "kg/L", 0.0))
+        co2_kg_l=_non_negative(reader, "co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
+        ch4_kg_l=_non_negative(reader, "ch4", "kg/L", 0.0),
+        n2o_kg_l=_non_negative(reader, "n2o", "kg/L", 0.0))
 
 
 def load_factor_db(text: str) -> FactorDB:
@@ -171,7 +184,7 @@ def load_factor_db(text: str) -> FactorDB:
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
             gwp = reader.number("gwp100")
-            if gwp is None:
+            if "gwp100" not in section:
                 reader.error("gwp100", "gas needs a finite gwp100")
             db.gases[name] = GasGWP(name, gwp)
         elif name == "exhaust":

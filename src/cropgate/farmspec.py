@@ -14,19 +14,21 @@ diagnostics in a single pass.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
+from . import CropgateError
 from .sections import (Diagnostic, Document, Section, SectionReader,
                        ValidationReport, parse_document)
-from .units import Quantity
+from .units import Quantity, parse_unit
 
 __all__ = [
     "LandClass", "Timing", "SeedSource", "MachineClass",
     "Composition", "ProductSpec", "FertilizerApplication",
     "HerbicideApplication", "FieldOperation", "CostBlock", "CropPlan",
     "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
-    "FarmFileError", "FarmValidationError",
+    "FarmFileError", "FarmValidationError", "UnknownCropError",
     "parse_product_label", "parse_farm_document", "build_farm_model",
     "validate_model",
 ]
@@ -34,14 +36,21 @@ __all__ = [
 DEFAULT_AMORTIZATION_YEARS = 4
 
 
-class FarmFileError(ValueError):
+class FarmFileError(CropgateError):
     """Base class for farm file problems (syntax errors reuse sections')."""
 
 
 class FarmValidationError(FarmFileError):
+    prefix = ""  # the message opens with "invalid farm description:"
+
     def __init__(self, report: "ValidationReport"):
         super().__init__("invalid farm description:\n" + report.render())
         self.report = report
+
+
+class UnknownCropError(CropgateError, KeyError):
+    """The farm has no crop of the name asked for."""
+    __str__ = CropgateError.__str__  # KeyError's would quote the message
 
 
 class LandClass(enum.Enum):
@@ -175,10 +184,9 @@ class FarmModel:
     factors_ref: str | None = None
 
     def crop(self, name: str) -> CropPlan:
-        try:
-            return self.crops[name]
-        except KeyError:
-            raise KeyError(f"farm has no crop named {name!r}") from None
+        if name not in self.crops:
+            raise UnknownCropError(f"farm has no crop named {name!r}")
+        return self.crops[name]
 
     def soil_series(self, land_class: LandClass) -> list[SoilSample]:
         return sorted((s for s in self.soil_samples if s.land_class == land_class),
@@ -256,6 +264,10 @@ def _read_product(section: Section, report: ValidationReport) -> ProductSpec | N
                        composition=composition, active_fraction=active)
 
 
+_SOIL_KEYS = {"depth", "bulk_density", "coarse_fraction", "organic_matter",
+              "organic_carbon"}
+
+
 def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
     try:
         land_class = LandClass(section.path[1])
@@ -275,11 +287,15 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
     oc = reader.fraction("organic_carbon")
     reader.finish()
     if None in (depth, density, coarse, om, oc):
-        report.error(section.name, "soil sample is incomplete")
+        if not _SOIL_KEYS <= section.entries.keys():  # else already reported
+            report.error(section.name, "soil sample is incomplete")
         return None
     return SoilSample(land_class=land_class, year=year, depth_m=depth,
                       bulk_density_mg_m3=density, coarse_fraction=coarse,
                       organic_matter=om, organic_carbon=oc)
+
+
+_PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
 
 
 def _read_crop(section: Section, sub: dict[str, list[Section]],
@@ -309,13 +325,11 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         product = reader.text(f"{role}_product")
         dose = reader.quantity(f"{role}_dose", "Mg/ha")
         timing = reader.choice(f"{role}_timing", Timing, Timing.RECURRENT)
-        if product is None and dose is None:
-            continue
-        if product is None or dose is None:
+        if (f"{role}_product" in section) != (f"{role}_dose" in section):
             report.error(where, f"{role} fertilization needs both product and dose")
-            continue
-        fertilizations.append(FertilizerApplication(
-            product_id=product, dose_mg_ha=dose, timing=timing, role=role))
+        if product is not None and dose is not None:
+            fertilizations.append(FertilizerApplication(
+                product_id=product, dose_mg_ha=dose, timing=timing, role=role))
 
     grain_yield = reader.quantity("grain_yield", "Mg/ha", 0.0)
     straw_yield = reader.quantity("straw_yield", "Mg/ha")
@@ -333,7 +347,11 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         timing = hreader.choice("timing", Timing, Timing.RECURRENT)
         hreader.finish()
         if dose is None:
-            report.error(hsec.name, "herbicide application needs a dose")
+            if "dose" not in hsec:
+                report.error(hsec.name, "herbicide application needs a dose")
+            continue
+        if dose.unit not in _PER_HA_DOSES or not math.isfinite(dose.value):
+            hreader.error("dose", "must be a finite volume or mass per ha")
             continue
         herbicides.append(HerbicideApplication(
             product_id=hsec.path[3], dose=dose, timing=timing))
@@ -400,9 +418,8 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     pair = freader.ident_list("marginal_pair")
     factors_ref = freader.text("factors")
     freader.finish()
-    if total_area is None:
+    if total_area is None and "total_area" not in farm_sec:
         report.error("farm.total_area", "total_area is required")
-        total_area = 0.0
     if len(pair) != 2:
         report.error("farm.marginal_pair",
                      "exactly one comparison pair of two crops is required")
@@ -427,13 +444,23 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             products[spec.product_id] = spec
 
     samples: list[SoilSample] = []
+    first_analysis: dict[tuple[LandClass, int], str] = {}
     for ssec in doc.find("soil"):
         if len(ssec.path) != 3:
             report.error(ssec.name, "soil sections are [soil.<class>.<year>]")
             continue
         sample = _read_soil(ssec, report)
-        if sample is not None:
-            samples.append(sample)
+        if sample is None:
+            continue
+        # "2013", "02013" and "2_013" are distinct paths but one year
+        land_year = (sample.land_class, sample.year)
+        if land_year in first_analysis:
+            report.error(ssec.name, f"two analyses of {sample.land_class.value} "
+                         f"land in {sample.year}: this one and "
+                         f"[{first_analysis[land_year]}]")
+            continue
+        first_analysis[land_year] = ssec.name
+        samples.append(sample)
 
     crops: dict[str, CropPlan] = {}
     crop_subsections: dict[str, dict[str, list[Section]]] = {}
@@ -480,6 +507,10 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             plan = replace(plan, area_ha=marginal_area)
         resolved[crop_name] = plan
 
+    if total_area is None:  # reported above; the crop areas' sum skips the check
+        total_area = marginal_area + sum(
+            plan.area_ha for plan in resolved.values()
+            if plan.land_class is not LandClass.MARGINAL)
     model = FarmModel(
         name=name or "", total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
         amortization_horizon_years=horizon, marginal_area_ha=marginal_area,

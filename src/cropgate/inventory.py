@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from . import CropgateError
 from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from .farmspec import (CropPlan, FarmModel, LandClass, MachineClass,
                        SeedSource, Timing)
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class InventoryError(ValueError):
+class InventoryError(CropgateError):
     pass
 
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
-from . import __version__
+from . import CropgateError, InputError, __version__
 from .assess import FUNCTIONAL_UNIT, CropAssessment, PairComparison
 from .economics import EconomicBalance, SweepPoint
 from .inventory import Phase
@@ -89,7 +89,7 @@ def _build_timestamp() -> str | None:
     try:
         moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
     except (ValueError, OverflowError, OSError):
-        raise ValueError(f"SOURCE_DATE_EPOCH must be a Unix time in whole "
+        raise InputError(f"SOURCE_DATE_EPOCH must be a Unix time in whole "
                          f"seconds, not {epoch!r}") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -124,15 +124,21 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
 
     Each table is a header row plus data rows of already formatted cells;
     the JSON payload gains the manifest. Returns the paths in write order.
+    Nothing is written when a value is not finite.
     """
-    os.makedirs(out_dir, exist_ok=True)
     texts = {}
     if fmt == "csv":
         for name, rows in tables.items():
             lines = [manifest.comment_line()] + [",".join(row) for row in rows]
             texts[name] = "\n".join(lines) + "\n"
-    texts[json_name] = json.dumps({"manifest": manifest.as_dict(), **payload},
-                                  indent=2, sort_keys=True) + "\n"
+    try:
+        texts[json_name] = json.dumps(
+            {"manifest": manifest.as_dict(), **payload}, indent=2,
+            sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise CropgateError(f"{json_name} would hold a value that is not "
+                            "finite; an input is too large") from None
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, text in texts.items():
         path = os.path.join(out_dir, name)

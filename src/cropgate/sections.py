@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from . import InputError
 from .units import (DIMENSIONLESS, Quantity, UnitError, format_quantity,
                     parse_quantity, parse_unit)
 
@@ -33,7 +34,9 @@ Scalar = Quantity | str | bool
 Value = Scalar | list
 
 
-class SectionSyntaxError(ValueError):
+class SectionSyntaxError(InputError):
+    prefix = "syntax error: "
+
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line

@@ -37,6 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import CropgateError
+
 __all__ = [
     "UnitError",
     "Unit",
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 
-class UnitError(ValueError):
+class UnitError(CropgateError):
     """Malformed unit/quantity text or an operation mixing dimensions."""
 
 

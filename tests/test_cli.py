@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cropgate import cli
 from cropgate.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
+
+from conftest import SHIPPED_FACTORS, SHIPPED_FARM
 
 GASES_ONLY = """
 [flow.diesel]
@@ -65,6 +69,19 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def edited_copy(tmp_path, farm_edit=lambda text: text,
+                factors_edit=lambda text: text) -> str:
+    """Copy the bundled farm and factor files into ``tmp_path``, passing
+    each text through its edit; returns the farm path."""
+    for shipped, edit in ((SHIPPED_FARM, farm_edit),
+                          (SHIPPED_FACTORS, factors_edit)):
+        with open(shipped, encoding="utf-8") as handle:
+            text = edit(handle.read())
+        name = shipped.rsplit("/", 1)[-1]
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return str(tmp_path / "farm_soria.cg")
+
+
 class TestValidate:
     def test_shipped_farm_is_ok(self, farm_path, capsys):
         code, out, err = run(["validate", "--farm", farm_path], capsys)
@@ -85,6 +102,32 @@ class TestValidate:
         code, out, err = run(["validate", "--farm", str(farm)], capsys)
         assert code == EXIT_INPUT
         assert "syntax error:" in err
+
+    def test_soil_year_with_leading_zero_exit_1(self, tmp_path, capsys):
+        # 02013 and 2013 are one year; without soc_fixation tall wheatgrass
+        # takes its credit from that zero-year soil pair
+        farm = edited_copy(tmp_path, lambda text: text.replace(
+            "[soil.marginal.2016]", "[soil.marginal.02013]").replace(
+            "soc_fixation = 0.765 Mg/ha\n", ""))
+        code, out, _ = run(["validate", "--farm", farm], capsys)
+        assert code == EXIT_DOMAIN
+        assert out.splitlines() == [
+            "error: [soil.marginal.02013] two analyses of marginal land in "
+            "2013: this one and [soil.marginal.2013]",
+            "invalid: 1 error(s)"]
+        code, _, err = run(["assess", "--farm", farm, "--crop",
+                            "tall_wheatgrass", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("invalid farm description:\n")
+
+    def test_herbicide_dose_not_per_ha_exit_1(self, tmp_path, capsys):
+        farm = edited_copy(tmp_path, lambda text: text.replace(
+            "dose = 2 L/ha", "dose = 2 L"))
+        code, out, _ = run(["validate", "--farm", farm], capsys)
+        assert code == EXIT_DOMAIN
+        assert out.splitlines()[0] == (
+            "error: [crop.wheat.herbicide.clortoluron.dose] must be a finite "
+            "volume or mass per ha")
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         code, out, err = run(
@@ -186,6 +229,16 @@ class TestAssess:
         assert err.startswith("error: SOURCE_DATE_EPOCH ")
         assert err.count("\n") == 1
 
+    def test_negative_exhaust_factor_exit_1(self, tmp_path, capsys):
+        farm = edited_copy(tmp_path, factors_edit=lambda text: text.replace(
+            "co2 = 2.64 kg/L", "co2 = -2.64 kg/L"))
+        code, _, err = run(["assess", "--farm", farm, "--crop", "rye",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_DOMAIN
+        assert err == ("invalid factor file:\n"
+                       "error: [emissions.exhaust.co2] cannot be negative\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_dir_exit_2(self, farm_path, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
@@ -244,6 +297,27 @@ class TestCompare:
         assert "compare takes" in err
 
 
+def huge_areas(text: str) -> str:
+    """Every area of the bundled farm times 1e305: 3.02e307 ha in all."""
+    return re.sub(r"(area = \d+)( ha)", r"\1e305\2", text)
+
+
+@pytest.mark.parametrize("tail", [["compare", "--format", "json"],
+                                  ["sweep", "--range", "0.1:0.9:0.1"]])
+def test_non_finite_results_exit_1(tmp_path, capsys, tail):
+    farm = edited_copy(tmp_path, huge_areas)
+    code, out, _ = run(["validate", "--farm", farm], capsys)
+    assert out == "ok: 7 crops on 3.02e+307 ha\n"  # areas are not capped
+    out_dir = tmp_path / "out"
+    code, out, err = run(tail + ["--farm", farm, "--out", str(out_dir)],
+                         capsys)
+    assert code == EXIT_DOMAIN
+    assert re.fullmatch(r"error: \w+\.json would hold a value that is not "
+                        r"finite; an input is too large\n", err)
+    assert out == ""
+    assert not out_dir.exists()
+
+
 class TestSweep:
     def test_fraction_and_plain_shares(self, farm_path, tmp_path, capsys):
         code, out, err = run(
@@ -294,6 +368,16 @@ class TestSweep:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spec", ["0:1:1e-320", "0:1e308:1e-10"])
+    def test_range_count_overflow_exit_2(self, farm_path, tmp_path, capsys,
+                                         spec):
+        # the point count used to overflow math.floor into a traceback
+        code, _, err = run(
+            ["sweep", "--farm", farm_path, "--range", spec,
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err == "error: --range gives inf shares, more than 10000\n"
+
     def test_share_beyond_the_farm_exit_1(self, farm_path, tmp_path, capsys):
         code, _, err = run(
             ["sweep", "--farm", farm_path, "--shares", "1.5",
@@ -310,6 +394,28 @@ class TestSweep:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: farm income with 'b' is zero")
         assert err.count("\n") == 1
+
+
+class TestErrorPolicy:
+    """Package errors choose the exit code; anything else is a bug."""
+
+    @pytest.mark.parametrize("bug", [ValueError("bug"), KeyError("bug"),
+                                     ZeroDivisionError("bug")])
+    def test_builtin_errors_propagate(self, farm_path, tmp_path, monkeypatch,
+                                      bug):
+        def broken(*args, **kwargs):
+            raise bug
+        monkeypatch.setattr(cli, "assess_crop", broken)
+        with pytest.raises(type(bug)):
+            main(["assess", "--farm", farm_path, "--crop", "rye",
+                  "--out", str(tmp_path)])
+
+    def test_unknown_crop_message_has_no_key_quotes(self, farm_path,
+                                                    tmp_path, capsys):
+        code, _, err = run(["assess", "--farm", farm_path, "--crop", "oats",
+                            "--out", str(tmp_path)], capsys)
+        assert code == EXIT_DOMAIN
+        assert err == "error: farm has no crop named 'oats'\n"
 
 
 class TestParser:

@@ -112,6 +112,26 @@ class TestProblems:
             load_factor_db(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text,line", [
+        # negative masses used to load and fail later, naming a flow
+        ("[emissions.exhaust]\nco2 = -2.64 kg/L",
+         "error: [emissions.exhaust.co2] cannot be negative"),
+        ("[emissions.exhaust]\nch4 = -0.01 kg/L",
+         "error: [emissions.exhaust.ch4] cannot be negative"),
+        ("[emissions.rye]\noverride = -0.000817 Mg/ha",
+         "error: [emissions.rye.override] cannot be negative"),
+        ("[emissions.rye]\nresidue_n = -5000 kg/ha",
+         "error: [emissions.rye.residue_n] cannot be negative"),
+        # a key that is there but rejected is not also reported missing
+        ("[gas.xe]\ngwp100 = 1e999", "error: [gas.xe.gwp100] must be finite"),
+        ("[flow.x]\nunit = 5 kg", "error: [flow.x.unit] expected text"),
+    ], ids=["exhaust_co2", "exhaust_ch4", "override", "residue_n",
+            "infinite_gas_gwp", "unit_not_text"])
+    def test_one_line_per_bad_key(self, text, line):
+        with pytest.raises(FactorFileError) as err:
+            load_factor_db(text)
+        assert str(err.value).splitlines() == ["invalid factor file:", line]
+
     def test_all_problems_listed_together(self):
         with pytest.raises(FactorFileError) as err:
             load_factor_db("[flow.a]\ngwp100 = 1\n[party]\nx = 1\n")

@@ -232,8 +232,38 @@ class TestValidation:
          "must be in EUR/ha"),
         ("diesel = 30 L/ha", "diesel = 3000 %", "crop.grass.op.works.diesel",
          "must be in L/ha"),
+        # one diagnostic per bad key: no "required" for a key that is
+        # there, no area sum or pairing check on a value already rejected
+        ("total_area = 110 ha", "total_area = 11000 percent",
+         "farm.total_area", "must be in ha"),
+        ("total_area = 110 ha", "total_area = 110 kg", "farm.total_area",
+         "must be in ha"),
+        ("total_area = 110 ha\n", "", "farm.total_area",
+         "total_area is required"),
+        ("base_dose = 0.3 Mg/ha", "base_dose = 1e999 kg/ha",
+         "crop.grass.base_dose", "must be finite"),
+        ("organic_carbon = 0.313 percent", "organic_carbon = 0.313 kg",
+         "soil.marginal.2013.organic_carbon", "must be a plain number"),
+        # int() reads both years as 2013; the soil pair then spans 0 years
+        ("[soil.marginal.2016]", "[soil.marginal.02013]",
+         "soil.marginal.02013",
+         "two analyses of marginal land in 2013: this one and "
+         "[soil.marginal.2013]"),
+        # a dose that is not per ha used to fail only in the inventory
+        ("dose = 1 L/ha", "dose = 1 L",
+         "crop.grass.herbicide.weedkiller.dose",
+         "must be a finite volume or mass per ha"),
+        ("dose = 1 L/ha", "dose = 1", "crop.grass.herbicide.weedkiller.dose",
+         "must be a finite volume or mass per ha"),
+        ("dose = 1 L/ha", "dose = 1e999 L/ha",
+         "crop.grass.herbicide.weedkiller.dose",
+         "must be a finite volume or mass per ha"),
     ], ids=["amortization_horizon", "life_span", "infinite_aid",
-            "infinite_diesel", "percent_aid", "percent_diesel"])
+            "infinite_diesel", "percent_aid", "percent_diesel",
+            "percent_total_area", "mass_total_area", "missing_total_area",
+            "infinite_base_dose", "soil_value_with_unit",
+            "soil_year_leading_zero", "herbicide_dose_not_per_ha",
+            "herbicide_dose_bare", "herbicide_dose_infinite"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))

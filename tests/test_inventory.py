@@ -11,7 +11,7 @@ from cropgate.inventory import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, Inventory,
                                 InventoryError, Phase, SeedRecursionError,
                                 _cultivation_flows, annualize_schedule,
                                 build_lci, seed_inventory)
-from cropgate.units import Quantity, parse_quantity
+from cropgate.units import Quantity, UnitError, parse_quantity
 
 
 def seed_farm(dose: float, seed_yield: float,
@@ -276,6 +276,15 @@ class TestBuildLci:
             twg, herbicides=(replace(
                 twg.herbicides[0], dose=parse_quantity("-1 L/ha")),))
         with pytest.raises(InventoryError):
+            build_lci(bad, farm_model, factor_db)
+
+    def test_dose_not_per_ha_guard(self, farm_model, factor_db):
+        # farm files reject such a dose; a model built in code meets this
+        twg = farm_model.crop("tall_wheatgrass")
+        bad = replace(
+            twg, herbicides=(replace(
+                twg.herbicides[0], dose=parse_quantity("1 L")),))
+        with pytest.raises(UnitError, match="volume or mass per ha, got L"):
             build_lci(bad, farm_model, factor_db)
 
     def test_inventory_amount_sums_across_phases(self, farm_model, factor_db):

@@ -1,10 +1,13 @@
 """Deterministic report files and the run manifest."""
 
 import json
+import math
 import shutil
+from dataclasses import replace
 
 import pytest
 
+from cropgate import CropgateError
 from cropgate.assess import assess_crop, compare_pair, sweep_shares
 from cropgate.reports import (build_manifest, fmt_eur, fmt_gj, fmt_mg_co2e,
                               fmt_share, write_assessment, write_comparison,
@@ -171,6 +174,15 @@ class TestComparisonFiles:
         assert payload["margin_difference_eur_ha"] == \
             pytest.approx(11.0519)
         assert payload["verdicts"]["net_gwp"] == "tall_wheatgrass"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_writes_nothing(self, farm_model, factor_db,
+                                             manifest, tmp_path, value):
+        comparison = replace(compare_pair(farm_model, factor_db),
+                             margin_difference_eur_ha=value)
+        with pytest.raises(CropgateError, match="comparison.json would hold"):
+            write_comparison(comparison, manifest, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepFiles:
