@@ -7,6 +7,10 @@ inputs embody, split renewable against non-renewable. Farm data and
 characterization factors come from two plain-text files; results come back
 as plain objects or deterministic CSV/JSON reports.
 
+Importing the package loads none of its modules. An exported name or a
+submodule loads on first access, so a command compiles and runs only the
+modules it uses.
+
 Typical use::
 
     from cropgate import assess, bundled_data_path
@@ -16,6 +20,8 @@ Typical use::
     result = assess.assess_crop(model, db, "tall_wheatgrass")
     print(result.gwp.net_total)
 """
+
+import importlib
 
 # the one version string: packaging metadata and the report run hash read it
 __version__ = "1.0.0"
@@ -32,52 +38,38 @@ class InputError(CropgateError):
     """An input that cannot be read or used at all: a bad flag or syntax."""
     exit_code = 2
 
-from . import assess
-from .assess import (CropAssessment, PairComparison, assess_crop,
-                     bundled_data_path, compare_pair, load_factors,
-                     load_farm, resolve_factors_path, sweep_shares)
-from .economics import (EconomicBalance, FarmIncome, SweepPoint, crop_balance,
-                        farm_income, marginal_share_sweep)
-from .factors import (FactorDB, FactorFileError, FactorRecord,
-                      MissingFlowError, load_factor_db)
-from .farmspec import (CropPlan, FarmModel, FarmFileError,
-                       FarmValidationError, LandClass, SeedSource, Timing,
-                       ValidationReport, parse_farm_document, validate_model)
-from .impact import (EnergyBreakdown, GwpBreakdown, characterize_energy,
-                     characterize_gwp, phase_shares)
-from .inventory import (Flow, Inventory, InventoryError, Phase,
-                        SeedRecursionError, annualize_schedule, build_lci,
-                        seed_inventory)
-from .sections import SectionSyntaxError, parse_document, serialize_document
-from .soc import soc_annual_change, soc_co2_credit, soc_stock
-from .units import Quantity, Unit, UnitError, parse_quantity, parse_unit
 
-__all__ = [
-    "__version__", "CropgateError", "InputError",
-    "assess",
-    # assessments
-    "CropAssessment", "PairComparison", "assess_crop", "compare_pair",
-    "sweep_shares", "load_farm", "load_factors", "resolve_factors_path",
-    "bundled_data_path",
-    # economics
-    "EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
-    "farm_income", "marginal_share_sweep",
-    # factors
-    "FactorDB", "FactorFileError", "FactorRecord", "MissingFlowError",
-    "load_factor_db",
-    # farm files
-    "CropPlan", "FarmModel", "FarmFileError", "FarmValidationError",
-    "LandClass", "SeedSource", "Timing", "ValidationReport",
-    "parse_farm_document", "validate_model",
-    # impacts
-    "EnergyBreakdown", "GwpBreakdown", "characterize_energy",
-    "characterize_gwp", "phase_shares",
-    # inventory
-    "Flow", "Inventory", "InventoryError", "Phase", "SeedRecursionError",
-    "annualize_schedule", "build_lci", "seed_inventory",
-    # file grammar and units
-    "SectionSyntaxError", "parse_document", "serialize_document",
-    "Quantity", "Unit", "UnitError", "parse_quantity", "parse_unit",
-    # soil carbon
-    "soc_annual_change", "soc_co2_credit", "soc_stock",
-]
+# exported name -> its module, resolved on first access (PEP 562)
+_EXPORTS = {
+    "assess": ("CropAssessment", "PairComparison", "assess_crop",
+               "compare_pair", "sweep_shares", "load_farm", "load_factors",
+               "resolve_factors_path", "bundled_data_path"),
+    "economics": ("EconomicBalance", "FarmIncome", "SweepPoint",
+                  "crop_balance", "farm_income", "marginal_share_sweep"),
+    "factors": ("FactorDB", "FactorFileError", "FactorRecord",
+                "MissingFlowError", "load_factor_db"),
+    "farmspec": ("CropPlan", "FarmModel", "FarmFileError",
+                 "FarmValidationError", "LandClass", "SeedSource", "Timing",
+                 "ValidationReport", "parse_farm_document", "validate_model"),
+    "impact": ("EnergyBreakdown", "GwpBreakdown", "characterize_energy",
+               "characterize_gwp", "phase_shares"),
+    "inventory": ("Flow", "Inventory", "InventoryError", "Phase",
+                  "SeedRecursionError", "annualize_schedule", "build_lci",
+                  "seed_inventory"),
+    "sections": ("SectionSyntaxError", "parse_document", "serialize_document"),
+    "units": ("Quantity", "Unit", "UnitError", "parse_quantity", "parse_unit"),
+    "soc": ("soc_annual_change", "soc_co2_credit", "soc_stock"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {"cli", "fieldemit", "reports", *_EXPORTS}
+
+__all__ = ["__version__", "CropgateError", "InputError", "assess", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
+    return value

@@ -7,10 +7,8 @@ database, and bundles everything a report needs into plain result objects.
 
 from __future__ import annotations
 
-import errno
 import os
 from dataclasses import dataclass
-from importlib import resources
 
 from . import CropgateError
 from .economics import (EconomicBalance, FarmIncome, crop_balance,
@@ -20,6 +18,7 @@ from .farmspec import FarmModel, parse_farm_document
 from .impact import (EnergyBreakdown, GwpBreakdown, characterize,
                      phase_shares)
 from .inventory import Inventory, Phase, build_lci
+from .sections import read_text
 
 __all__ = [
     "CropAssessment", "PairComparison", "assess_crop", "compare_pair",
@@ -122,16 +121,6 @@ sweep_shares = marginal_share_sweep
 #  input loading
 # ---------------------------------------------------------------------- #
 
-def read_text(path: str | os.PathLike) -> str:
-    """UTF-8 text of an input file; other text is an OSError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
-                          f"byte {exc.start})", os.fspath(path)) from None
-
-
 def load_farm(path: str | os.PathLike) -> FarmModel:
     return parse_farm_document(read_text(path))
 
@@ -155,5 +144,4 @@ def resolve_factors_path(farm_path: str | os.PathLike, model: FarmModel,
 
 def bundled_data_path(name: str) -> str:
     """Filesystem path of a data file shipped with the package."""
-    path = resources.files("cropgate").joinpath("data", name)
-    return os.fspath(path)
+    return os.path.join(os.path.dirname(__file__), "data", name)

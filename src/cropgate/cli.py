@@ -9,16 +9,11 @@ a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 
 from . import CropgateError, InputError, __version__
-from .assess import (assess_crop, compare_pair, load_factors, load_farm,
-                     read_text, resolve_factors_path, sweep_shares)
-from .farmspec import build_farm_model
-from .reports import build_manifest, write_assessment, write_comparison, \
-    write_sweep
-from .sections import parse_document
 
 __all__ = ["main"]
 
@@ -28,6 +23,31 @@ EXIT_INPUT = InputError.exit_code
 
 # a sweep this long is a typo in --range, not a question about the farm
 MAX_SWEEP_POINTS = 10_000
+# likewise an amortization horizon this long is a typo in --horizon
+MAX_HORIZON_YEARS = 1000
+
+
+# the names the commands use of assess and reports, bound on first use
+_ENGINE = {"assess": ("assess_crop", "compare_pair", "load_factors",
+                      "load_farm", "resolve_factors_path", "sweep_shares"),
+           "reports": ("build_manifest", "write_assessment",
+                       "write_comparison", "write_sweep")}
+
+
+def _engine() -> None:
+    """Bind the engine names here; validate loads neither module. A name
+    bound already, a test's stand-in say, stays."""
+    for module, names in _ENGINE.items():
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):  # PEP 562: cli.assess_crop before any command
+    if not any(name in names for names in _ENGINE.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _engine()
+    return globals()[name]
 
 
 def _parse_share(text: str) -> float:
@@ -72,6 +92,8 @@ def _sweep_points(args) -> list[float]:
 # ---------------------------------------------------------------------- #
 
 def _cmd_validate(args) -> int:
+    from .farmspec import build_farm_model
+    from .sections import parse_document, read_text
     doc = parse_document(read_text(args.farm))  # SectionSyntaxError -> exit 2
     model, report = build_farm_model(doc)
     for diagnostic in report.diagnostics:
@@ -85,6 +107,10 @@ def _cmd_validate(args) -> int:
 
 def _load(args):
     """The farm model, the factor file path and its database."""
+    if args.horizon is not None and args.horizon > MAX_HORIZON_YEARS:
+        raise InputError(f"--horizon must be at most {MAX_HORIZON_YEARS} "
+                         "years")
+    _engine()
     model = load_farm(args.farm)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
     return model, factors_path, load_factors(factors_path)
@@ -141,6 +167,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _engine()
     model = load_farm(args.farm)
     shares = _sweep_points(args)
     points = sweep_shares(model, shares)
@@ -174,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="missing factor records count zero instead "
                                   "of failing")
             cmd.add_argument("--horizon", type=int,
-                             help="amortization horizon in years")
+                             help="amortization horizon in whole years, at "
+                                  f"most {MAX_HORIZON_YEARS}")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="csv writes tables plus JSON; json only JSON")

@@ -9,9 +9,10 @@ rounded yields and prices do not multiply back to the invoiced turnover).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import CropgateError
-from .farmspec import CropPlan, FarmModel, LandClass
+from .farmspec import CropPlan, FarmModel, LandClass, check_horizon
 
 __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
            "farm_income", "marginal_share_sweep"]
@@ -40,8 +41,7 @@ def crop_balance(crop: CropPlan, cap_aid_eur_ha: float,
     The balance identities hold exactly: total cost is the sum of the four
     components, and the with-aid balance is the without-aid balance plus aid.
     """
-    if horizon_years < 1:
-        raise CropgateError("amortization horizon must be at least 1 year")
+    check_horizon(horizon_years)
     costs = crop.costs
     seed = costs.seed + costs.seed_establishment / horizon_years
     herbicide = costs.herbicide + costs.herbicide_establishment / horizon_years
@@ -69,8 +69,7 @@ def crop_balance(crop: CropPlan, cap_aid_eur_ha: float,
         balance_with_cap=without_cap + cap_aid_eur_ha)
 
 
-@dataclass(frozen=True)
-class FarmIncome:
+class FarmIncome(NamedTuple):
     marginal_choice: str
     total_eur: float
     by_crop: dict[str, tuple[float, float]]  # name -> (area ha, balance w/ aid)
@@ -100,8 +99,7 @@ def farm_income(model: FarmModel, marginal_choice: str,
                       by_crop=by_crop)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     share: float
     income_first: float   # marginal pair, first crop
     income_second: float  # marginal pair, second crop

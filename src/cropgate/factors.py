@@ -20,7 +20,7 @@ the command line resolves missing flows to zero and reports them instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import CropgateError
 from .sections import SectionReader, ValidationReport, parse_document
@@ -50,8 +50,7 @@ class MissingFlowError(CropgateError, KeyError):
         return f"no factor record for flow {self.flow_id!r}"
 
 
-@dataclass(frozen=True)
-class FactorRecord:
+class FactorRecord(NamedTuple):
     flow_id: str
     unit: str               # basis, e.g. "Mg", "L", "kg"
     gwp100: float           # kg CO2e per unit
@@ -60,14 +59,12 @@ class FactorRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GasGWP:
+class GasGWP(NamedTuple):
     gas: str
     gwp100: float  # kg CO2e per kg gas
 
 
-@dataclass(frozen=True)
-class N2OParams:
+class N2OParams(NamedTuple):
     """Field N2O model parameters for one crop.
 
     When ``override_mg_ha`` is set it wins over the parametric model; the
@@ -81,8 +78,7 @@ class N2OParams:
     override_mg_ha: float | None = None
 
 
-@dataclass(frozen=True)
-class ExhaustFactors:
+class ExhaustFactors(NamedTuple):
     """Exhaust masses per litre of diesel burned, all in kg/L."""
     co2_kg_l: float = 2.64
     ch4_kg_l: float = 0.0
@@ -92,14 +88,15 @@ class ExhaustFactors:
 DEFAULT_EXHAUST = ExhaustFactors()
 
 
-@dataclass
 class FactorDB:
-    records: dict[str, FactorRecord] = field(default_factory=dict)
-    gases: dict[str, GasGWP] = field(default_factory=dict)
-    emissions: dict[str, N2OParams] = field(default_factory=dict)
-    exhaust: ExhaustFactors = DEFAULT_EXHAUST
-
-    def __post_init__(self):
+    def __init__(self, records: dict[str, FactorRecord] | None = None,
+                 gases: dict[str, GasGWP] | None = None,
+                 emissions: dict[str, N2OParams] | None = None,
+                 exhaust: ExhaustFactors = DEFAULT_EXHAUST):
+        self.records = {} if records is None else records
+        self.gases = {} if gases is None else gases
+        self.emissions = {} if emissions is None else emissions
+        self.exhaust = exhaust
         for gas, gwp in DEFAULT_GAS_GWP.items():
             self.gases.setdefault(gas, GasGWP(gas, gwp))
 

@@ -16,7 +16,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import CropgateError
 from .sections import (Diagnostic, Document, Section, SectionReader,
@@ -30,7 +33,7 @@ __all__ = [
     "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
     "FarmFileError", "FarmValidationError", "UnknownCropError",
     "parse_product_label", "parse_farm_document", "build_farm_model",
-    "validate_model",
+    "validate_model", "check_horizon",
 ]
 
 DEFAULT_AMORTIZATION_YEARS = 4
@@ -81,16 +84,14 @@ class MachineClass(enum.Enum):
 #  model types
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(NamedTuple):
     """N-P-K mass fractions of a fertilizer product."""
     n: float = 0.0
     p: float = 0.0
     k: float = 0.0
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(NamedTuple):
     product_id: str
     kind: str  # "fertilizer" | "herbicide" | "seed"
     label: str = ""
@@ -113,12 +114,11 @@ class HerbicideApplication:
     timing: Timing
 
 
-@dataclass(frozen=True)
-class FieldOperation:
+class FieldOperation(NamedTuple):
     name: str
     timing: Timing
     diesel_l_ha: float = 0.0
-    machinery_mg_ha: dict[MachineClass, float] = field(default_factory=dict)
+    machinery_mg_ha: Mapping[MachineClass, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,7 @@ class CropPlan:
     soc_fixation_mg_c_ha: float | None  # measured annual organic-carbon gain
 
 
-@dataclass(frozen=True)
-class SoilSample:
+class SoilSample(NamedTuple):
     land_class: LandClass
     year: int
     depth_m: float
@@ -191,6 +190,20 @@ class FarmModel:
     def soil_series(self, land_class: LandClass) -> list[SoilSample]:
         return sorted((s for s in self.soil_samples if s.land_class == land_class),
                       key=lambda s: s.year)
+
+
+def check_horizon(years: float, error: type[CropgateError] = CropgateError,
+                  ) -> None:
+    """Raise ``error`` unless ``years`` is a finite amortization horizon of
+    at least 1 year; an int too large for a float is not finite."""
+    try:
+        finite = math.isfinite(years)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise error("amortization horizon must be a finite number of years")
+    if years < 1:
+        raise error("amortization horizon must be at least 1 year")
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ them to different life-cycle phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factors import ExhaustFactors, N2OParams
 
@@ -41,8 +41,7 @@ def n2o_field_emissions(n_applied_kg_ha: float, params: N2OParams) -> float:
     return _N2O_PER_N * n2o_n / 1000.0  # kg -> Mg
 
 
-@dataclass(frozen=True)
-class ExhaustGases:
+class ExhaustGases(NamedTuple):
     """Combustion gas masses in kg (per the diesel amount they came from)."""
     co2_kg: float
     ch4_kg: float

@@ -25,12 +25,14 @@ when r < 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import CropgateError
 from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from .farmspec import (CropPlan, FarmModel, LandClass, MachineClass,
-                       SeedSource, Timing)
+                       SeedSource, Timing, check_horizon)
 from .fieldemit import exhaust_emissions, n2o_field_emissions
 from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, UnitError, parse_unit
@@ -78,15 +80,13 @@ _KG_VALUE = 0.001  # one kg in canonical mass units
 _L = parse_unit("L")[0]
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     flow_id: str
     amount: Quantity  # per ha and year; negative only in the SOC phase
     phase: Phase
 
 
-@dataclass(frozen=True)
-class Inventory:
+class Inventory(NamedTuple):
     crop_name: str
     flows: tuple[Flow, ...]
     notes: tuple[str, ...] = ()
@@ -105,14 +105,13 @@ class Inventory:
         return total
 
 
-@dataclass(frozen=True)
-class AnnualizedPlan:
+class AnnualizedPlan(NamedTuple):
     """Per-year input rates after spreading establishment-only entries."""
     sowing_dose_mg_ha: float
     fertilizations: tuple  # (product_id, dose_mg_ha) pairs
     herbicides: tuple      # (product_id, per-ha dose Quantity) pairs
     diesel_l_ha: float
-    machinery_mg_ha: dict[MachineClass, float] = field(default_factory=dict)
+    machinery_mg_ha: Mapping[MachineClass, float] = MappingProxyType({})
 
 
 def _spread(value, timing: Timing, horizon: float):
@@ -126,8 +125,7 @@ def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
     recurrent entries pass through unchanged. Nothing is lost: annualized
     establishment rates times the horizon give back the one-off totals.
     """
-    if horizon_years < 1:
-        raise InventoryError("amortization horizon must be at least 1 year")
+    check_horizon(horizon_years, InventoryError)
     machinery: dict[MachineClass, float] = {}
     diesel = 0.0
     for op in crop.operations:

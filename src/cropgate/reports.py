@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
-from datetime import datetime, timezone
+from dataclasses import fields
+from typing import NamedTuple
 
 from . import CropgateError, InputError, __version__
 from .assess import FUNCTIONAL_UNIT, CropAssessment, PairComparison
@@ -54,8 +54,7 @@ def fmt_share(value: float) -> str:
     return _fixed(value, 1)
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     tool: str
     version: str
     farm_path: str
@@ -70,7 +69,7 @@ class RunManifest:
         return f"# run {self.run_hash}"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _sha256_file(path: str) -> str:
@@ -86,6 +85,7 @@ def _build_timestamp() -> str | None:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if not epoch:
         return None
+    from datetime import datetime, timezone
     try:
         moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
     except (ValueError, OverflowError, OSError):

@@ -18,16 +18,18 @@ problem in a :class:`ValidationReport` instead of raising at the first one.
 from __future__ import annotations
 
 import enum
+import errno
 import math
+import os
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import InputError
 from .units import (DIMENSIONLESS, Quantity, UnitError, format_quantity,
                     parse_quantity, parse_unit)
 
 __all__ = ["SectionSyntaxError", "Entry", "Section", "Document",
-           "parse_document", "serialize_document", "Diagnostic",
+           "read_text", "parse_document", "serialize_document", "Diagnostic",
            "ValidationReport", "SectionReader"]
 
 Scalar = Quantity | str | bool
@@ -48,18 +50,20 @@ _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     key: str
     value: Value
     line: int
 
 
-@dataclass
 class Section:
-    path: tuple[str, ...]
-    entries: dict[str, Entry] = field(default_factory=dict)
-    line: int = 0
+    __slots__ = ("path", "entries", "line")
+
+    def __init__(self, path: tuple[str, ...],
+                 entries: dict[str, Entry] | None = None, line: int = 0):
+        self.path = path
+        self.entries = {} if entries is None else entries
+        self.line = line
 
     @property
     def name(self) -> str:
@@ -73,9 +77,11 @@ class Section:
         return key in self.entries
 
 
-@dataclass
 class Document:
-    sections: list[Section] = field(default_factory=list)
+    __slots__ = ("sections",)
+
+    def __init__(self, sections: list[Section] | None = None):
+        self.sections = [] if sections is None else sections
 
     def find(self, *prefix: str) -> list[Section]:
         """Sections whose path starts with the given segments."""
@@ -135,6 +141,16 @@ def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
     raise SectionSyntaxError(f"cannot parse value {text!r}", line, col + 1)
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """UTF-8 text of an input file; other text is an OSError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
+                          f"byte {exc.start})", os.fspath(path)) from None
+
+
 def parse_document(text: str) -> Document:
     """Parse a sectioned key-value document.
 
@@ -145,15 +161,15 @@ def parse_document(text: str) -> Document:
     current: Section | None = None
     seen_paths: set[tuple[str, ...]] = set()
     for lineno, raw_line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        # strip comments outside quotes
-        in_quote = False
         line = raw_line
-        for i, ch in enumerate(raw_line):
-            if ch == '"' and not _is_escaped(raw_line, i):
-                in_quote = not in_quote
-            elif ch == "#" and not in_quote:
-                line = raw_line[:i]
-                break
+        if "#" in raw_line:  # strip comments outside quotes
+            in_quote = False
+            for i, ch in enumerate(raw_line):
+                if ch == '"' and not _is_escaped(raw_line, i):
+                    in_quote = not in_quote
+                elif ch == "#" and not in_quote:
+                    line = raw_line[:i]
+                    break
         stripped = line.strip()
         if not stripped:
             continue
@@ -223,8 +239,7 @@ def serialize_document(doc: Document) -> str:
 #  typed section reading
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     where: str
     message: str
@@ -233,9 +248,11 @@ class Diagnostic:
         return f"{self.severity}: [{self.where}] {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("diagnostics",)
+
+    def __init__(self, diagnostics: list[Diagnostic] | None = None):
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def error(self, where: str, message: str) -> None:
         self.diagnostics.append(Diagnostic("error", where, message))

@@ -8,7 +8,7 @@ fixation rate and, times 44/12, an annual CO2 removal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .farmspec import SoilSample
 
@@ -20,8 +20,7 @@ CO2_PER_C = 44.0 / 12.0  # molar mass ratio, exact by definition
 _M2_PER_HA = 10000.0
 
 
-@dataclass(frozen=True)
-class SocStock:
+class SocStock(NamedTuple):
     land_class: str
     year: int
     mg_c_per_ha: float

@@ -35,7 +35,7 @@ equal quantity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import CropgateError
 
@@ -87,8 +87,7 @@ _TOKENS = {
 }
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     """Canonical unit: a tuple of integer exponents over the fixed dimensions."""
 
     exponents: tuple[int, ...]
@@ -193,19 +192,32 @@ def _parse_unit(text: str) -> tuple[Unit, float]:
     return unit, scale
 
 
-@dataclass(frozen=True)
 class Quantity:
     """A float value bound to a canonical :class:`Unit`.
 
     Quantities compare equal when both value and unit match after
     normalization, so "2 kg" == "0.002 Mg". ``unit_written`` tells a parsed
-    ``27 percent`` from a bare ``0.27``; it is not a field, so it takes no
-    part in equality and costs the arithmetic nothing.
+    ``27 percent`` from a bare ``0.27``; it takes no part in equality.
+    Treat a quantity as immutable: arithmetic returns new ones.
     """
 
-    value: float
-    unit: Unit = DIMENSIONLESS
-    unit_written = False  # set by parse_quantity only
+    __slots__ = ("value", "unit", "unit_written")
+
+    def __init__(self, value: float, unit: Unit = DIMENSIONLESS):
+        self.value = value
+        self.unit = unit
+        self.unit_written = False  # set by parse_quantity only
+
+    def __repr__(self) -> str:
+        return f"Quantity(value={self.value!r}, unit={self.unit!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Quantity:
+            return NotImplemented
+        return (self.value, self.unit) == (other.value, other.unit)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.unit))
 
     # ---- arithmetic ---------------------------------------------------- #
 
@@ -273,7 +285,7 @@ def parse_quantity(text: str) -> Quantity:
         return Quantity(value, DIMENSIONLESS)
     unit, scale = parse_unit(rest)
     quantity = Quantity(value * scale, unit)
-    object.__setattr__(quantity, "unit_written", True)  # frozen, set once here
+    quantity.unit_written = True
     return quantity
 
 

@@ -2,9 +2,11 @@
 
 import os
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
+from cropgate import CropgateError
 from cropgate.assess import (assess_crop, bundled_data_path, compare_pair,
                              load_factors, load_farm, resolve_factors_path,
                              sweep_shares)
@@ -92,6 +94,13 @@ class TestAssessCrop:
         assert spread.inventory.amount("seed_tall_wheatgrass").to("Mg") \
             == pytest.approx(0.02 / 8)
 
+    @pytest.mark.parametrize("call", [assess_crop, compare_pair])
+    def test_horizon_beyond_a_float_rejected(self, farm_model, factor_db,
+                                             call):
+        crops = ("tall_wheatgrass",) if call is assess_crop else ()
+        with pytest.raises(CropgateError, match="finite number of years"):
+            call(farm_model, factor_db, *crops, horizon_years=10**400)
+
     def test_unknown_crop(self, farm_model, factor_db):
         with pytest.raises(KeyError):
             assess_crop(farm_model, factor_db, "miscanthus")
@@ -150,6 +159,12 @@ class TestInputResolution:
         assert farm.total_area_ha == 302.0
         db = load_factors(bundled_data_path("factors_calibrated.cg"))
         assert db.lookup("diesel").unit == "L"
+
+    @pytest.mark.parametrize("name", ["farm_soria.cg", "factors_calibrated.cg",
+                                      "not_shipped.cg"])
+    def test_bundled_path_is_the_package_resource_path(self, name):
+        expected = resources.files("cropgate").joinpath("data", name)
+        assert bundled_data_path(name) == os.fspath(expected)
 
     def test_explicit_path_wins(self, farm_model):
         assert resolve_factors_path("/x/farm.cg", farm_model,

@@ -206,6 +206,27 @@ class TestAssess:
         payload = json.loads((tmp_path / "result.json").read_text())
         assert payload["manifest"]["flags"]["horizon"] == "8"
 
+    @pytest.mark.parametrize("argv", [["assess", "--crop", "rye"],
+                                      ["compare"]])
+    @pytest.mark.parametrize("horizon", ["1001", "9" * 400],
+                             ids=["1001", "400_digits"])
+    def test_horizon_beyond_the_bound_exit_2(self, farm_path, tmp_path,
+                                             capsys, argv, horizon):
+        code, out, err = run(argv + ["--farm", farm_path, "--out",
+                                     str(tmp_path), "--horizon", horizon],
+                             capsys)
+        assert code == EXIT_INPUT
+        assert err == (f"error: --horizon must be at most "
+                       f"{cli.MAX_HORIZON_YEARS} years\n")
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_horizon_at_the_bound_is_accepted(self, farm_path, tmp_path,
+                                              capsys):
+        code, _, _ = run(["assess", "--farm", farm_path, "--crop", "rye",
+                          "--out", str(tmp_path), "--horizon",
+                          str(cli.MAX_HORIZON_YEARS)], capsys)
+        assert code == EXIT_OK
+
     def test_byte_identical_reruns(self, farm_path, tmp_path, capsys):
         for sub in ("one", "two"):
             code, _, _ = run(

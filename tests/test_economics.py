@@ -1,10 +1,12 @@
 """Gross margins, whole-farm income, and the marginal-share sweep."""
 
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cropgate import CropgateError
 from cropgate.economics import crop_balance, farm_income, marginal_share_sweep
 from cropgate.farmspec import LandClass
 
@@ -53,6 +55,12 @@ class TestCropBalance:
     def test_horizon_below_one_rejected(self, farm_model):
         with pytest.raises(ValueError):
             crop_balance(farm_model.crop("rye"), 165.0, 0)
+
+    @pytest.mark.parametrize("horizon", [10**400, math.inf, math.nan],
+                             ids=["int_beyond_float", "inf", "nan"])
+    def test_horizon_not_finite_rejected(self, farm_model, horizon):
+        with pytest.raises(CropgateError, match="finite number of years"):
+            crop_balance(farm_model.crop("rye"), 165.0, horizon)
 
     @given(seed=money, herbicide=money, fertilizer=money, machinery=money,
            aid=money)

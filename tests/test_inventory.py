@@ -1,5 +1,6 @@
 """Inventory assembly: spreading, the seed chain, and flow tagging."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -83,6 +84,16 @@ class TestSpreading:
     def test_horizon_below_one_rejected(self, farm_model):
         with pytest.raises(InventoryError):
             annualize_schedule(farm_model.crop("tall_wheatgrass"), 0)
+
+    @pytest.mark.parametrize("horizon", [10**400, math.inf, math.nan],
+                             ids=["int_beyond_float", "inf", "nan"])
+    def test_horizon_not_finite_rejected(self, farm_model, factor_db,
+                                         horizon):
+        twg = farm_model.crop("tall_wheatgrass")
+        with pytest.raises(InventoryError, match="finite number of years"):
+            annualize_schedule(twg, horizon)
+        with pytest.raises(InventoryError, match="finite number of years"):
+            build_lci(twg, farm_model, factor_db, horizon_years=horizon)
 
     @given(one_off=st.floats(0, 1e6, allow_nan=False),
            yearly=st.floats(0, 1e6, allow_nan=False),

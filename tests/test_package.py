@@ -1,7 +1,10 @@
 """The public surface of the package."""
 
+import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,64 @@ def test_error_classes_carry_the_exit_policy():
         == "no factor record for flow 'x'"
     assert isinstance(UnknownCropError("no crop"), KeyError)
     assert str(UnknownCropError("no crop")) == "no crop"
+
+
+def _cropgate_modules_after(code: str) -> set[str]:
+    """The cropgate modules a fresh interpreter has loaded after ``code``."""
+    probe = code + ("\nimport sys\nprint(' '.join(name for name in "
+                    "sys.modules if name.startswith('cropgate')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_submodule():
+    assert _cropgate_modules_after("import cropgate") == {"cropgate"}
+
+
+def test_submodules_and_names_resolve_on_first_use():
+    loaded = _cropgate_modules_after(
+        "import cropgate\n"
+        "assert cropgate.reports.__name__ == 'cropgate.reports'\n"
+        "assert cropgate.Quantity.__module__ == 'cropgate.units'\n"
+        "assert not hasattr(cropgate, 'no_such_name')")
+    assert {"cropgate.reports", "cropgate.units"} <= loaded
+
+
+def test_validate_loads_neither_the_engine_nor_the_reports(farm_path):
+    loaded = _cropgate_modules_after(
+        "from cropgate.cli import main\n"
+        f"assert main(['validate', '--farm', {farm_path!r}]) == 0")
+    assert "cropgate.farmspec" in loaded
+    assert not {"cropgate.reports", "cropgate.impact"} & loaded
+
+
+# Callers pass these to dataclasses.replace: the tests (CropPlan, FarmModel,
+# CostBlock, FertilizerApplication, HerbicideApplication, PairComparison) and
+# the benchmark's self-check (the other four). They stay dataclasses; the
+# other value types are NamedTuples or plain classes, cheaper to create.
+KEPT_DATACLASSES = {
+    "CropPlan": lambda model, pair: model.crop("rye"),
+    "FarmModel": lambda model, pair: model,
+    "CostBlock": lambda model, pair: model.crop("rye").costs,
+    "FertilizerApplication":
+        lambda model, pair: model.crop("rye").fertilizations[0],
+    "HerbicideApplication":
+        lambda model, pair: model.crop("tall_wheatgrass").herbicides[0],
+    "PairComparison": lambda model, pair: pair,
+    "EconomicBalance": lambda model, pair: pair.first.economics,
+    "GwpBreakdown": lambda model, pair: pair.first.gwp,
+    "EnergyBreakdown": lambda model, pair: pair.first.energy,
+    "CropAssessment": lambda model, pair: pair.first,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_DATACLASSES))
+def test_replace_works_on_the_kept_dataclasses(name, farm_model, factor_db):
+    pair = cropgate.compare_pair(farm_model, factor_db)
+    value = KEPT_DATACLASSES[name](farm_model, pair)
+    assert type(value).__name__ == name
+    first = dataclasses.fields(value)[0].name
+    copy = dataclasses.replace(value, **{first: getattr(value, first)})
+    assert copy == value and copy is not value

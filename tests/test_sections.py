@@ -50,6 +50,12 @@ def test_comment_inside_string_is_kept():
     assert doc.section("s").get("k") == "a # b"
 
 
+def test_comment_after_a_string_with_hash_and_escaped_quote():
+    doc = parse_document('[s]\nk = "x \\"#\\" y" # note\nj = 1\n')
+    assert doc.section("s").get("k") == 'x "#" y'
+    assert doc.section("s").get("j").value == 1.0
+
+
 def test_comma_inside_string_is_one_scalar():
     doc = parse_document('[s]\nk = "a, b"\n')
     assert doc.section("s").get("k") == "a, b"

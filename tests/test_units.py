@@ -1,5 +1,7 @@
 """Quantity parsing, conversion, arithmetic, and formatting."""
 
+import operator
+
 import pytest
 from hypothesis import given
 
@@ -139,3 +141,29 @@ class TestFormatting:
 
     def test_canonical_text(self):
         assert format_quantity(parse_quantity("2 kg/ha")) == "0.002 Mg/ha"
+
+
+class TestValueType:
+    """Quantity is a plain class, not a tuple: what callers rely on."""
+
+    def test_equality_and_hash_ignore_unit_written(self):
+        written = parse_quantity("2 Mg")
+        built = Quantity(2.0, parse_unit("Mg")[0])
+        assert (written.unit_written, built.unit_written) == (True, False)
+        assert written == built
+        assert hash(written) == hash(built)
+        assert len({written, built}) == 1
+        assert written != parse_quantity("2 L")
+        assert written != 2.0
+
+    @pytest.mark.parametrize("op", [operator.gt, operator.ge])
+    def test_greater_than_needs_same_dimension(self, op):
+        assert op(parse_quantity("1 Mg"), parse_quantity("2 kg"))
+        with pytest.raises(UnitError):
+            op(parse_quantity("1 Mg"), parse_quantity("1 MJ"))
+
+    def test_repr(self):
+        assert repr(parse_quantity("2 kg")) == (
+            "Quantity(value=0.002, unit=Unit(exponents=(1, 0, 0, 0, 0, 0, 0)))")
+        assert repr(Quantity(3.0)) == (
+            "Quantity(value=3.0, unit=Unit(exponents=(0, 0, 0, 0, 0, 0, 0)))")
