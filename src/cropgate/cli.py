@@ -107,6 +107,8 @@ def _cmd_validate(args) -> int:
 
 def _load(args):
     """The farm model, the factor file path and its database."""
+    if args.horizon is not None and args.horizon < 1:
+        raise InputError("--horizon must be at least 1 year")
     if args.horizon is not None and args.horizon > MAX_HORIZON_YEARS:
         raise InputError(f"--horizon must be at most {MAX_HORIZON_YEARS} "
                          "years")

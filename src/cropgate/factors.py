@@ -114,11 +114,10 @@ class FactorDB:
 
 
 def _read_flow(reader: SectionReader) -> FactorRecord:
+    if "unit" not in reader.section:
+        reader.error("unit", "flow needs a unit basis")
     unit = reader.text("unit")
-    if unit is None:
-        if "unit" not in reader.section:
-            reader.error("unit", "flow needs a unit basis")
-    else:
+    if unit is not None:
         try:
             parse_unit(unit)
         except UnitError:
@@ -180,10 +179,9 @@ def load_factor_db(text: str) -> FactorDB:
         if kind == "flow":
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
-            gwp = reader.number("gwp100")
             if "gwp100" not in section:
                 reader.error("gwp100", "gas needs a finite gwp100")
-            db.gases[name] = GasGWP(name, gwp)
+            db.gases[name] = GasGWP(name, reader.number("gwp100"))
         elif name == "exhaust":
             db.exhaust = _read_exhaust(reader)
         else:

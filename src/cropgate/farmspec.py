@@ -5,10 +5,14 @@ input schedules and costs, product compositions, selling prices, and soil
 analyses. The reserved keys for every section kind are documented in
 docs/formats.md; this module enforces them.
 
-Validation never stops at the first problem. Structural checks run while the
-model is assembled and semantic invariants run afterwards; everything ends up
-in one :class:`ValidationReport` so a file with five mistakes produces five
-diagnostics in a single pass.
+Validation has two phases, and neither stops at the first problem. Reading
+converts every key and checks the file's structure; each mistake is one
+diagnostic at its key or section, and a missing required key reads
+``<key> is required``. The semantic invariants of :func:`validate_model`
+(area sum, marginal pair, products, prices ...) run only on a file that read
+without error, because a rejected key stands in as a default they would
+judge too. A file with both kinds of mistake therefore shows its semantic
+errors on the run after its reading errors are fixed.
 """
 
 from __future__ import annotations
@@ -240,45 +244,38 @@ def parse_product_label(label: str) -> Composition:
 #  section readers
 # ---------------------------------------------------------------------- #
 
+_FRACTION_KEYS = ("n_fraction", "p_fraction", "k_fraction")
+
+
 def _read_product(section: Section, report: ValidationReport) -> ProductSpec | None:
     reader = SectionReader(section, report)
-    product_id = section.path[1]
+    reader.require("kind")
     kind = reader.text("kind")
-    label = reader.text("label", "")
+    label = reader.text("label")
     if kind not in ("fertilizer", "herbicide", "seed"):
-        report.error(section.name, "kind must be fertilizer, herbicide or seed")
-        reader.finish()
-        return None
+        if kind is not None:
+            reader.error("kind", "kind must be fertilizer, herbicide or seed")
+        return None  # which keys the product may have depends on its kind
     composition = Composition()
     active = 0.0
     if kind == "fertilizer":
-        n = reader.fraction("n_fraction")
-        p = reader.fraction("p_fraction")
-        k = reader.fraction("k_fraction")
-        if n is None and p is None and k is None:
-            if not label:
-                report.error(section.name,
-                             "fertilizer needs a label or explicit fractions")
-            else:
-                try:
-                    composition = parse_product_label(label)
-                except FarmFileError as exc:
-                    report.error(section.name, str(exc))
-        else:
-            composition = Composition(n or 0.0, p or 0.0, k or 0.0)
+        fractions = [reader.fraction(key) for key in _FRACTION_KEYS]
+        if any(key in section for key in _FRACTION_KEYS):
+            composition = Composition(*(f or 0.0 for f in fractions))
+        elif "label" not in section:
+            report.error(section.name,
+                         "fertilizer needs a label or explicit fractions")
+        elif label is not None:
+            try:
+                composition = parse_product_label(label)
+            except FarmFileError as exc:
+                report.error(section.name, str(exc))
     elif kind == "herbicide":
-        frac = reader.fraction("active_fraction")
-        if frac is None:
-            report.error(section.name, "herbicide needs active_fraction")
-        else:
-            active = frac
+        reader.require("active_fraction")
+        active = reader.fraction("active_fraction", 0.0)
     reader.finish()
-    return ProductSpec(product_id=product_id, kind=kind, label=label or "",
+    return ProductSpec(product_id=section.path[1], kind=kind, label=label or "",
                        composition=composition, active_fraction=active)
-
-
-_SOIL_KEYS = {"depth", "bulk_density", "coarse_fraction", "organic_matter",
-              "organic_carbon"}
 
 
 def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
@@ -299,10 +296,8 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
     om = reader.fraction("organic_matter")
     oc = reader.fraction("organic_carbon")
     reader.finish()
-    if None in (depth, density, coarse, om, oc):
-        if not _SOIL_KEYS <= section.entries.keys():  # else already reported
-            report.error(section.name, "soil sample is incomplete")
-        return None
+    reader.require("depth", "bulk_density", "coarse_fraction", "organic_matter",
+                   "organic_carbon")
     return SoilSample(land_class=land_class, year=year, depth_m=depth,
                       bulk_density_mg_m3=density, coarse_fraction=coarse,
                       organic_matter=om, organic_carbon=oc)
@@ -312,18 +307,17 @@ _PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
 
 
 def _read_crop(section: Section, sub: dict[str, list[Section]],
-               prices: dict[str, float], report: ValidationReport) -> CropPlan | None:
+               prices: dict[str, float], report: ValidationReport) -> CropPlan:
     name = section.path[1]
     reader = SectionReader(section, report)
     where = section.name
 
     land_class = reader.choice("land_class", LandClass)
-    if "land_class" not in section:
-        reader.error("land_class", "land_class is required")
+    reader.require("land_class")
 
     perennial = reader.boolean("perennial", False)
     life_span = reader.years("life_span", 1)
-    area = reader.quantity("area", "ha")
+    area = reader.quantity("area", "ha", 0.0)
 
     sowing_dose = reader.quantity("sowing_dose", "Mg/ha", 0.0)
     sowing_timing = reader.choice("sowing_timing", Timing, Timing.RECURRENT)
@@ -359,9 +353,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         dose = hreader.raw_quantity("dose")
         timing = hreader.choice("timing", Timing, Timing.RECURRENT)
         hreader.finish()
+        hreader.require("dose")
         if dose is None:
-            if "dose" not in hsec:
-                report.error(hsec.name, "herbicide application needs a dose")
             continue
         if dose.unit not in _PER_HA_DOSES or not math.isfinite(dose.value):
             hreader.error("dose", "must be a finite volume or mass per ha")
@@ -394,11 +387,9 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
             for part in fields(CostBlock)})
         creader.finish()
 
-    if land_class is None:
-        return None
     return CropPlan(
         name=name, land_class=land_class, perennial=perennial,
-        life_span_years=life_span, area_ha=area if area is not None else 0.0,
+        life_span_years=life_span, area_ha=area,
         sowing_dose_mg_ha=sowing_dose, sowing_timing=sowing_timing,
         seed_source=seed_source, seed_flow=seed_flow, seed_yield_mg_ha=seed_yield,
         fertilizations=tuple(fertilizations), herbicides=tuple(herbicides),
@@ -415,7 +406,10 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
 # ---------------------------------------------------------------------- #
 
 def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]:
-    """Assemble a FarmModel from a parsed document, collecting diagnostics."""
+    """Assemble a FarmModel from a parsed document, collecting diagnostics.
+
+    :func:`validate_model` runs only if reading found no error; a model
+    returned with errors holds defaults in place of the rejected keys."""
     report = ValidationReport()
 
     farm_sec = doc.section("farm")
@@ -431,12 +425,10 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     pair = freader.ident_list("marginal_pair")
     factors_ref = freader.text("factors")
     freader.finish()
-    if total_area is None and "total_area" not in farm_sec:
-        report.error("farm.total_area", "total_area is required")
+    freader.require("total_area")
     if len(pair) != 2:
-        report.error("farm.marginal_pair",
-                     "exactly one comparison pair of two crops is required")
-        pair = (pair + ["", ""])[:2]
+        freader.error("marginal_pair",
+                      "exactly one comparison pair of two crops is required")
 
     prices: dict[str, float] = {}
     price_sec = doc.section("prices")
@@ -476,10 +468,11 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         samples.append(sample)
 
     crops: dict[str, CropPlan] = {}
+    crop_secs: list[Section] = []
     crop_subsections: dict[str, dict[str, list[Section]]] = {}
     for csec in doc.find("crop"):
         if len(csec.path) == 2:
-            crop_subsections.setdefault(csec.path[1], {})
+            crop_secs.append(csec)
         elif len(csec.path) in (3, 4):
             kind = csec.path[2]
             if kind not in ("herbicide", "op", "costs"):
@@ -492,15 +485,11 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
                 kind, []).append(csec)
         else:
             report.error(csec.name, "malformed crop section path")
-    for csec in doc.find("crop"):
-        if len(csec.path) != 2:
-            continue
-        plan = _read_crop(csec, crop_subsections.get(csec.path[1], {}),
-                          prices, report)
-        if plan is not None:
-            crops[plan.name] = plan
-    for crop_name, subs in crop_subsections.items():
-        if crop_name not in crops and subs:
+    for csec in crop_secs:
+        crops[csec.path[1]] = _read_crop(
+            csec, crop_subsections.get(csec.path[1], {}), prices, report)
+    for crop_name in crop_subsections:
+        if crop_name not in crops:
             report.error(f"crop.{crop_name}",
                          "subsections without a [crop.{}] section".format(crop_name))
 
@@ -520,16 +509,13 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             plan = replace(plan, area_ha=marginal_area)
         resolved[crop_name] = plan
 
-    if total_area is None:  # reported above; the crop areas' sum skips the check
-        total_area = marginal_area + sum(
-            plan.area_ha for plan in resolved.values()
-            if plan.land_class is not LandClass.MARGINAL)
     model = FarmModel(
-        name=name or "", total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
+        name=name, total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
         amortization_horizon_years=horizon, marginal_area_ha=marginal_area,
-        marginal_pair=(pair[0], pair[1]), crops=resolved, products=products,
+        marginal_pair=tuple(pair), crops=resolved, products=products,
         soil_samples=tuple(samples), factors_ref=factors_ref)
-    report.extend(validate_model(model))
+    if report.ok:  # checks across keys would see the defaults of rejected ones
+        report.extend(validate_model(model))
     return model, report
 
 

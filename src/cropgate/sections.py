@@ -401,6 +401,12 @@ class SectionReader:
     def raw_quantity(self, key: str) -> Quantity | None:
         return self._typed(key, Quantity, "a quantity")
 
+    def require(self, *keys: str) -> None:
+        """Report each of ``keys`` the section lacks as ``<key> is required``."""
+        for key in keys:
+            if key not in self.section:
+                self.error(key, f"{key} is required")
+
     def finish(self) -> None:
         """Report every key of the section that no typed read consumed."""
         for key in self.section.entries:

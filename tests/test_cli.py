@@ -220,6 +220,19 @@ class TestAssess:
                        f"{cli.MAX_HORIZON_YEARS} years\n")
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["assess", "--crop", "rye"],
+                                      ["compare"]])
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_exit_2(self, farm_path, tmp_path, capsys,
+                                      argv, horizon):
+        # used to exit 1 from the economics, after both files were read
+        code, out, err = run(argv + ["--farm", farm_path, "--out",
+                                     str(tmp_path), f"--horizon={horizon}"],
+                             capsys)
+        assert code == EXIT_INPUT
+        assert err == "error: --horizon must be at least 1 year\n"
+        assert out == "" and not any(tmp_path.iterdir())
+
     def test_horizon_at_the_bound_is_accepted(self, farm_path, tmp_path,
                                               capsys):
         code, _, _ = run(["assess", "--farm", farm_path, "--crop", "rye",

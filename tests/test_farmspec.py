@@ -1,10 +1,14 @@
 """Farm file parsing, model assembly, and validation diagnostics."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from cropgate.farmspec import (Composition, FarmValidationError, LandClass,
                                SeedSource, Timing, build_farm_model,
-                               parse_farm_document, parse_product_label)
+                               parse_farm_document, parse_product_label,
+                               validate_model)
 from cropgate.sections import parse_document
 
 
@@ -258,17 +262,68 @@ class TestValidation:
         ("dose = 1 L/ha", "dose = 1e999 L/ha",
          "crop.grass.herbicide.weedkiller.dose",
          "must be a finite volume or mass per ha"),
+        # a rejected value used to stand in as a default that the checks
+        # across keys then judged: area sum, pair, products, prices
+        ("marginal_area = 10 ha", "marginal_area = 10 kg",
+         "farm.marginal_area", "must be in ha"),
+        ("area = 100 ha", "area = 100 kg", "crop.wheat.area", "must be in ha"),
+        ("marginal_pair = grass, cereal", "marginal_pair = grass",
+         "farm.marginal_pair",
+         "exactly one comparison pair of two crops is required"),
+        ("land_class = non_marginal", "land_class = swamp",
+         "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
+        ("perennial = true", "perennial = 3", "crop.grass.perennial",
+         "expected true or false"),
+        ("seed_yield = 3.0 Mg/ha", "seed_yield = 3.0 kg",
+         "crop.wheat.seed_yield", "must be in Mg/ha"),
+        ("kind = fertilizer", "kind = bogus", "product.npk.kind",
+         "kind must be fertilizer, herbicide or seed"),
+        ("active_fraction = 50 percent", "active_fraction = 1.5",
+         "product.weedkiller.active_fraction", "fraction 1.5 outside [0, 1]"),
+        ("wheat_grain = 170 EUR/Mg", "wheat_grain = 170 kg",
+         "prices.wheat_grain", "must be in EUR/Mg"),
+        # a missing key is "<key> is required" at the key, in every section
+        ("kind = fertilizer\n", "", "product.npk.kind", "kind is required"),
+        ("active_fraction = 50 percent\n", "",
+         "product.weedkiller.active_fraction", "active_fraction is required"),
+        ("dose = 1 L/ha\n", "", "crop.grass.herbicide.weedkiller.dose",
+         "dose is required"),
+        ("bulk_density = 1.37 Mg/m3\ncoarse_fraction = 29.58 percent\n"
+         "organic_matter = 0.540", "coarse_fraction = 29.58 percent\n"
+         "organic_matter = 0.540", "soil.marginal.2013.bulk_density",
+         "bulk_density is required"),
     ], ids=["amortization_horizon", "life_span", "infinite_aid",
             "infinite_diesel", "percent_aid", "percent_diesel",
             "percent_total_area", "mass_total_area", "missing_total_area",
             "infinite_base_dose", "soil_value_with_unit",
             "soil_year_leading_zero", "herbicide_dose_not_per_ha",
-            "herbicide_dose_bare", "herbicide_dose_infinite"])
+            "herbicide_dose_bare", "herbicide_dose_infinite",
+            "mass_marginal_area", "mass_crop_area", "pair_of_one",
+            "bad_land_class", "perennial_not_bool", "mass_seed_yield",
+            "bogus_kind", "active_fraction_above_1", "mass_price",
+            "missing_kind", "missing_active_fraction",
+            "missing_herbicide_dose", "missing_soil_key"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))
         assert [(d.where, d.message) for d in err.value.report.errors] \
             == [(where, message)]
+
+    def test_fractional_life_span_gives_no_life_span_warning(self):
+        # the rejected span used to read as 1 year: "perennial crop with a
+        # one-year life span"
+        _, report = build_farm_model(parse_document(VALID.replace(
+            "life_span = 4 y", "life_span = 4.5 y")))
+        assert [(d.where, d.message) for d in report.diagnostics] == [
+            ("crop.grass.life_span", "expected a whole number of years")]
+
+    def test_validate_model_checks_a_model_built_in_code(self):
+        model = parse_farm_document(VALID)
+        smaller = replace(model, crops={
+            **model.crops, "wheat": replace(model.crop("wheat"), area_ha=90.0)})
+        assert [(d.where, d.message) for d in validate_model(smaller).errors] \
+            == [("farm.total_area",
+                 "crop areas sum to 100.0 ha, declared total is 110.0 ha")]
 
     def test_whole_years_accepted(self):
         model = parse_farm_document(VALID.replace(
@@ -297,6 +352,36 @@ class TestValidation:
         _, report = build_farm_model(doc)
         assert model.crop("grass").soc_equilibrium
         assert any("ignored" in d.message for d in report.warnings)
+
+
+# "key = <number>[ <unit>]" at the start of a line
+_QUANTITY = re.compile(
+    r"^(\w+) = (-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?: ([^\s#,]+))?")
+
+
+def test_one_rejected_key_gives_errors_at_that_key_only(farm_path):
+    """Give each quantity line of the bundled farm another unit in turn:
+    an error at the damaged key may not bring errors elsewhere."""
+    with open(farm_path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    strays = []
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line[1:line.index("]")]
+        match = _QUANTITY.match(line)
+        if not match:
+            continue
+        key, number, unit = match.groups()
+        for new_unit in ("kg", "percent", "L", "EUR/ha", "m"):
+            if new_unit == unit:
+                continue
+            damaged = lines[:i] + [f"{key} = {number} {new_unit}"
+                                   + line[match.end():]] + lines[i + 1:]
+            _, report = build_farm_model(parse_document("\n".join(damaged)))
+            wheres = {d.where for d in report.errors}
+            if f"{section}.{key}" in wheres and len(wheres) > 1:
+                strays.append((f"{section}.{key}", new_unit, report.render()))
+    assert strays == []
 
 
 class TestShippedFarm:

@@ -3,7 +3,8 @@
 Each fuzz example damages one line of the bundled farm or factor file and
 runs every command on the result. Whatever the damage, ``main()`` returns
 0, 1 or 2 and raises nothing; a failure says why; and the JSON reports of
-a success hold only finite numbers.
+a success hold only finite numbers. A bad flag value exits 2 with one line
+and writes nothing.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cropgate.cli import EXIT_DOMAIN, main
+from cropgate.cli import EXIT_DOMAIN, EXIT_INPUT, main
 
 from conftest import SHIPPED_FACTORS, SHIPPED_FARM
 
@@ -132,6 +133,24 @@ def test_damaged_inputs_keep_the_exit_contract(damaged):
                     if report.endswith(".json"):
                         json.loads(_read(os.path.join(out_dir, report)),
                                    parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["assess", "--crop", "rye", f"--horizon={horizon}"]
+      for horizon in ("0", "-3", "1001", str(10**400))),
+    *(["sweep", f"--shares={shares}"] for shares in ("", "1/0", "nan", "a")),
+    *(["sweep", f"--range={span}"]
+      for span in ("0:1", "0:1:0", "1:0:0.1", "0:1:1e-320")),
+], ids=lambda argv: argv[-1][:20])
+def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path):
+    out_dir = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv + ["--farm", SHIPPED_FARM, "--out", str(out_dir)])
+    assert code == EXIT_INPUT
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("script", sorted(
