@@ -29,17 +29,17 @@ MAX_HORIZON_YEARS = 1000
 
 # the names the commands use of assess and reports, bound on first use
 _ENGINE = {"assess": ("assess_crop", "compare_pair", "load_factors",
-                      "load_farm", "resolve_factors_path", "sweep_shares"),
+                      "load_farm", "resolve_factors_path"),
            "reports": ("build_manifest", "write_assessment",
                        "write_comparison", "write_sweep")}
 
 
-def _engine() -> None:
-    """Bind the engine names here; validate loads neither module. A name
-    bound already, a test's stand-in say, stays."""
-    for module, names in _ENGINE.items():
+def _engine(*modules: str) -> None:
+    """Bind the names of ``modules`` (default: both) here; validate loads
+    neither module. A name bound already, a test's stand-in say, stays."""
+    for module in modules or _ENGINE:
         loaded = importlib.import_module(f"{__package__}.{module}")
-        for name in names:
+        for name in _ENGINE[module]:
             globals().setdefault(name, getattr(loaded, name))
 
 
@@ -78,9 +78,11 @@ def _sweep_points(args) -> list[float]:
         raise InputError("--range step must be positive")
     # count the points before building any: stop is inclusive up to 1e-12
     span = (stop + 1e-12 - start) / step
-    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    count = math.floor(span) + 1 if math.isfinite(span) else span
     if count < 1:
         raise InputError("--range produced no shares")
+    if count == math.inf:  # the span overflowed: no count to print
+        raise InputError(f"--range gives more than {MAX_SWEEP_POINTS} shares")
     if count > MAX_SWEEP_POINTS:
         raise InputError(f"--range gives {count} shares, more than "
                          f"{MAX_SWEEP_POINTS}")
@@ -169,10 +171,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _engine()
-    model = load_farm(args.farm)
+    from .economics import marginal_share_sweep
+    from .farmspec import parse_farm_document
+    from .sections import read_text
+    _engine("reports")  # a sweep needs no inventory or factors
+    model = parse_farm_document(read_text(args.farm))
     shares = _sweep_points(args)
-    points = sweep_shares(model, shares)
+    points = marginal_share_sweep(model, shares)
     flags = _flags(args, shares=",".join(f"{share:.6f}" for share in shares))
     return _write(args, None, flags, write_sweep, points, model.marginal_pair)
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import CropgateError
 from .sections import SectionReader, ValidationReport, parse_document
-from .units import UnitError, parse_unit
+from .units import Unit, UnitError, parse_unit
 
 __all__ = [
     "FactorFileError", "MissingFlowError", "FactorRecord", "GasGWP",
@@ -99,12 +99,21 @@ class FactorDB:
         self.exhaust = exhaust
         for gas, gwp in DEFAULT_GAS_GWP.items():
             self.gases.setdefault(gas, GasGWP(gas, gwp))
+        self._bases: dict[str, tuple[Unit, float]] = {}
 
     def lookup(self, flow_id: str) -> FactorRecord:
         try:
             return self.records[flow_id]
         except KeyError:
             raise MissingFlowError(flow_id) from None
+
+    def basis(self, unit_text: str) -> tuple[Unit, float]:
+        """``parse_unit(unit_text)``, parsed once per database: the basis
+        units of the records and the few units characterization needs."""
+        basis = self._bases.get(unit_text)
+        if basis is None:
+            basis = self._bases[unit_text] = parse_unit(unit_text)
+        return basis
 
     def gas_gwp(self, gas: str) -> float:
         return self.gases[gas].gwp100

@@ -83,6 +83,8 @@ class MachineClass(enum.Enum):
     TILLAGE = "tillage"
     IMPLEMENT = "implements"
 
+    __hash__ = object.__hash__  # a dict key per field operation
+
 
 # ---------------------------------------------------------------------- #
 #  model types
@@ -426,7 +428,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     factors_ref = freader.text("factors")
     freader.finish()
     freader.require("total_area")
-    if len(pair) != 2:
+    if pair is not None and len(pair) != 2:  # None: reported already
         freader.error("marginal_pair",
                       "exactly one comparison pair of two crops is required")
 
@@ -512,7 +514,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     model = FarmModel(
         name=name, total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
         amortization_horizon_years=horizon, marginal_area_ha=marginal_area,
-        marginal_pair=tuple(pair), crops=resolved, products=products,
+        marginal_pair=tuple(pair or ()), crops=resolved, products=products,
         soil_samples=tuple(samples), factors_ref=factors_ref)
     if report.ok:  # checks across keys would see the defaults of rejected ones
         report.extend(validate_model(model))

@@ -3,8 +3,9 @@
 Both are linear maps over the same inventory, so one pass over its flows
 gives both. The soil-carbon CO2 flow enters GWP unchanged (it is already a
 CO2 mass), gas flows go through the gas table, and every other flow resolves
-its factor record once and is converted to the record's basis unit once;
-that one amount feeds the kg CO2e, renewable MJ and non-renewable MJ sums.
+its factor record once and is divided once by the scale of the record's
+basis unit, parsed once per factor database; that amount feeds the kg CO2e,
+renewable MJ and non-renewable MJ sums, which are kept per phase by index.
 
 Conventions carried through all reporting:
 
@@ -19,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factors import FactorDB
-from .inventory import GAS_FLOWS, Inventory, Phase
+from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
+from .units import Quantity, Unit
 
 __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize",
            "characterize_gwp", "characterize_energy", "phase_shares",
@@ -28,8 +30,9 @@ __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize",
 POSITIVE_PHASES = (Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE,
                    Phase.FIELD_WORKS, Phase.FIELD_EMISSIONS)
 
-ENERGY_PHASES = (Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE,
-                 Phase.FIELD_WORKS)
+ENERGY_PHASES = POSITIVE_PHASES[:4]  # field emissions carry no energy
+
+_INDEX = {phase: i for i, phase in enumerate(PHASES)}
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class EnergyBreakdown:
     missing: tuple[str, ...] = ()
 
 
+def _to(amount: Quantity, basis: tuple[Unit, float], unit_text: str) -> float:
+    """``amount.to(unit_text)`` given ``basis = parse_unit(unit_text)``."""
+    unit, scale = basis
+    return amount.value / scale if amount.unit == unit else amount.to(unit_text)
+
+
 def characterize(inventory: Inventory, db: FactorDB,
                  cutoff_missing: bool = False,
                  ) -> tuple[GwpBreakdown, EnergyBreakdown]:
@@ -62,44 +71,35 @@ def characterize(inventory: Inventory, db: FactorDB,
     a factor record raises, or in cut-off mode adds zero burden and is named
     in the ``missing`` tuple that both breakdowns share.
     """
-    kg_by_phase = {phase: 0.0 for phase in Phase}
-    ren = {phase: 0.0 for phase in Phase}
-    non = {phase: 0.0 for phase in Phase}
+    kg, ren, non = ([0.0] * len(PHASES) for _ in range(3))
     soc_mg = 0.0
     missing: set[str] = set()
-    for flow in inventory.flows:
-        if flow.phase is Phase.SOC:
-            soc_mg += flow.amount.to("Mg")
+    resolve = db.records.get if cutoff_missing else db.lookup
+    for flow_id, amount, phase in inventory.flows:
+        if phase is Phase.SOC:
+            soc_mg += _to(amount, db.basis("Mg"), "Mg")
             continue
-        if flow.flow_id in GAS_FLOWS:
-            kg_by_phase[flow.phase] += (flow.amount.to("kg")
-                                        * db.gas_gwp(flow.flow_id))
+        i = _INDEX[phase]
+        if flow_id in GAS_FLOWS:
+            kg[i] += _to(amount, db.basis("kg"), "kg") * db.gas_gwp(flow_id)
             continue
-        record = (db.records.get(flow.flow_id) if cutoff_missing
-                  else db.lookup(flow.flow_id))
+        record = resolve(flow_id)
         if record is None:
-            missing.add(flow.flow_id)
+            missing.add(flow_id)
             continue
-        basis = flow.amount.to(record.unit)
-        kg_by_phase[flow.phase] += basis * record.gwp100
-        ren[flow.phase] += basis * record.pe_renewable / 1000.0
-        non[flow.phase] += basis * record.pe_nonrenewable / 1000.0
-    by_phase = {phase: kg_by_phase[phase] / 1000.0 for phase in Phase}
+        basis = _to(amount, db.basis(record.unit), record.unit)
+        kg[i] += basis * record.gwp100
+        ren[i] += basis * record.pe_renewable / 1000.0
+        non[i] += basis * record.pe_nonrenewable / 1000.0
+    by_phase = {phase: total / 1000.0 for phase, total in zip(PHASES, kg)}
     by_phase[Phase.SOC] = soc_mg
     positive = sum(by_phase[phase] for phase in POSITIVE_PHASES)
-    renewable_total = sum(ren.values())
-    nonrenewable_total = sum(non.values())
-    cut = tuple(sorted(missing))
-    return (
-        GwpBreakdown(crop_name=inventory.crop_name, by_phase=by_phase,
-                     positive_total=positive,
-                     net_total=positive + by_phase[Phase.SOC], missing=cut),
-        EnergyBreakdown(crop_name=inventory.crop_name, renewable_by_phase=ren,
-                        nonrenewable_by_phase=non,
-                        renewable_total=renewable_total,
-                        nonrenewable_total=nonrenewable_total,
-                        total=renewable_total + nonrenewable_total,
-                        missing=cut))
+    ren_total, non_total, cut = sum(ren), sum(non), tuple(sorted(missing))
+    return (GwpBreakdown(inventory.crop_name, by_phase, positive,
+                         positive + soc_mg, cut),
+            EnergyBreakdown(inventory.crop_name, dict(zip(PHASES, ren)),
+                            dict(zip(PHASES, non)), ren_total, non_total,
+                            ren_total + non_total, cut))
 
 
 def characterize_gwp(inventory: Inventory, db: FactorDB,

@@ -4,7 +4,8 @@ The functional unit is 1 ha cultivated for 1 year. Establishment-only
 inputs of perennial crops are spread over the amortization horizon first,
 then every input becomes a flow tagged with the life-cycle phase it belongs
 to. Flow amounts are quantities in the basis unit of their factor record
-(Mg, L, kg ...), understood per hectare and year.
+(Mg, L, kg ...), understood per hectare and year. The seed chain below runs
+on plain floats and makes one quantity per seed flow at the end.
 
 Seed is special. Farm-multiplied seed ("own") is produced with the same
 cultivation inputs as the crop itself plus processing and transport, which
@@ -38,7 +39,7 @@ from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, UnitError, parse_unit
 
 __all__ = [
-    "Phase", "Flow", "Inventory", "AnnualizedPlan", "InventoryError",
+    "Phase", "PHASES", "Flow", "Inventory", "AnnualizedPlan", "InventoryError",
     "SeedRecursionError", "annualize_schedule", "seed_inventory", "build_lci",
     "GAS_FLOWS", "MACHINERY_FLOWS", "SEED_CHAIN_FLOWS",
 ]
@@ -61,6 +62,11 @@ class Phase(enum.Enum):
     FIELD_EMISSIONS = "field_emissions"
     SOC = "soc_change"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's is Python
+
+
+PHASES = tuple(Phase)
+
 
 # flows characterized through gas GWPs rather than factor records
 GAS_FLOWS = ("co2", "ch4", "n2o")
@@ -75,9 +81,9 @@ MACHINERY_FLOWS = {
 # reserved flow ids added per Mg of farm-multiplied seed (see docs/formats.md)
 SEED_CHAIN_FLOWS = ("seed_processing", "seed_transport", "seed_biomass_energy")
 
-_MG = parse_unit("Mg")[0]
+_MG, _L, _HA = (parse_unit(text)[0] for text in ("Mg", "L", "ha"))
+_L_PER_HA, _MG_PER_HA = _L / _HA, _MG / _HA
 _KG_VALUE = 0.001  # one kg in canonical mass units
-_L = parse_unit("L")[0]
 
 
 class Flow(NamedTuple):
@@ -97,11 +103,8 @@ class Inventory(NamedTuple):
     def amount(self, flow_id: str, phase: Phase | None = None) -> Quantity | None:
         total = None
         for flow in self.flows:
-            if flow.flow_id != flow_id:
-                continue
-            if phase is not None and flow.phase is not phase:
-                continue
-            total = flow.amount if total is None else total + flow.amount
+            if flow.flow_id == flow_id and phase in (None, flow.phase):
+                total = flow.amount if total is None else total + flow.amount
         return total
 
 
@@ -152,10 +155,10 @@ def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
     Liquid formulations state the fraction as kg a.i. per litre of product,
     solid ones as a mass fraction.
     """
-    if dose.unit == _L / parse_unit("ha")[0]:
-        return dose.to("L/ha") * active_fraction
-    if dose.unit == _MG / parse_unit("ha")[0]:
-        return dose.to("kg/ha") * active_fraction
+    if dose.unit == _L_PER_HA:
+        return dose.value * active_fraction
+    if dose.unit == _MG_PER_HA:
+        return dose.value / _KG_VALUE * active_fraction
     raise UnitError(f"herbicide dose must be volume or mass per ha, got "
                     f"{dose.unit or '1'}")
 
@@ -182,11 +185,10 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
             if kg:
                 flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
                                   Phase.FIELD_WORKS))
-    for cls in MachineClass:
+    for cls, flow_id in MACHINERY_FLOWS.items():
         mass = ann.machinery_mg_ha.get(cls)
         if mass:
-            flows.append(Flow(MACHINERY_FLOWS[cls], Quantity(mass, _MG),
-                              Phase.FIELD_WORKS))
+            flows.append(Flow(flow_id, Quantity(mass, _MG), Phase.FIELD_WORKS))
     return flows
 
 
@@ -201,17 +203,15 @@ def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
 
 def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
                        exhaust: ExhaustFactors) -> dict[str, Quantity]:
-    """Production-side and field-work flows per ha*y, keyed by flow id.
-
-    This is the cultivation vector c of the crop's own seed chain. Field
-    emissions and soil carbon are excluded.
-    """
+    """The seed chain's cultivation vector c: production flows by flow id."""
     return _by_flow_id(_production_flows(model, ann, exhaust))
 
 
 def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
-                 cultivation: dict[str, Quantity],
-                 one_level: bool) -> dict[str, Quantity]:
+                 cultivation: dict[str, Quantity], one_level: bool,
+                 seed_mg: float = 1.0) -> dict[str, Quantity]:
+    """x = (c/Y + p) / (1 - r) * seed_mg per flow id, summed in floats in
+    that order; one quantity per flow. Seed-chain flows p must be masses."""
     yield_mg = crop.seed_yield_mg_ha
     if yield_mg is None or yield_mg <= 0:
         raise SeedRecursionError(f"crop {crop.name!r} has no seed yield")
@@ -220,16 +220,16 @@ def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
         raise SeedRecursionError(
             f"seed dose {dose!r} Mg/ha meets or exceeds seed yield "
             f"{yield_mg!r} Mg/ha; the seed chain diverges")
-    vector = {flow_id: amount / yield_mg
+    vector = {flow_id: (amount.value / yield_mg, amount.unit)
               for flow_id, amount in cultivation.items()}
-    per_mg = Quantity(1.0, _MG)
     for flow_id in SEED_CHAIN_FLOWS:
-        vector[flow_id] = (vector[flow_id] + per_mg if flow_id in vector
-                           else per_mg)
-    if one_level:
-        return vector
-    one_minus_r = 1.0 - dose / yield_mg
-    return {flow_id: amount / one_minus_r for flow_id, amount in vector.items()}
+        value, unit = vector.get(flow_id, (0.0, _MG))
+        if unit != _MG:
+            raise UnitError(f"cannot add {unit} and {_MG}")
+        vector[flow_id] = (value + 1.0, unit)
+    one_minus_r = 1.0 if one_level else 1.0 - dose / yield_mg
+    return {flow_id: Quantity(value / one_minus_r * seed_mg, unit)
+            for flow_id, (value, unit) in vector.items()}
 
 
 def seed_inventory(crop: CropPlan, model: FarmModel,
@@ -282,10 +282,9 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
 
     if ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.OWN:
         vector = _seed_vector(crop, ann, _by_flow_id(production),
-                              seed_one_level)
+                              seed_one_level, ann.sowing_dose_mg_ha)
         for flow_id in sorted(vector):
-            flows.append(Flow(flow_id, vector[flow_id] * ann.sowing_dose_mg_ha,
-                              Phase.SEED))
+            flows.append(Flow(flow_id, vector[flow_id], Phase.SEED))
     elif ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.EXTERNAL:
         flows.append(Flow(crop.seed_flow, Quantity(ann.sowing_dose_mg_ha, _MG),
                           Phase.SEED))

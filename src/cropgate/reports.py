@@ -17,12 +17,13 @@ import hashlib
 import json
 import os
 from dataclasses import fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import CropgateError, InputError, __version__
-from .assess import FUNCTIONAL_UNIT, CropAssessment, PairComparison
 from .economics import EconomicBalance, SweepPoint
-from .inventory import Phase
+
+if TYPE_CHECKING:  # the engine loads only for the reports that show it
+    from .assess import CropAssessment, PairComparison
 
 __all__ = ["RunManifest", "build_manifest", "write_assessment",
            "write_comparison", "write_sweep",
@@ -163,6 +164,8 @@ def _balance_rows(result: CropAssessment) -> list[tuple[str, float]]:
 
 
 def _assessment_json(result: CropAssessment) -> dict:
+    from .assess import FUNCTIONAL_UNIT
+    from .inventory import PHASES
     gwp, energy = result.gwp, result.energy
     return {
         "functional_unit": FUNCTIONAL_UNIT,
@@ -170,7 +173,7 @@ def _assessment_json(result: CropAssessment) -> dict:
         "economics_eur_ha": dict(_balance_rows(result)),
         "gwp": {
             "by_phase_mg_co2e": {phase.value: gwp.by_phase[phase]
-                                 for phase in Phase},
+                                 for phase in PHASES},
             "positive_total_mg_co2e": gwp.positive_total,
             "net_total_mg_co2e": gwp.net_total,
             "shares_pct": {phase.value: share
@@ -180,10 +183,10 @@ def _assessment_json(result: CropAssessment) -> dict:
         "energy": {
             "renewable_by_phase_gj": {
                 phase.value: energy.renewable_by_phase[phase]
-                for phase in Phase},
+                for phase in PHASES},
             "nonrenewable_by_phase_gj": {
                 phase.value: energy.nonrenewable_by_phase[phase]
-                for phase in Phase},
+                for phase in PHASES},
             "renewable_total_gj": energy.renewable_total,
             "nonrenewable_total_gj": energy.nonrenewable_total,
             "total_gj": energy.total,
@@ -207,12 +210,13 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     ``csv`` writes the three tables plus result.json; ``json`` writes only
     result.json.
     """
+    from .inventory import PHASES
     gwp, energy = result.gwp, result.energy
     balance = [("concept", "eur_per_ha")] + [
         (concept, fmt_eur(value)) for concept, value in _balance_rows(result)]
     gwp_rows = [("phase", "mg_co2e_per_ha_y", "share_pct")] + [
         (phase.value, fmt_mg_co2e(gwp.by_phase[phase]),
-         _share_cell(result.gwp_shares, phase)) for phase in Phase]
+         _share_cell(result.gwp_shares, phase)) for phase in PHASES]
     gwp_rows += [
         ("positive_total", fmt_mg_co2e(gwp.positive_total),
          fmt_share(100.0) if result.gwp_shares else ""),
@@ -220,7 +224,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     energy_rows = [("phase", "renewable_gj_per_ha_y",
                     "nonrenewable_gj_per_ha_y", "total_gj_per_ha_y",
                     "share_pct")]
-    for phase in Phase:
+    for phase in PHASES:
         ren = energy.renewable_by_phase[phase]
         non = energy.nonrenewable_by_phase[phase]
         energy_rows.append((phase.value, fmt_gj(ren), fmt_gj(non),
@@ -242,6 +246,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
 
 def write_comparison(comparison: PairComparison, manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
+    from .assess import FUNCTIONAL_UNIT
     first, second = comparison.first, comparison.second
     metrics = [
         ("balance_with_cap_eur_ha", fmt_eur,

@@ -385,18 +385,16 @@ class SectionReader:
             self.error(key, f"expected {', '.join(names[:-1])} or {names[-1]}")
             return default
 
-    def ident_list(self, key: str) -> list[str]:
+    def ident_list(self, key: str) -> list[str] | None:
+        """The identifiers at ``key``, [] when it is absent; None, reported
+        once, when an item is not an identifier."""
         value = self._take(key)
-        if value is None:
-            return []
-        items = value if isinstance(value, list) else [value]
-        out = []
-        for item in items:
-            if isinstance(item, str):
-                out.append(item)
-            else:
-                self.error(key, "expected identifiers")
-        return out
+        items = [] if value is None else (
+            value if isinstance(value, list) else [value])
+        if all(isinstance(item, str) for item in items):
+            return items
+        self.error(key, "expected identifiers")
+        return None
 
     def raw_quantity(self, key: str) -> Quantity | None:
         return self._typed(key, Quantity, "a quantity")

@@ -410,7 +410,7 @@ class TestSweep:
             ["sweep", "--farm", farm_path, "--range", spec,
              "--out", str(tmp_path)], capsys)
         assert code == EXIT_INPUT
-        assert err == "error: --range gives inf shares, more than 10000\n"
+        assert err == "error: --range gives more than 10000 shares\n"
 
     def test_share_beyond_the_farm_exit_1(self, farm_path, tmp_path, capsys):
         code, _, err = run(

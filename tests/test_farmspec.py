@@ -270,6 +270,11 @@ class TestValidation:
         ("marginal_pair = grass, cereal", "marginal_pair = grass",
          "farm.marginal_pair",
          "exactly one comparison pair of two crops is required"),
+        # a bad item is the one error at the key: no pair count after it
+        ("marginal_pair = grass, cereal", "marginal_pair = grass, 5",
+         "farm.marginal_pair", "expected identifiers"),
+        ("marginal_pair = grass, cereal", "marginal_pair = 4, 5",
+         "farm.marginal_pair", "expected identifiers"),
         ("land_class = non_marginal", "land_class = swamp",
          "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
         ("perennial = true", "perennial = 3", "crop.grass.perennial",
@@ -299,6 +304,7 @@ class TestValidation:
             "soil_year_leading_zero", "herbicide_dose_not_per_ha",
             "herbicide_dose_bare", "herbicide_dose_infinite",
             "mass_marginal_area", "mass_crop_area", "pair_of_one",
+            "pair_item_not_ident", "pair_of_numbers",
             "bad_land_class", "perennial_not_bool", "mass_seed_yield",
             "bogus_kind", "active_fraction_above_1", "mass_price",
             "missing_kind", "missing_active_fraction",

@@ -140,7 +140,8 @@ def test_damaged_inputs_keep_the_exit_contract(damaged):
       for horizon in ("0", "-3", "1001", str(10**400))),
     *(["sweep", f"--shares={shares}"] for shares in ("", "1/0", "nan", "a")),
     *(["sweep", f"--range={span}"]
-      for span in ("0:1", "0:1:0", "1:0:0.1", "0:1:1e-320")),
+      for span in ("0:1", "0:1:0", "1:0:0.1", "0:1:1e-320", "0:1e308:1e-10",
+                   "1e308:-1e308:1")),
 ], ids=lambda argv: argv[-1][:20])
 def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path):
     out_dir = tmp_path / "out"

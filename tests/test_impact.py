@@ -1,13 +1,16 @@
 """Characterization oracles and linearity properties."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from cropgate.factors import MissingFlowError, load_factor_db
+from cropgate import factors, units
+from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
                              characterize_energy, characterize_gwp,
                              phase_shares)
-from cropgate.inventory import Flow, Inventory, Phase, build_lci
+from cropgate.inventory import GAS_FLOWS, Flow, Inventory, Phase, build_lci
 from cropgate.units import parse_quantity
 
 
@@ -223,3 +226,99 @@ class TestLinearity:
         # the lower-footprint crop stays the same under uniform rescaling
         assert (twg.net_total < rye.net_total) \
             == (base_twg.net_total < base_rye.net_total)
+
+
+def plain_characterize(inventory, db, cutoff_missing):
+    """The one pass written with per-phase dicts keyed by Phase and
+    ``Quantity.to`` per flow: every sum in the same order."""
+    kg, ren, non = ({phase: 0.0 for phase in Phase} for _ in range(3))
+    soc_mg, missing = 0.0, set()
+    for flow in inventory.flows:
+        if flow.phase is Phase.SOC:
+            soc_mg += flow.amount.to("Mg")
+            continue
+        if flow.flow_id in GAS_FLOWS:
+            kg[flow.phase] += (flow.amount.to("kg")
+                               * db.gas_gwp(flow.flow_id))
+            continue
+        record = (db.records.get(flow.flow_id) if cutoff_missing
+                  else db.lookup(flow.flow_id))
+        if record is None:
+            missing.add(flow.flow_id)
+            continue
+        basis = flow.amount.to(record.unit)
+        kg[flow.phase] += basis * record.gwp100
+        ren[flow.phase] += basis * record.pe_renewable / 1000.0
+        non[flow.phase] += basis * record.pe_nonrenewable / 1000.0
+    by_phase = {phase: kg[phase] / 1000.0 for phase in Phase}
+    by_phase[Phase.SOC] = soc_mg
+    positive = sum(by_phase[phase] for phase in POSITIVE_PHASES)
+    cut = tuple(sorted(missing))
+    return ((list(by_phase.items()), positive, positive + soc_mg, cut),
+            (list(ren.items()), list(non.items()), sum(ren.values()),
+             sum(non.values()), sum(ren.values()) + sum(non.values()), cut))
+
+
+def as_compared(gwp, energy):
+    return ((list(gwp.by_phase.items()), gwp.positive_total, gwp.net_total,
+             gwp.missing),
+            (list(energy.renewable_by_phase.items()),
+             list(energy.nonrenewable_by_phase.items()),
+             energy.renewable_total, energy.nonrenewable_total, energy.total,
+             energy.missing))
+
+
+def fresh_db(db, *dropped):
+    """A new database with the records of ``db`` but those ``dropped``."""
+    return FactorDB({k: v for k, v in db.records.items() if k not in dropped},
+                    dict(db.gases), dict(db.emissions), db.exhaust)
+
+
+class TestExactness:
+    """The index-accumulating pass gives the very floats of the plain one."""
+
+    def check(self, inventory, db, cutoff_missing):
+        got = as_compared(*characterize(inventory, db, cutoff_missing))
+        expected = plain_characterize(inventory, db, cutoff_missing)
+        # repr tells -0.0 from 0.0, which == does not
+        assert got == expected and repr(got) == repr(expected)
+
+    def test_every_bundled_crop(self, farm_model, factor_db):
+        for name, crop in farm_model.crops.items():
+            lci = build_lci(crop, farm_model, factor_db)
+            for cutoff_missing in (False, True):
+                self.check(lci, factor_db, cutoff_missing)
+
+    @pytest.mark.parametrize("cutoff_missing", [False, True])
+    def test_own_seed_at_r_0_999(self, farm_model, factor_db,
+                                 cutoff_missing):
+        rye = farm_model.crop("rye")
+        crop = replace(rye, seed_yield_mg_ha=rye.sowing_dose_mg_ha / 0.999)
+        lci = build_lci(crop, farm_model, factor_db)
+        assert sum(flow.phase is Phase.SEED for flow in lci.flows) > 3
+        db = fresh_db(factor_db, "diesel") if cutoff_missing else factor_db
+        self.check(lci, db, cutoff_missing)
+        if cutoff_missing:
+            assert characterize(lci, db, True)[0].missing == ("diesel",)
+
+
+def test_unit_texts_parsed_per_database_not_per_flow(farm_model, factor_db,
+                                                      monkeypatch):
+    """Doubling the flows must not double the unit parses: a factor
+    database parses each basis unit text once, not once per flow."""
+    lci = build_lci(farm_model.crop("rye"), farm_model, factor_db)
+    doubled = Inventory(lci.crop_name, lci.flows * 2)
+    parsed = []
+    original = units.parse_unit
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    for module in (units, factors):
+        monkeypatch.setattr(module, "parse_unit", counting)
+    characterize(lci, fresh_db(factor_db))
+    first = list(parsed)
+    characterize(doubled, fresh_db(factor_db))
+    assert parsed == first * 2  # the same texts, once per database
+    assert len(set(first)) == len(first) < len(lci.flows)

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from cropgate.factors import DEFAULT_EXHAUST
 from cropgate.farmspec import Timing, parse_farm_document
-from cropgate.inventory import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, Inventory,
-                                InventoryError, Phase, SeedRecursionError,
-                                _cultivation_flows, annualize_schedule,
-                                build_lci, seed_inventory)
+from cropgate.inventory import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, Flow,
+                                Inventory, InventoryError, Phase,
+                                SeedRecursionError, _cultivation_flows,
+                                annualize_schedule, build_lci, seed_inventory)
 from cropgate.units import Quantity, UnitError, parse_quantity
 
 
@@ -304,3 +304,33 @@ class TestBuildLci:
         field_only = lci.amount("diesel", Phase.FIELD_WORKS)
         seed_only = lci.amount("diesel", Phase.SEED)
         assert total.value == pytest.approx(field_only.value + seed_only.value)
+
+
+@pytest.mark.parametrize("ratio", [None, 0.999])
+def test_float_seed_chain_matches_quantity_arithmetic(farm_model, factor_db,
+                                                      ratio):
+    """The seed chain runs on floats; written with Quantity arithmetic in
+    the order (c/Y [+ 1 Mg]) / (1 - r) * dose it gives the same bits."""
+    crop = farm_model.crop("rye")
+    if ratio is not None:
+        crop = replace(crop, seed_yield_mg_ha=crop.sowing_dose_mg_ha / ratio)
+    ann = annualize_schedule(crop, farm_model.amortization_horizon_years)
+    one_level = {flow_id: amount / crop.seed_yield_mg_ha for flow_id, amount
+                 in _cultivation_flows(crop, farm_model, ann,
+                                       factor_db.exhaust).items()}
+    per_mg = parse_quantity("1 Mg")
+    for flow_id in SEED_CHAIN_FLOWS:
+        one_level[flow_id] = (one_level[flow_id] + per_mg
+                              if flow_id in one_level else per_mg)
+    one_minus_r = 1.0 - ann.sowing_dose_mg_ha / crop.seed_yield_mg_ha
+    full = {flow_id: amount / one_minus_r
+            for flow_id, amount in one_level.items()}
+    for one, expected in ((True, one_level), (False, full)):
+        assert repr(seed_inventory(crop, farm_model, factor_db.exhaust,
+                                   one_level=one)) == repr(expected)
+        seed = [flow for flow in build_lci(crop, farm_model, factor_db,
+                                           seed_one_level=one).flows
+                if flow.phase is Phase.SEED]
+        assert repr(seed) == repr([
+            Flow(flow_id, expected[flow_id] * ann.sowing_dose_mg_ha,
+                 Phase.SEED) for flow_id in sorted(expected)])

@@ -78,6 +78,18 @@ def test_validate_loads_neither_the_engine_nor_the_reports(farm_path):
     assert not {"cropgate.reports", "cropgate.impact"} & loaded
 
 
+def test_sweep_loads_no_engine_module(farm_path, tmp_path):
+    loaded = _cropgate_modules_after(
+        "from cropgate.cli import main\n"
+        f"assert main(['sweep', '--farm', {farm_path!r}, '--range', "
+        f"'0.1:0.9:0.1', '--out', {str(tmp_path)!r}]) == 0")
+    assert {"cropgate.farmspec", "cropgate.economics",
+            "cropgate.reports"} <= loaded
+    assert not {"cropgate.assess", "cropgate.impact", "cropgate.inventory",
+                "cropgate.factors", "cropgate.fieldemit",
+                "cropgate.soc"} & loaded
+
+
 # Callers pass these to dataclasses.replace: the tests (CropPlan, FarmModel,
 # CostBlock, FertilizerApplication, HerbicideApplication, PairComparison) and
 # the benchmark's self-check (the other four). They stay dataclasses; the
