@@ -9,6 +9,16 @@ set, and it stays outside the hashed manifest region either way.
 
 Every file embeds the run manifest hash: CSVs as a leading ``# run`` comment
 line, JSON as a ``manifest`` object.
+
+An existing report file is rewritten in place: opened without ``O_TRUNC``,
+overwritten from the start and cut only when the old file was longer, so it
+keeps its inode, mode and symlink target. Nothing is fsync'd. The reason for
+both is ext4's ``auto_da_alloc``: closing a file truncated to zero, or
+renaming over an existing one, forces its delayed blocks out, and a forced
+write per file is the cost avoided. Rewriting 488 report files (417 kB) into
+an existing directory took a median 61 ms with ``open(path, "w")``, 125 ms
+with a temp file plus ``os.replace`` and 3.4 ms in place (ext4, 2 shared
+vCPUs; the flush costs vary with the disk's backlog, the order does not).
 """
 
 from __future__ import annotations
@@ -143,11 +153,35 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
     written = []
     for name, text in texts.items():
         path = os.path.join(out_dir, name)
-        # newline="" so LF survives on every platform
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            _rewrite(path, text.encode("utf-8"))
+        except OSError as exc:
+            exc.filename = path  # a failed write or close names no file
+            raise
         written.append(path)
     return written
+
+
+# no O_TRUNC: see the module docstring; O_BINARY keeps LF on Windows
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _rewrite(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` in place.
+
+    The file is created if absent and cut to ``len(data)`` only if it was
+    longer: an unconditional truncate fails on a device such as /dev/null.
+    """
+    fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    try:
+        stale = os.fstat(fd).st_size > len(data)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stale:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -282,6 +284,41 @@ class TestAssess:
         assert code == EXIT_INPUT
         assert err.startswith("error: cannot write ")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_write_names_the_report(self, farm_path, tmp_path, capsys):
+        # the open succeeds and the write fails: the error has no filename
+        (tmp_path / "balance.csv").symlink_to("/dev/full")
+        code, _, err = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err == (f"error: cannot write {tmp_path / 'balance.csv'}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+
+    def test_directory_at_a_report_name_exit_2(self, farm_path, tmp_path,
+                                               capsys):
+        (tmp_path / "balance.csv").mkdir()
+        code, _, err = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err == (f"error: cannot write {tmp_path / 'balance.csv'}: "
+                       f"{os.strerror(errno.EISDIR)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs /dev/null")
+    def test_report_symlinked_to_dev_null_exit_0(self, farm_path, tmp_path,
+                                                 capsys):
+        # a device cannot be truncated: only a longer old file is cut
+        (tmp_path / "balance.csv").symlink_to("/dev/null")
+        code, out, _ = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == str(tmp_path / "balance.csv")
+        assert os.readlink(tmp_path / "balance.csv") == "/dev/null"
 
     def test_non_utf8_factor_file_exit_2(self, farm_path, tmp_path, capsys):
         factors = tmp_path / "latin1.cg"

@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 import shutil
 from dataclasses import replace
 
 import pytest
 
-from cropgate import CropgateError
+from cropgate import CropgateError, reports
 from cropgate.assess import assess_crop, compare_pair, sweep_shares
 from cropgate.reports import (build_manifest, fmt_eur, fmt_gj, fmt_mg_co2e,
                               fmt_share, write_assessment, write_comparison,
@@ -153,6 +154,54 @@ class TestAssessmentFiles:
             assert first == second, name
         assert first.endswith(b"\n")
         assert b"\r" not in first
+
+
+class TestRewriteInPlace:
+    """Existing report files are overwritten, never truncated to zero."""
+
+    NAMES = ("balance.csv", "gwp_phases.csv", "energy_phases.csv",
+             "result.json")
+
+    @pytest.mark.parametrize("stale", [b"x" * 20000, b"old\n"],
+                             ids=["longer", "shorter"])
+    def test_stale_file_ends_as_a_fresh_write(self, twg_assessment, manifest,
+                                              tmp_path, stale):
+        write_assessment(twg_assessment, manifest, str(tmp_path / "fresh"))
+        (tmp_path / "out").mkdir()
+        for name in self.NAMES:
+            (tmp_path / "out" / name).write_bytes(stale)
+        write_assessment(twg_assessment, manifest, str(tmp_path / "out"))
+        for name in self.NAMES:
+            assert (tmp_path / "out" / name).read_bytes() \
+                == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_rewrite_keeps_inode_and_mode(self, twg_assessment, manifest,
+                                          tmp_path):
+        path = tmp_path / "result.json"
+        path.write_bytes(b"{}")
+        os.chmod(path, 0o640)
+        before = os.stat(path)
+        write_assessment(twg_assessment, manifest, str(tmp_path), fmt="json")
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert after.st_size > before.st_size
+
+    def test_no_report_is_opened_with_o_trunc(self, twg_assessment, manifest,
+                                              tmp_path, monkeypatch):
+        # truncating to zero (or renaming over a file) makes ext4 flush the
+        # file's blocks on close; see the reports module docstring
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.path.basename(path), flags & os.O_TRUNC))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(reports.os, "open", recording_open)
+        for _ in range(2):  # create, then rewrite
+            write_assessment(twg_assessment, manifest, str(tmp_path))
+        # each report opened once by its own name: no io.open, no temp file
+        assert opened == [(name, 0) for name in self.NAMES] * 2
 
 
 class TestComparisonFiles:
