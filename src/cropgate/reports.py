@@ -3,12 +3,17 @@
 Identical inputs and flags produce byte-identical files: numbers go through
 fixed-precision formatting (EUR to 2 decimals, Mg CO2e to 3, GJ to 1, shares
 to 1 decimal percent), rows keep a fixed order, CSV uses comma, ".", LF and
-a header row, JSON mirrors the same values at full precision with sorted
-keys. No clock is read; a timestamp appears only when SOURCE_DATE_EPOCH is
-set, and it stays outside the hashed manifest region either way.
+a header row, JSON mirrors the same values at full precision. The JSON text
+is byte-identical to ``json.dumps(payload, indent=2, sort_keys=True)``,
+ASCII-escaped, but comes from a short emitter here: with ``indent`` set,
+``json`` falls back to its pure-Python encoder, which cost twice as much. No
+clock is read; a timestamp appears only when SOURCE_DATE_EPOCH is set, and
+it stays outside the hashed manifest region either way.
 
 Every file embeds the run manifest hash: CSVs as a leading ``# run`` comment
-line, JSON as a ``manifest`` object.
+line, JSON as a ``manifest`` object. The manifest hashes each input's bytes
+as read when it is built; a digest computed earlier in the process is reused
+only when the bytes just read are equal to the bytes it was computed from.
 
 An existing report file is rewritten in place: opened without ``O_TRUNC``,
 overwritten from the start and cut only when the old file was longer, so it
@@ -24,9 +29,10 @@ vCPUs; the flush costs vary with the disk's backlog, the order does not).
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import os
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import CropgateError, InputError, __version__
@@ -43,10 +49,10 @@ _TOOL = "cropgate"
 
 
 def _fixed(value: float, decimals: int) -> str:
-    rounded = round(value, decimals)
-    if rounded == 0.0:
-        rounded = 0.0  # avoid "-0.00"
-    return f"{rounded:.{decimals}f}"
+    text = "%.*f" % (decimals, value)
+    if text[0] == "-" and not text.strip("-0."):
+        return text[1:]  # a value that rounds to zero prints without "-"
+    return text
 
 
 def fmt_eur(value: float) -> str:
@@ -83,12 +89,30 @@ class RunManifest(NamedTuple):
         return self._asdict()
 
 
+# input digests by path: (bytes, hex digest). A holding-wide run builds one
+# manifest per crop on the same two files; the bound keeps a process that
+# reads many files from holding them all.
+_DIGESTS: dict[str, tuple[bytes, str]] = {}
+_DIGESTS_MAX = 16
+
+
 def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+    """SHA-256 of the file's bytes as read now.
+
+    A stored digest is reused only when the bytes just read equal the stored
+    bytes, never on a matching size or mtime: a same-size rewrite within one
+    timestamp tick must still change the hash.
+    """
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        data = handle.read()
+    known = _DIGESTS.get(path)
+    if known is not None and known[0] == data:
+        return known[1]
+    digest = hashlib.sha256(data).hexdigest()
+    if path not in _DIGESTS and len(_DIGESTS) >= _DIGESTS_MAX:
+        _DIGESTS.pop(next(iter(_DIGESTS)), None)  # the oldest entry
+    _DIGESTS[path] = (data, digest)
+    return digest
 
 
 def _build_timestamp() -> str | None:
@@ -143,9 +167,8 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
             lines = [manifest.comment_line()] + [",".join(row) for row in rows]
             texts[name] = "\n".join(lines) + "\n"
     try:
-        texts[json_name] = json.dumps(
-            {"manifest": manifest.as_dict(), **payload}, indent=2,
-            sort_keys=True, allow_nan=False) + "\n"
+        texts[json_name] = _json_text(
+            {"manifest": manifest.as_dict(), **payload}) + "\n"
     except ValueError:
         raise CropgateError(f"{json_name} would hold a value that is not "
                             "finite; an input is too large") from None
@@ -160,6 +183,60 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
             raise
         written.append(path)
     return written
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``.
+
+    The same bytes, without the pure-Python encoder that ``json`` falls back
+    to whenever ``indent`` is set. Handles str-keyed dicts, lists, tuples,
+    str, int, float, bool and None; a float that is not finite raises
+    ValueError, anything else TypeError.
+    """
+    chunks: list[str] = []
+    _encode(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _encode(obj, newline: str, emit) -> None:
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"float value not JSON compliant: {obj!r}")
+        emit(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            emit(separator + _quote(key) + ": ")
+            _encode(value, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for value in obj:
+            emit(separator)
+            _encode(value, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # no O_TRUNC: see the module docstring; O_BINARY keeps LF on Windows

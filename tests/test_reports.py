@@ -1,5 +1,6 @@
 """Deterministic report files and the run manifest."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import shutil
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cropgate import CropgateError, reports
 from cropgate.assess import assess_crop, compare_pair, sweep_shares
@@ -45,6 +47,74 @@ class TestFixedFormats:
     ])
     def test_rounding_and_zero_normalization(self, fn, value, expected):
         assert fn(value) == expected
+
+
+def round_then_format(value: float, decimals: int) -> str:
+    """The reference: round, drop the sign of a zero, then format."""
+    rounded = round(value, decimals)
+    if rounded == 0.0:
+        rounded = 0.0
+    return f"{rounded:.{decimals}f}"
+
+
+@st.composite
+def fixed_cases(draw) -> tuple[float, int]:
+    decimals = draw(st.sampled_from([1, 2, 3]))
+    unit = 10.0 ** -decimals
+    value = draw(st.one_of(
+        st.floats(),  # inf and nan included
+        st.floats(min_value=-unit / 2, max_value=unit / 2),  # near zero
+        # (2k + 1) / 2**(d + 1) is a binary-exact half of the last digit
+        st.integers(-10**9, 10**9).map(
+            lambda k: (2 * k + 1) / 2 ** (decimals + 1))))
+    return value, decimals
+
+
+class TestFixedMatchesRound:
+    @given(fixed_cases())
+    @example((0.125, 2)).via("exact half, rounds to even")
+    @example((-0.0005, 3)).via("half a unit below zero")
+    @example((-0.0, 1))
+    @example((math.inf, 2))
+    @example((-math.inf, 3))
+    @example((math.nan, 1))
+    def test_same_text_as_round_then_format(self, case):
+        value, decimals = case
+        assert reports._fixed(value, decimals) \
+            == round_then_format(value, decimals)
+
+
+# every value json.dumps writes: str-keyed dicts, lists, tuples and scalars
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300))  # subnormals too
+json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    @given(json_values)
+    @example({"a": [], "b": {}, "c": (), "d": [{}]})
+    @example({"z": -0.0, "y": 0.0, "x": 5e-324, "w": 1.7976931348623157e308,
+              "v": 10**30, "u": -(2**64), "t": True, "s": None})
+    @example(["\"\\", "\x00\n\t", "\u00e9\U0001f33e", ""])
+    def test_same_bytes_as_json_dumps(self, value):
+        assert reports._json_text(value) == json.dumps(
+            value, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: {"k": [1, v]}],
+                             ids=["bare", "nested"])
+    def test_non_finite_float_raises_value_error(self, bad, wrap):
+        with pytest.raises(ValueError):
+            json.dumps(wrap(bad), allow_nan=False)  # the reference agrees
+        with pytest.raises(ValueError):
+            reports._json_text(wrap(bad))
 
 
 class TestManifest:
@@ -86,6 +156,62 @@ class TestManifest:
         assert manifest.factors_path is None
         assert manifest.factors_sha256 is None
         assert len(manifest.run_hash) == 64
+
+
+class CountingHashlib:
+    """Stands in for ``reports.hashlib``, recording what each sha256 gets."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def sha256(self, data=b""):
+        self.inputs.append(bytes(data))
+        return hashlib.sha256(data)
+
+
+class TestDigestMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(reports, "_DIGESTS", {})
+
+    def test_same_size_rewrite_at_the_same_mtime_changes_the_hash(
+            self, farm_path, tmp_path):
+        farm = tmp_path / "farm.cg"
+        shutil.copy(farm_path, farm)
+        before = build_manifest(str(farm), None, {})
+        stat = os.stat(farm)
+        data = farm.read_bytes()
+        edited = data.replace(b"302 ha", b"303 ha", 1)
+        assert edited != data and len(edited) == len(data)
+        farm.write_bytes(edited)
+        os.utime(farm, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(farm).st_mtime_ns == stat.st_mtime_ns
+        after = build_manifest(str(farm), None, {})
+        assert after.farm_sha256 == hashlib.sha256(edited).hexdigest()
+        assert after.run_hash != before.run_hash
+
+    def test_unchanged_file_is_hashed_once(self, farm_path, factors_path,
+                                           tmp_path, monkeypatch):
+        inputs = []
+        for path in (farm_path, factors_path):
+            shutil.copy(path, tmp_path)
+            inputs.append(str(tmp_path / os.path.basename(path)))
+        counting = CountingHashlib()
+        monkeypatch.setattr(reports, "hashlib", counting)
+        run_hashes = {build_manifest(*inputs, {"crop": "rye"}).run_hash
+                      for _ in range(50)}
+        assert len(run_hashes) == 1
+        for path in inputs:
+            with open(path, "rb") as handle:
+                assert counting.inputs.count(handle.read()) == 1, path
+
+    def test_memo_stays_within_its_bound(self, tmp_path):
+        for i in range(reports._DIGESTS_MAX + 5):
+            path = tmp_path / f"farm{i}.cg"
+            path.write_text(f"# {i}\n", encoding="utf-8")
+            manifest = build_manifest(str(path), None, {})
+            assert len(reports._DIGESTS) <= reports._DIGESTS_MAX
+            assert reports._DIGESTS[str(path)][1] == manifest.farm_sha256
 
 
 class TestAssessmentFiles:
