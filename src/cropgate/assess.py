@@ -26,9 +26,6 @@ __all__ = [
     "resolve_factors_path", "bundled_data_path",
 ]
 
-FUNCTIONAL_UNIT = "1 ha cultivated for 1 year"
-
-
 @dataclass(frozen=True)
 class CropAssessment:
     crop_name: str

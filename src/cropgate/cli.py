@@ -9,7 +9,6 @@ a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import sys
 
@@ -25,29 +24,6 @@ EXIT_INPUT = InputError.exit_code
 MAX_SWEEP_POINTS = 10_000
 # likewise an amortization horizon this long is a typo in --horizon
 MAX_HORIZON_YEARS = 1000
-
-
-# the names the commands use of assess and reports, bound on first use
-_ENGINE = {"assess": ("assess_crop", "compare_pair", "load_factors",
-                      "load_farm", "resolve_factors_path"),
-           "reports": ("build_manifest", "write_assessment",
-                       "write_comparison", "write_sweep")}
-
-
-def _engine(*modules: str) -> None:
-    """Bind the names of ``modules`` (default: both) here; validate loads
-    neither module. A name bound already, a test's stand-in say, stays."""
-    for module in modules or _ENGINE:
-        loaded = importlib.import_module(f"{__package__}.{module}")
-        for name in _ENGINE[module]:
-            globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name: str):  # PEP 562: cli.assess_crop before any command
-    if not any(name in names for names in _ENGINE.values()):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _engine()
-    return globals()[name]
 
 
 def _parse_share(text: str) -> float:
@@ -114,7 +90,7 @@ def _load(args):
     if args.horizon is not None and args.horizon > MAX_HORIZON_YEARS:
         raise InputError(f"--horizon must be at most {MAX_HORIZON_YEARS} "
                          "years")
-    _engine()
+    from .assess import load_factors, load_farm, resolve_factors_path
     model = load_farm(args.farm)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
     return model, factors_path, load_factors(factors_path)
@@ -131,6 +107,7 @@ def _flags(args, **extra) -> dict:
 
 def _write(args, factors_path, flags: dict, write, *subject) -> int:
     """Hash the run, write the reports on ``subject`` and list their paths."""
+    from .reports import build_manifest
     manifest = build_manifest(args.farm, factors_path, flags)
     try:
         paths = write(*subject, manifest, args.out, args.format)
@@ -143,6 +120,8 @@ def _write(args, factors_path, flags: dict, write, *subject) -> int:
 
 
 def _cmd_assess(args) -> int:
+    from .assess import assess_crop
+    from .reports import write_assessment
     model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) != 1:
@@ -158,6 +137,8 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .assess import compare_pair
+    from .reports import write_comparison
     model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) not in (0, 2):
@@ -173,8 +154,8 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     from .economics import marginal_share_sweep
     from .farmspec import parse_farm_document
+    from .reports import write_sweep
     from .sections import read_text
-    _engine("reports")  # a sweep needs no inventory or factors
     model = parse_farm_document(read_text(args.farm))
     shares = _sweep_points(args)
     points = marginal_share_sweep(model, shares)

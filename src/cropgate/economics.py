@@ -9,6 +9,8 @@ rounded yields and prices do not multiply back to the invoiced turnover).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from . import CropgateError
@@ -118,8 +120,9 @@ def marginal_share_sweep(model: FarmModel,
     if not shares:
         raise CropgateError("sweep needs at least one marginal share")
     first_name, second_name = model.marginal_pair
-    fixed_area = sum(c.area_ha for c in model.crops.values()
-                     if c.land_class is not LandClass.MARGINAL)
+    # a left fold, as in impact.characterize
+    fixed_area = reduce(add, (c.area_ha for c in model.crops.values()
+                              if c.land_class is not LandClass.MARGINAL), 0.0)
     if fixed_area <= 0:
         raise CropgateError("no non-marginal crop mix to scale")
     base = 0.0

@@ -7,8 +7,10 @@ emission parameters, and exhaust emission factors per litre of diesel.
 
 Sections:
 
-* ``[flow.<id>]`` -- ``unit`` (per-unit basis), ``gwp100`` (kg CO2e per
-  unit), ``pe_renewable`` / ``pe_nonrenewable`` (MJ per unit), ``note``.
+* ``[flow.<id>]`` -- ``unit`` (per-unit basis: a mass or a volume, as the
+  inventory holds every flow in Mg or L), ``gwp100`` (kg CO2e per unit),
+  ``pe_renewable`` / ``pe_nonrenewable`` (MJ per unit), ``note``. The
+  ``co2``, ``ch4`` and ``n2o`` flows take no record: they are gases.
 * ``[gas.<name>]`` -- ``gwp100`` in kg CO2e per kg of gas. CO2, N2O and CH4
   carry defaults (1, 265, 30.5) and may be overridden here.
 * ``[emissions.<crop>]`` -- field N2O parameters or a measured override.
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from . import CropgateError
 from .sections import SectionReader, ValidationReport, parse_document
-from .units import Unit, UnitError, parse_unit
+from .units import UnitError, parse_unit
 
 __all__ = [
     "FactorFileError", "MissingFlowError", "FactorRecord", "GasGWP",
@@ -34,6 +36,8 @@ __all__ = [
 
 # IPCC 2013 GWP100 values as commonly applied in LCA practice.
 DEFAULT_GAS_GWP = {"co2": 1.0, "n2o": 265.0, "ch4": 30.5}
+# the units of inventory flows: masses in Mg, volumes in L
+_FLOW_BASES = (parse_unit("Mg")[0], parse_unit("L")[0])
 
 
 class FactorFileError(CropgateError):
@@ -99,21 +103,12 @@ class FactorDB:
         self.exhaust = exhaust
         for gas, gwp in DEFAULT_GAS_GWP.items():
             self.gases.setdefault(gas, GasGWP(gas, gwp))
-        self._bases: dict[str, tuple[Unit, float]] = {}
 
     def lookup(self, flow_id: str) -> FactorRecord:
         try:
             return self.records[flow_id]
         except KeyError:
             raise MissingFlowError(flow_id) from None
-
-    def basis(self, unit_text: str) -> tuple[Unit, float]:
-        """``parse_unit(unit_text)``, parsed once per database: the basis
-        units of the records and the few units characterization needs."""
-        basis = self._bases.get(unit_text)
-        if basis is None:
-            basis = self._bases[unit_text] = parse_unit(unit_text)
-        return basis
 
     def gas_gwp(self, gas: str) -> float:
         return self.gases[gas].gwp100
@@ -128,7 +123,9 @@ def _read_flow(reader: SectionReader) -> FactorRecord:
     unit = reader.text("unit")
     if unit is not None:
         try:
-            parse_unit(unit)
+            if parse_unit(unit)[0] not in _FLOW_BASES:
+                reader.error("unit", f"unit basis {unit!r} is not a mass "
+                             "(Mg, kg, g) or a volume (L, m3)")
         except UnitError:
             reader.error("unit", f"unknown unit basis {unit!r}")
     record = FactorRecord(
@@ -186,6 +183,9 @@ def load_factor_db(text: str) -> FactorDB:
             continue
         reader = SectionReader(section, report)
         if kind == "flow":
+            if name in DEFAULT_GAS_GWP:  # the co2, ch4 and n2o flows
+                report.error(section.name, "never applies: the flow is a gas, "
+                             f"characterized by [gas.{name}]")
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
             if "gwp100" not in section:

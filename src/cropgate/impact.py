@@ -3,9 +3,9 @@
 Both are linear maps over the same inventory, so one pass over its flows
 gives both. The soil-carbon CO2 flow enters GWP unchanged (it is already a
 CO2 mass), gas flows go through the gas table, and every other flow resolves
-its factor record once and is divided once by the scale of the record's
-basis unit, parsed once per factor database; that amount feeds the kg CO2e,
-renewable MJ and non-renewable MJ sums, which are kept per phase by index.
+its factor record once and is converted once, by ``Quantity.to``, from its
+canonical Mg or L into the record's basis unit; that amount feeds the kg
+CO2e, renewable MJ and non-renewable MJ sums, kept per phase by index.
 
 Conventions carried through all reporting:
 
@@ -18,10 +18,11 @@ Conventions carried through all reporting:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .factors import FactorDB
 from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
-from .units import Quantity, Unit
 
 __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize",
            "characterize_gwp", "characterize_energy", "phase_shares",
@@ -55,12 +56,6 @@ class EnergyBreakdown:
     missing: tuple[str, ...] = ()
 
 
-def _to(amount: Quantity, basis: tuple[Unit, float], unit_text: str) -> float:
-    """``amount.to(unit_text)`` given ``basis = parse_unit(unit_text)``."""
-    unit, scale = basis
-    return amount.value / scale if amount.unit == unit else amount.to(unit_text)
-
-
 def characterize(inventory: Inventory, db: FactorDB,
                  cutoff_missing: bool = False,
                  ) -> tuple[GwpBreakdown, EnergyBreakdown]:
@@ -77,24 +72,26 @@ def characterize(inventory: Inventory, db: FactorDB,
     resolve = db.records.get if cutoff_missing else db.lookup
     for flow_id, amount, phase in inventory.flows:
         if phase is Phase.SOC:
-            soc_mg += _to(amount, db.basis("Mg"), "Mg")
+            soc_mg += amount.to("Mg")
             continue
         i = _INDEX[phase]
         if flow_id in GAS_FLOWS:
-            kg[i] += _to(amount, db.basis("kg"), "kg") * db.gas_gwp(flow_id)
+            kg[i] += amount.to("kg") * db.gas_gwp(flow_id)
             continue
         record = resolve(flow_id)
         if record is None:
             missing.add(flow_id)
             continue
-        basis = _to(amount, db.basis(record.unit), record.unit)
+        basis = amount.to(record.unit)
         kg[i] += basis * record.gwp100
         ren[i] += basis * record.pe_renewable / 1000.0
         non[i] += basis * record.pe_nonrenewable / 1000.0
     by_phase = {phase: total / 1000.0 for phase, total in zip(PHASES, kg)}
     by_phase[Phase.SOC] = soc_mg
-    positive = sum(by_phase[phase] for phase in POSITIVE_PHASES)
-    ren_total, non_total, cut = sum(ren), sum(non), tuple(sorted(missing))
+    # plain left folds: sum() of floats is compensated since Python 3.12
+    positive = reduce(add, (by_phase[phase] for phase in POSITIVE_PHASES), 0.0)
+    ren_total, non_total = reduce(add, ren, 0.0), reduce(add, non, 0.0)
+    cut = tuple(sorted(missing))
     return (GwpBreakdown(inventory.crop_name, by_phase, positive,
                          positive + soc_mg, cut),
             EnergyBreakdown(inventory.crop_name, dict(zip(PHASES, ren)),

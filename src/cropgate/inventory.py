@@ -3,9 +3,10 @@
 The functional unit is 1 ha cultivated for 1 year. Establishment-only
 inputs of perennial crops are spread over the amortization horizon first,
 then every input becomes a flow tagged with the life-cycle phase it belongs
-to. Flow amounts are quantities in the basis unit of their factor record
-(Mg, L, kg ...), understood per hectare and year. The seed chain below runs
-on plain floats and makes one quantity per seed flow at the end.
+to. Flow amounts are quantities in canonical Mg or L, understood per
+hectare and year; characterization converts each to the basis unit of its
+factor record. The seed chain below runs on plain floats and makes one
+quantity per seed flow at the end.
 
 Seed is special. Farm-multiplied seed ("own") is produced with the same
 cultivation inputs as the crop itself plus processing and transport, which
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -290,10 +293,11 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
                           Phase.SEED))
     flows.extend(production)
 
-    n_applied_kg = sum(
+    # a left fold, as in impact.characterize
+    n_applied_kg = reduce(add, (
         dose * model.products[product_id].composition.n * 1000.0
         for product_id, dose in ann.fertilizations
-        if product_id in model.products)
+        if product_id in model.products), 0.0)
     n2o_mg = n2o_field_emissions(n_applied_kg, db.n2o_params(crop.name))
     if n2o_mg:
         flows.append(Flow("n2o", Quantity(n2o_mg, _MG), Phase.FIELD_EMISSIONS))

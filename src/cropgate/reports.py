@@ -46,6 +46,7 @@ __all__ = ["RunManifest", "build_manifest", "write_assessment",
            "fmt_eur", "fmt_mg_co2e", "fmt_gj", "fmt_share"]
 
 _TOOL = "cropgate"
+FUNCTIONAL_UNIT = "1 ha cultivated for 1 year"
 
 
 def _fixed(value: float, decimals: int) -> str:
@@ -81,12 +82,6 @@ class RunManifest(NamedTuple):
     flags: dict[str, str]
     run_hash: str
     timestamp: str | None  # outside the hashed region
-
-    def comment_line(self) -> str:
-        return f"# run {self.run_hash}"
-
-    def as_dict(self) -> dict:
-        return self._asdict()
 
 
 # input digests by path: (bytes, hex digest). A holding-wide run builds one
@@ -164,11 +159,11 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
     texts = {}
     if fmt == "csv":
         for name, rows in tables.items():
-            lines = [manifest.comment_line()] + [",".join(row) for row in rows]
+            lines = [f"# run {manifest.run_hash}", *map(",".join, rows)]
             texts[name] = "\n".join(lines) + "\n"
     try:
         texts[json_name] = _json_text(
-            {"manifest": manifest.as_dict(), **payload}) + "\n"
+            {"manifest": manifest._asdict(), **payload}) + "\n"
     except ValueError:
         raise CropgateError(f"{json_name} would hold a value that is not "
                             "finite; an input is too large") from None
@@ -275,7 +270,6 @@ def _balance_rows(result: CropAssessment) -> list[tuple[str, float]]:
 
 
 def _assessment_json(result: CropAssessment) -> dict:
-    from .assess import FUNCTIONAL_UNIT
     from .inventory import PHASES
     gwp, energy = result.gwp, result.energy
     return {
@@ -357,7 +351,6 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
 
 def write_comparison(comparison: PairComparison, manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
-    from .assess import FUNCTIONAL_UNIT
     first, second = comparison.first, comparison.second
     metrics = [
         ("balance_with_cap_eur_ha", fmt_eur,

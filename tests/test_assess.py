@@ -14,6 +14,7 @@ from cropgate.factors import MissingFlowError, load_factor_db
 from cropgate.farmspec import parse_farm_document
 from cropgate.impact import ENERGY_PHASES, POSITIVE_PHASES
 from cropgate.inventory import Phase
+from cropgate.reports import build_manifest, write_comparison
 
 GASES_ONLY = """
 [flow.diesel]
@@ -125,6 +126,30 @@ class TestComparePair:
         result = compare_pair(farm_model, factor_db, "rye", "tall_wheatgrass")
         assert result.margin_difference_eur_ha == pytest.approx(-11.0519)
         assert result.verdicts["profit_margin"] == "tall_wheatgrass"
+
+    def test_reversed_order_mirrors_the_default(self, farm_model, factor_db,
+                                                farm_path, tmp_path):
+        pairs = (compare_pair(farm_model, factor_db),
+                 compare_pair(farm_model, factor_db, "rye", "tall_wheatgrass"))
+        assert pairs[1].margin_difference_eur_ha \
+            == -pairs[0].margin_difference_eur_ha
+        assert pairs[1].verdicts == pairs[0].verdicts
+        manifest = build_manifest(farm_path, None, {})
+        cells = []  # metric -> difference, of each order's comparison.csv
+        for i, pair in enumerate(pairs):
+            path = write_comparison(pair, manifest, tmp_path / str(i))[0]
+            with open(path, encoding="utf-8") as handle:
+                rows = [line.split(",") for line in handle.read().splitlines()]
+            cells.append({row[0]: row[3] for row in rows[2:]})
+
+        def flipped(cell):  # "" and a zero such as "0.00" flip to themselves
+            if cell.startswith("-"):
+                return cell[1:]
+            return "-" + cell if cell.strip("0.") else cell
+
+        assert {metric: flipped(cell) for metric, cell in cells[0].items()} \
+            == cells[1]
+        assert any(cell.startswith("-") for cell in cells[0].values())
 
     def test_horizon_reaches_farm_income(self, farm_path, factor_db):
         with open(farm_path, encoding="utf-8") as handle:

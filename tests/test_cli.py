@@ -476,7 +476,7 @@ class TestErrorPolicy:
                                       bug):
         def broken(*args, **kwargs):
             raise bug
-        monkeypatch.setattr(cli, "assess_crop", broken)
+        monkeypatch.setattr("cropgate.assess.assess_crop", broken)
         with pytest.raises(type(bug)):
             main(["assess", "--farm", farm_path, "--crop", "rye",
                   "--out", str(tmp_path)])

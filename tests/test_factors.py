@@ -106,6 +106,10 @@ class TestProblems:
          "[emissions.c.ef_direct] fraction 1.5 outside [0, 1]"),
         ("[emissions.c]\nnh3_loss_fraction = -3",
          "[emissions.c.nh3_loss_fraction] fraction -3.0 outside [0, 1]"),
+        ("[flow.co2]\nunit = Mg", "[flow.co2] never applies"),
+        ("[flow.ch4]\nunit = kg", "[flow.ch4] never applies"),
+        ('[flow.x]\nunit = "Mg/ha"', "[flow.x.unit] unit basis 'Mg/ha' is not"),
+        ("[flow.x]\nunit = percent", "[flow.x.unit] unit basis 'percent'"),
     ])
     def test_malformed_files(self, text, fragment):
         with pytest.raises(FactorFileError) as err:
@@ -125,12 +129,23 @@ class TestProblems:
         # a key that is there but rejected is not also reported missing
         ("[gas.xe]\ngwp100 = 1e999", "error: [gas.xe.gwp100] must be finite"),
         ("[flow.x]\nunit = 5 kg", "error: [flow.x.unit] expected text"),
+        # records that could never apply used to load: one was ignored, the
+        # other failed every assessment with a message naming no flow
+        ("[flow.n2o]\nunit = Mg\ngwp100 = 99999", "error: [flow.n2o] never "
+         "applies: the flow is a gas, characterized by [gas.n2o]"),
+        ("[flow.x]\nunit = MJ", "error: [flow.x.unit] unit basis 'MJ' is not "
+         "a mass (Mg, kg, g) or a volume (L, m3)"),
     ], ids=["exhaust_co2", "exhaust_ch4", "override", "residue_n",
-            "infinite_gas_gwp", "unit_not_text"])
+            "infinite_gas_gwp", "unit_not_text", "gas_flow", "energy_basis"])
     def test_one_line_per_bad_key(self, text, line):
         with pytest.raises(FactorFileError) as err:
             load_factor_db(text)
         assert str(err.value).splitlines() == ["invalid factor file:", line]
+
+    def test_mass_and_volume_bases_load(self):
+        for unit in ("Mg", "kg", "g", "L", "m3"):
+            db = load_factor_db(f"[flow.x]\nunit = {unit}")
+            assert db.lookup("x").unit == unit
 
     def test_all_problems_listed_together(self):
         with pytest.raises(FactorFileError) as err:

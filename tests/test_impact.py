@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from cropgate import factors, units
+from cropgate import units
 from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
                              characterize_energy, characterize_gwp,
@@ -228,6 +228,15 @@ class TestLinearity:
             == (base_twg.net_total < base_rye.net_total)
 
 
+def left_fold(values):
+    """``values`` added one by one from the left, as ``sum()`` added floats
+    before Python 3.12 made it compensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def plain_characterize(inventory, db, cutoff_missing):
     """The one pass written with per-phase dicts keyed by Phase and
     ``Quantity.to`` per flow: every sum in the same order."""
@@ -252,11 +261,12 @@ def plain_characterize(inventory, db, cutoff_missing):
         non[flow.phase] += basis * record.pe_nonrenewable / 1000.0
     by_phase = {phase: kg[phase] / 1000.0 for phase in Phase}
     by_phase[Phase.SOC] = soc_mg
-    positive = sum(by_phase[phase] for phase in POSITIVE_PHASES)
+    positive = left_fold(by_phase[phase] for phase in POSITIVE_PHASES)
+    ren_total, non_total = left_fold(ren.values()), left_fold(non.values())
     cut = tuple(sorted(missing))
     return ((list(by_phase.items()), positive, positive + soc_mg, cut),
-            (list(ren.items()), list(non.items()), sum(ren.values()),
-             sum(non.values()), sum(ren.values()) + sum(non.values()), cut))
+            (list(ren.items()), list(non.items()), ren_total, non_total,
+             ren_total + non_total, cut))
 
 
 def as_compared(gwp, energy):
@@ -275,7 +285,8 @@ def fresh_db(db, *dropped):
 
 
 class TestExactness:
-    """The index-accumulating pass gives the very floats of the plain one."""
+    """The index-accumulating pass gives the very floats of the plain one,
+    whose totals are explicit left folds: the same bytes on every Python."""
 
     def check(self, inventory, db, cutoff_missing):
         got = as_compared(*characterize(inventory, db, cutoff_missing))
@@ -302,23 +313,20 @@ class TestExactness:
             assert characterize(lci, db, True)[0].missing == ("diesel",)
 
 
-def test_unit_texts_parsed_per_database_not_per_flow(farm_model, factor_db,
-                                                      monkeypatch):
-    """Doubling the flows must not double the unit parses: a factor
-    database parses each basis unit text once, not once per flow."""
+def test_unit_parses_do_not_grow_with_the_flows(farm_model, factor_db,
+                                                monkeypatch):
+    """Doubling the flows must not add unit parses: ``units.parse_unit``
+    memoizes each unit text, so the ``Quantity.to`` of every flow parses
+    each basis text once however many flows convert to it."""
     lci = build_lci(farm_model.crop("rye"), farm_model, factor_db)
-    doubled = Inventory(lci.crop_name, lci.flows * 2)
     parsed = []
-    original = units.parse_unit
-
-    def counting(text):
-        parsed.append(text)
-        return original(text)
-
-    for module in (units, factors):
-        monkeypatch.setattr(module, "parse_unit", counting)
-    characterize(lci, fresh_db(factor_db))
-    first = list(parsed)
-    characterize(doubled, fresh_db(factor_db))
-    assert parsed == first * 2  # the same texts, once per database
-    assert len(set(first)) == len(first) < len(lci.flows)
+    original = units._parse_unit
+    monkeypatch.setattr(units, "_parse_unit",
+                        lambda text: parsed.append(text) or original(text))
+    counts = []
+    for flows in (lci.flows, lci.flows * 2):
+        monkeypatch.setattr(units, "_UNIT_CACHE", {})
+        parsed.clear()
+        characterize(Inventory(lci.crop_name, flows), factor_db)
+        counts.append(len(parsed))
+    assert 0 < counts[1] <= counts[0] < len(lci.flows)

@@ -70,24 +70,31 @@ def test_submodules_and_names_resolve_on_first_use():
     assert {"cropgate.reports", "cropgate.units"} <= loaded
 
 
-def test_validate_loads_neither_the_engine_nor_the_reports(farm_path):
-    loaded = _cropgate_modules_after(
-        "from cropgate.cli import main\n"
-        f"assert main(['validate', '--farm', {farm_path!r}]) == 0")
-    assert "cropgate.farmspec" in loaded
-    assert not {"cropgate.reports", "cropgate.impact"} & loaded
+# what each command loads of cropgate: validate reads the farm only, sweep
+# adds its economics and reports, assess and compare load every module
+_FARM_READER = {"cropgate", "cropgate.cli", "cropgate.farmspec",
+                "cropgate.sections", "cropgate.units"}
+_EVERY_MODULE = _FARM_READER | {
+    "cropgate.assess", "cropgate.economics", "cropgate.factors",
+    "cropgate.fieldemit", "cropgate.impact", "cropgate.inventory",
+    "cropgate.reports", "cropgate.soc"}
 
 
-def test_sweep_loads_no_engine_module(farm_path, tmp_path):
-    loaded = _cropgate_modules_after(
-        "from cropgate.cli import main\n"
-        f"assert main(['sweep', '--farm', {farm_path!r}, '--range', "
-        f"'0.1:0.9:0.1', '--out', {str(tmp_path)!r}]) == 0")
-    assert {"cropgate.farmspec", "cropgate.economics",
-            "cropgate.reports"} <= loaded
-    assert not {"cropgate.assess", "cropgate.impact", "cropgate.inventory",
-                "cropgate.factors", "cropgate.fieldemit",
-                "cropgate.soc"} & loaded
+@pytest.mark.parametrize("command,expected", [
+    (None, {"cropgate", "cropgate.cli"}),
+    ("validate", _FARM_READER),
+    ("sweep --range 0.1:0.9:0.1 --out {out}",
+     _FARM_READER | {"cropgate.economics", "cropgate.reports"}),
+    ("assess --crop rye --out {out}", _EVERY_MODULE),
+    ("compare --out {out}", _EVERY_MODULE),
+], ids=["import", "validate", "sweep", "assess", "compare"])
+def test_each_command_loads_only_its_modules(farm_path, tmp_path, command,
+                                             expected):
+    code = "import cropgate.cli"
+    if command is not None:
+        argv = command.format(out=tmp_path).split() + ["--farm", farm_path]
+        code = f"from cropgate.cli import main\nassert main({argv!r}) == 0"
+    assert _cropgate_modules_after(code) == expected
 
 
 # Callers pass these to dataclasses.replace: the tests (CropPlan, FarmModel,
