@@ -21,8 +21,6 @@ Typical use::
     print(result.gwp.net_total)
 """
 
-import importlib
-
 # the one version string: packaging metadata and the report run hash read it
 __version__ = "1.0.0"
 
@@ -68,7 +66,9 @@ __all__ = ["__version__", "CropgateError", "InputError", "assess", *_HOME]
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        # __import__, unlike importlib.import_module, is logged by -X importtime
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(__getattr__(_HOME[name]), name)

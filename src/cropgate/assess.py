@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import CropgateError
 from .economics import (EconomicBalance, FarmIncome, crop_balance,
@@ -38,8 +39,7 @@ class CropAssessment:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(NamedTuple):
     """Side-by-side view of the two marginal-land alternatives."""
     first: CropAssessment
     second: CropAssessment

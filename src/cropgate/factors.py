@@ -11,8 +11,9 @@ Sections:
   inventory holds every flow in Mg or L), ``gwp100`` (kg CO2e per unit),
   ``pe_renewable`` / ``pe_nonrenewable`` (MJ per unit), ``note``. The
   ``co2``, ``ch4`` and ``n2o`` flows take no record: they are gases.
-* ``[gas.<name>]`` -- ``gwp100`` in kg CO2e per kg of gas. CO2, N2O and CH4
-  carry defaults (1, 265, 30.5) and may be overridden here.
+* ``[gas.<name>]`` -- ``gwp100`` in kg CO2e per kg of gas, for ``co2``,
+  ``ch4`` and ``n2o`` only. They carry defaults (1, 30.5, 265) and may be
+  overridden here.
 * ``[emissions.<crop>]`` -- field N2O parameters or a measured override.
 * ``[emissions.exhaust]`` -- per-litre exhaust factors for diesel engines.
 
@@ -188,6 +189,9 @@ def load_factor_db(text: str) -> FactorDB:
                              f"characterized by [gas.{name}]")
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
+            if name not in DEFAULT_GAS_GWP:
+                report.error(section.name, "never applies: the inventory "
+                             "emits co2, ch4 and n2o only")
             if "gwp100" not in section:
                 reader.error("gwp100", "gas needs a finite gwp100")
             db.gases[name] = GasGWP(name, reader.number("gwp100"))

@@ -21,7 +21,6 @@ import enum
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
 from functools import reduce
 from operator import add
 from types import MappingProxyType
@@ -107,16 +106,14 @@ class ProductSpec(NamedTuple):
     active_fraction: float = 0.0  # herbicides: kg a.i. per L (liquid) or per kg
 
 
-@dataclass(frozen=True)
-class FertilizerApplication:
+class FertilizerApplication(NamedTuple):
     product_id: str
     dose_mg_ha: float
     timing: Timing
     role: str  # "base" | "top"
 
 
-@dataclass(frozen=True)
-class HerbicideApplication:
+class HerbicideApplication(NamedTuple):
     product_id: str
     dose: Quantity  # per-ha dose, volume or mass basis
     timing: Timing
@@ -129,8 +126,7 @@ class FieldOperation(NamedTuple):
     machinery_mg_ha: Mapping[MachineClass, float] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class CostBlock:
+class CostBlock(NamedTuple):
     """Annual cost components in EUR/ha plus one-off establishment parts."""
     seed: float = 0.0
     herbicide: float = 0.0
@@ -142,8 +138,7 @@ class CostBlock:
     machinery_labor_establishment: float = 0.0
 
 
-@dataclass(frozen=True)
-class CropPlan:
+class CropPlan(NamedTuple):
     name: str
     land_class: LandClass
     perennial: bool
@@ -177,8 +172,7 @@ class SoilSample(NamedTuple):
     organic_carbon: float
 
 
-@dataclass(frozen=True)
-class FarmModel:
+class FarmModel(NamedTuple):
     name: str
     total_area_ha: float
     cap_aid_eur_ha: float
@@ -386,9 +380,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
     if cost_secs:
         # the keys are the CostBlock field names
         creader = SectionReader(cost_secs[0], report)
-        costs = CostBlock(**{
-            part.name: creader.quantity(part.name, "EUR/ha", 0.0)
-            for part in fields(CostBlock)})
+        costs = CostBlock._make(creader.quantity(part, "EUR/ha", 0.0)
+                                for part in CostBlock._fields)
         creader.finish()
 
     return CropPlan(
@@ -510,7 +503,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             if plan.area_ha:
                 report.error(f"crop.{crop_name}.area",
                              "marginal alternatives take the shared marginal_area")
-            plan = replace(plan, area_ha=marginal_area)
+            plan = plan._replace(area_ha=marginal_area)
         resolved[crop_name] = plan
 
     model = FarmModel(

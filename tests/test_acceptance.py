@@ -7,7 +7,6 @@ cropgate/data/; tolerances are pinned next to each assertion.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -260,8 +259,8 @@ def test_criterion_7_property_suites(farm_model, factor_db, farm_path,
     # establishment spreading conserves totals
     base = farm_model.crop("tall_wheatgrass")
     for horizon in (1, 2, 3, 4, 7):
-        crop = replace(base, sowing_dose_mg_ha=10.0,
-                       sowing_timing=Timing.ESTABLISHMENT)
+        crop = base._replace(sowing_dose_mg_ha=10.0,
+                             sowing_timing=Timing.ESTABLISHMENT)
         ann = annualize_schedule(crop, horizon)
         assert ann.sowing_dose_mg_ha * horizon == pytest.approx(10.0,
                                                                 rel=1e-12)

@@ -1,7 +1,6 @@
 """The one-call assessment layer that the CLI and demos sit on."""
 
 import os
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -168,6 +167,108 @@ class TestComparePair:
             compare_pair(farm_model, factor_db, "rye", None)
 
 
+# An unrelated crop added to the bundled farm: its name, its area in ha, its
+# price line (or "") and its sections, with a product of its own.
+ADDED_CROPS = {
+    "annual": ("oats", 25, "oats_grain = 150.00 EUR/Mg", """
+[product.npk_15_15_15]
+kind = fertilizer
+label = "15-15-15"
+
+[crop.oats]
+land_class = non_marginal
+area = 25 ha
+sowing_dose = 0.16 Mg/ha
+seed_source = own
+seed_yield = 2.40 Mg/ha
+base_product = npk_15_15_15
+base_dose = 0.25 Mg/ha
+grain_yield = 2.40 Mg/ha
+straw_yield = 1.50 Mg/ha
+soc_equilibrium = true
+"""),
+    "perennial": ("alfalfa", 18, "", """
+[product.fluroxypyr]
+kind = herbicide
+active_fraction = 20 percent
+
+[crop.alfalfa]
+land_class = non_marginal
+perennial = true
+life_span = 5 y
+area = 18 ha
+sowing_dose = 0.025 Mg/ha
+sowing_timing = establishment
+seed_source = external
+seed_flow = seed_alfalfa
+straw_yield = 6.00 Mg/ha
+soc_fixation = 0.300 Mg/ha
+
+[crop.alfalfa.herbicide.fluroxypyr]
+dose = 1.5 L/ha
+timing = establishment
+
+[crop.alfalfa.op.annual_works]
+diesel = 40 L/ha
+tractor = 0.00100 Mg/ha
+
+[crop.alfalfa.costs]
+seed_establishment = 120.00 EUR/ha
+"""),
+    # the soil pair of its own land class drives this one's credit
+    "soil_pair": ("poplar", 12, "", """
+[product.urea]
+kind = fertilizer
+n_fraction = 46 percent
+
+[soil.non_marginal.2012]
+depth = 0.30 m
+bulk_density = 1.40 Mg/m3
+coarse_fraction = 20 percent
+organic_matter = 1.20 percent
+organic_carbon = 0.70 percent
+
+[soil.non_marginal.2018]
+depth = 0.30 m
+bulk_density = 1.40 Mg/m3
+coarse_fraction = 20 percent
+organic_matter = 1.50 percent
+organic_carbon = 0.85 percent
+
+[crop.poplar]
+land_class = non_marginal
+perennial = true
+life_span = 8 y
+area = 12 ha
+base_product = urea
+base_dose = 0.10 Mg/ha
+straw_yield = 9.00 Mg/ha
+"""),
+}
+
+
+class TestLocality:
+    """A crop's assessment reads the farm only through that crop, the
+    products it names and its own land's soil analyses."""
+
+    @pytest.mark.parametrize("kind", sorted(ADDED_CROPS))
+    def test_added_crop_leaves_every_other_assessment_unchanged(
+            self, kind, farm_path, farm_model, factor_db):
+        name, area, price, sections = ADDED_CROPS[kind]
+        with open(farm_path, encoding="utf-8") as handle:
+            text = handle.read()
+        total = f"total_area = {farm_model.total_area_ha:g} ha\n"
+        assert text.count(total) == 1 and text.count("[prices]\n") == 1
+        text = text.replace(total, f"total_area = "
+                            f"{farm_model.total_area_ha + area:g} ha\n")
+        text = text.replace("[prices]\n", f"[prices]\n{price}\n") + sections
+        extended = parse_farm_document(text)
+        assert list(extended.crops) == [*farm_model.crops, name]
+        for other in farm_model.crops:
+            assert repr(assess_crop(extended, factor_db, other)) \
+                == repr(assess_crop(farm_model, factor_db, other)), other
+
+
 class TestSweepShares:
     def test_passthrough(self, farm_model):
         points = sweep_shares(farm_model, [0.25, 0.5])
@@ -203,6 +304,6 @@ class TestInputResolution:
         assert os.path.exists(resolved)
 
     def test_no_reference_anywhere(self, farm_model):
-        bare = replace(farm_model, factors_ref=None)
+        bare = farm_model._replace(factors_ref=None)
         with pytest.raises(FileNotFoundError):
             resolve_factors_path("/x/farm.cg", bare)

@@ -1,7 +1,6 @@
 """Gross margins, whole-farm income, and the marginal-share sweep."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,9 +43,8 @@ class TestCropBalance:
 
     def test_establishment_costs_spread_over_horizon(self, farm_model):
         rye = farm_model.crop("rye")
-        crop = replace(rye, costs=replace(rye.costs,
-                                          seed_establishment=40.0,
-                                          machinery_labor_establishment=8.0))
+        crop = rye._replace(costs=rye.costs._replace(
+            seed_establishment=40.0, machinery_labor_establishment=8.0))
         bal = crop_balance(crop, 0.0, 4)
         assert bal.seed_cost == pytest.approx(31.00 + 10.0)
         assert bal.machinery_labor_cost == pytest.approx(164.50 + 2.0)
@@ -67,8 +65,8 @@ class TestCropBalance:
     def test_identities_hold_exactly(self, seed, herbicide, fertilizer,
                                      machinery, aid, farm_model):
         rye = farm_model.crop("rye")
-        crop = replace(rye, costs=replace(
-            rye.costs, seed=seed, herbicide=herbicide, fertilizer=fertilizer,
+        crop = rye._replace(costs=rye.costs._replace(
+            seed=seed, herbicide=herbicide, fertilizer=fertilizer,
             machinery_labor=machinery, seed_establishment=0.0,
             herbicide_establishment=0.0, fertilizer_establishment=0.0,
             machinery_labor_establishment=0.0))
@@ -139,7 +137,7 @@ class TestShareSweep:
         only_marginal = {
             name: crop for name, crop in farm_model.crops.items()
             if crop.land_class is LandClass.MARGINAL}
-        stripped = replace(farm_model, crops=only_marginal,
-                           total_area_ha=farm_model.marginal_area_ha)
+        stripped = farm_model._replace(
+            crops=only_marginal, total_area_ha=farm_model.marginal_area_ha)
         with pytest.raises(ValueError):
             marginal_share_sweep(stripped, [0.5])

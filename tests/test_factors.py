@@ -127,7 +127,8 @@ class TestProblems:
         ("[emissions.rye]\nresidue_n = -5000 kg/ha",
          "error: [emissions.rye.residue_n] cannot be negative"),
         # a key that is there but rejected is not also reported missing
-        ("[gas.xe]\ngwp100 = 1e999", "error: [gas.xe.gwp100] must be finite"),
+        ("[gas.ch4]\ngwp100 = 1e999",
+         "error: [gas.ch4.gwp100] must be finite"),
         ("[flow.x]\nunit = 5 kg", "error: [flow.x.unit] expected text"),
         # records that could never apply used to load: one was ignored, the
         # other failed every assessment with a message naming no flow
@@ -135,8 +136,11 @@ class TestProblems:
          "applies: the flow is a gas, characterized by [gas.n2o]"),
         ("[flow.x]\nunit = MJ", "error: [flow.x.unit] unit basis 'MJ' is not "
          "a mass (Mg, kg, g) or a volume (L, m3)"),
+        ("[gas.sf6]\ngwp100 = 23500", "error: [gas.sf6] never applies: the "
+         "inventory emits co2, ch4 and n2o only"),
     ], ids=["exhaust_co2", "exhaust_ch4", "override", "residue_n",
-            "infinite_gas_gwp", "unit_not_text", "gas_flow", "energy_basis"])
+            "infinite_gas_gwp", "unit_not_text", "gas_flow", "energy_basis",
+            "unknown_gas"])
     def test_one_line_per_bad_key(self, text, line):
         with pytest.raises(FactorFileError) as err:
             load_factor_db(text)

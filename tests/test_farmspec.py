@@ -1,7 +1,6 @@
 """Farm file parsing, model assembly, and validation diagnostics."""
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -325,8 +324,8 @@ class TestValidation:
 
     def test_validate_model_checks_a_model_built_in_code(self):
         model = parse_farm_document(VALID)
-        smaller = replace(model, crops={
-            **model.crops, "wheat": replace(model.crop("wheat"), area_ha=90.0)})
+        smaller = model._replace(crops={
+            **model.crops, "wheat": model.crop("wheat")._replace(area_ha=90.0)})
         assert [(d.where, d.message) for d in validate_model(smaller).errors] \
             == [("farm.total_area",
                  "crop areas sum to 100.0 ha, declared total is 110.0 ha")]

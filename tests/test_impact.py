@@ -1,6 +1,5 @@
 """Characterization oracles and linearity properties."""
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -304,7 +303,7 @@ class TestExactness:
     def test_own_seed_at_r_0_999(self, farm_model, factor_db,
                                  cutoff_missing):
         rye = farm_model.crop("rye")
-        crop = replace(rye, seed_yield_mg_ha=rye.sowing_dose_mg_ha / 0.999)
+        crop = rye._replace(seed_yield_mg_ha=rye.sowing_dose_mg_ha / 0.999)
         lci = build_lci(crop, farm_model, factor_db)
         assert sum(flow.phase is Phase.SEED for flow in lci.flows) > 3
         db = fresh_db(factor_db, "diesel") if cutoff_missing else factor_db

@@ -1,7 +1,6 @@
 """Inventory assembly: spreading, the seed chain, and flow tagging."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,14 +101,13 @@ class TestSpreading:
         """Annualized establishment rates times the horizon restore the
         one-off totals; recurrent entries never change."""
         base = farm_model.crop("tall_wheatgrass")
-        crop = replace(
-            base,
+        crop = base._replace(
             sowing_dose_mg_ha=one_off, sowing_timing=Timing.ESTABLISHMENT,
             fertilizations=(
-                replace(base.fertilizations[0], dose_mg_ha=one_off,
-                        timing=Timing.ESTABLISHMENT),
-                replace(base.fertilizations[1], dose_mg_ha=yearly,
-                        timing=Timing.RECURRENT),
+                base.fertilizations[0]._replace(dose_mg_ha=one_off,
+                                                timing=Timing.ESTABLISHMENT),
+                base.fertilizations[1]._replace(dose_mg_ha=yearly,
+                                                timing=Timing.RECURRENT),
             ))
         ann = annualize_schedule(crop, horizon)
         assert ann.sowing_dose_mg_ha * horizon == pytest.approx(one_off)
@@ -145,7 +143,7 @@ class TestSeedChain:
 
     def test_missing_seed_yield_rejected(self):
         model = parse_farm_document(seed_farm(0.1, 1.5))
-        crop = replace(model.crop("a"), seed_yield_mg_ha=None)
+        crop = model.crop("a")._replace(seed_yield_mg_ha=None)
         with pytest.raises(SeedRecursionError):
             seed_inventory(crop, model)
 
@@ -269,32 +267,30 @@ class TestBuildLci:
 
     def test_soil_pair_route(self, farm_model, factor_db):
         # strip the measured override so the stock pair drives the credit
-        twg = replace(farm_model.crop("tall_wheatgrass"),
-                      soc_fixation_mg_c_ha=None)
+        twg = farm_model.crop("tall_wheatgrass")._replace(
+            soc_fixation_mg_c_ha=None)
         lci = build_lci(twg, farm_model, factor_db)
         credit = -lci.amount("co2", Phase.SOC).to("Mg")
         assert credit == pytest.approx(0.7718 * 44.0 / 12.0, abs=1e-3)
 
     def test_missing_soil_series_noted(self, farm_model, factor_db):
-        fallow = replace(farm_model.crop("fallow"), soc_equilibrium=False)
+        fallow = farm_model.crop("fallow")._replace(soc_equilibrium=False)
         lci = build_lci(fallow, farm_model, factor_db)
         assert lci.by_phase(Phase.SOC) == []
         assert any("no soil analysis pair" in note for note in lci.notes)
 
     def test_negative_amount_guard(self, farm_model, factor_db):
         twg = farm_model.crop("tall_wheatgrass")
-        bad = replace(
-            twg, herbicides=(replace(
-                twg.herbicides[0], dose=parse_quantity("-1 L/ha")),))
+        bad = twg._replace(herbicides=(twg.herbicides[0]._replace(
+            dose=parse_quantity("-1 L/ha")),))
         with pytest.raises(InventoryError):
             build_lci(bad, farm_model, factor_db)
 
     def test_dose_not_per_ha_guard(self, farm_model, factor_db):
         # farm files reject such a dose; a model built in code meets this
         twg = farm_model.crop("tall_wheatgrass")
-        bad = replace(
-            twg, herbicides=(replace(
-                twg.herbicides[0], dose=parse_quantity("1 L")),))
+        bad = twg._replace(herbicides=(twg.herbicides[0]._replace(
+            dose=parse_quantity("1 L")),))
         with pytest.raises(UnitError, match="volume or mass per ha, got L"):
             build_lci(bad, farm_model, factor_db)
 
@@ -313,7 +309,7 @@ def test_float_seed_chain_matches_quantity_arithmetic(farm_model, factor_db,
     the order (c/Y [+ 1 Mg]) / (1 - r) * dose it gives the same bits."""
     crop = farm_model.crop("rye")
     if ratio is not None:
-        crop = replace(crop, seed_yield_mg_ha=crop.sowing_dose_mg_ha / ratio)
+        crop = crop._replace(seed_yield_mg_ha=crop.sowing_dose_mg_ha / ratio)
     ann = annualize_schedule(crop, farm_model.amortization_horizon_years)
     one_level = {flow_id: amount / crop.seed_yield_mg_ha for flow_id, amount
                  in _cultivation_flows(crop, farm_model, ann,

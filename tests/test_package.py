@@ -47,14 +47,29 @@ def test_error_classes_carry_the_exit_policy():
     assert str(UnknownCropError("no crop")) == "no crop"
 
 
-def _cropgate_modules_after(code: str) -> set[str]:
-    """The cropgate modules a fresh interpreter has loaded after ``code``."""
-    probe = code + ("\nimport sys\nprint(' '.join(name for name in "
-                    "sys.modules if name.startswith('cropgate')))")
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _cropgate_modules_after(code: str) -> set[str]:
+    """The cropgate modules a fresh interpreter has loaded after ``code``."""
+    return {name for name in _modules_after(code)
+            if name.startswith("cropgate")}
+
+
+def _importtime_modules(*args: str) -> list[str]:
+    """The modules ``python -X importtime <args>`` reports importing."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
 
 
 def test_bare_import_loads_no_submodule():
@@ -68,6 +83,11 @@ def test_submodules_and_names_resolve_on_first_use():
         "assert cropgate.Quantity.__module__ == 'cropgate.units'\n"
         "assert not hasattr(cropgate, 'no_such_name')")
     assert {"cropgate.reports", "cropgate.units"} <= loaded
+
+
+def test_importtime_lists_lazily_loaded_submodules():
+    assert "cropgate.assess" in _importtime_modules(
+        "-c", "import cropgate; cropgate.assess")
 
 
 # what each command loads of cropgate: validate reads the farm only, sweep
@@ -97,11 +117,20 @@ def test_each_command_loads_only_its_modules(farm_path, tmp_path, command,
     assert _cropgate_modules_after(code) == expected
 
 
-# Callers pass these to dataclasses.replace: the tests (CropPlan, FarmModel,
-# CostBlock, FertilizerApplication, HerbicideApplication, PairComparison) and
-# the benchmark's self-check (the other four). They stay dataclasses; the
-# other value types are NamedTuples or plain classes, cheaper to create.
-KEPT_DATACLASSES = {
+def test_validate_loads_no_dataclasses(farm_path):
+    """Reading a farm needs no dataclass: importing dataclasses also loads
+    inspect, tokenize and linecache."""
+    argv = ["validate", "--farm", farm_path]
+    code = f"from cropgate.cli import main\nassert main({argv!r}) == 0"
+    assert not {"dataclasses", "inspect"} & _modules_after(code)
+    logged = _importtime_modules("-m", "cropgate.cli", *argv)
+    assert "cropgate.farmspec" in logged
+    assert not {"dataclasses", "inspect"} & set(logged)
+
+
+# Callers copy these with their _replace: the tests build variant crops,
+# farms and comparisons from the bundled ones.
+NAMEDTUPLES = {
     "CropPlan": lambda model, pair: model.crop("rye"),
     "FarmModel": lambda model, pair: model,
     "CostBlock": lambda model, pair: model.crop("rye").costs,
@@ -110,11 +139,31 @@ KEPT_DATACLASSES = {
     "HerbicideApplication":
         lambda model, pair: model.crop("tall_wheatgrass").herbicides[0],
     "PairComparison": lambda model, pair: pair,
+}
+
+# The benchmark's self-check passes these to dataclasses.replace, so they
+# stay dataclasses until it copies them another way.
+KEPT_DATACLASSES = {
     "EconomicBalance": lambda model, pair: pair.first.economics,
     "GwpBreakdown": lambda model, pair: pair.first.gwp,
     "EnergyBreakdown": lambda model, pair: pair.first.energy,
     "CropAssessment": lambda model, pair: pair.first,
 }
+
+
+@pytest.mark.parametrize("name", sorted(NAMEDTUPLES))
+def test_replace_method_works_on_the_namedtuples(name, farm_model,
+                                                 factor_db):
+    pair = cropgate.compare_pair(farm_model, factor_db)
+    value = NAMEDTUPLES[name](farm_model, pair)
+    assert type(value).__name__ == name
+    assert not dataclasses.is_dataclass(value)
+    first, last = value._fields[0], value._fields[-1]
+    copy = value._replace(**{first: getattr(value, first)})
+    assert copy == value and copy is not value
+    marker = object()
+    changed = value._replace(**{last: marker})
+    assert getattr(changed, last) is marker and changed[:-1] == value[:-1]
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_DATACLASSES))

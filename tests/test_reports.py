@@ -5,7 +5,6 @@ import json
 import math
 import os
 import shutil
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -353,8 +352,8 @@ class TestComparisonFiles:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_value_writes_nothing(self, farm_model, factor_db,
                                              manifest, tmp_path, value):
-        comparison = replace(compare_pair(farm_model, factor_db),
-                             margin_difference_eur_ha=value)
+        comparison = compare_pair(farm_model, factor_db)._replace(
+            margin_difference_eur_ha=value)
         with pytest.raises(CropgateError, match="comparison.json would hold"):
             write_comparison(comparison, manifest, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
