@@ -118,12 +118,12 @@ sweep_shares = marginal_share_sweep
 #  input loading
 # ---------------------------------------------------------------------- #
 
-def load_farm(path: str | os.PathLike) -> FarmModel:
-    return parse_farm_document(read_text(path))
+def load_farm(path: str | os.PathLike, inputs: dict | None = None) -> FarmModel:
+    return parse_farm_document(read_text(path, inputs))
 
 
-def load_factors(path: str | os.PathLike) -> FactorDB:
-    return load_factor_db(read_text(path))
+def load_factors(path: str | os.PathLike, inputs: dict | None = None) -> FactorDB:
+    return load_factor_db(read_text(path, inputs))
 
 
 def resolve_factors_path(farm_path: str | os.PathLike, model: FarmModel,

@@ -91,9 +91,9 @@ def _load(args):
         raise InputError(f"--horizon must be at most {MAX_HORIZON_YEARS} "
                          "years")
     from .assess import load_factors, load_farm, resolve_factors_path
-    model = load_farm(args.farm)
+    model = load_farm(args.farm, args.inputs)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
-    return model, factors_path, load_factors(factors_path)
+    return model, factors_path, load_factors(factors_path, args.inputs)
 
 
 def _flags(args, **extra) -> dict:
@@ -108,7 +108,7 @@ def _flags(args, **extra) -> dict:
 def _write(args, factors_path, flags: dict, write, *subject) -> int:
     """Hash the run, write the reports on ``subject`` and list their paths."""
     from .reports import build_manifest
-    manifest = build_manifest(args.farm, factors_path, flags)
+    manifest = build_manifest(args.farm, factors_path, flags, args.inputs)
     try:
         paths = write(*subject, manifest, args.out, args.format)
     except OSError as exc:
@@ -156,7 +156,7 @@ def _cmd_sweep(args) -> int:
     from .farmspec import parse_farm_document
     from .reports import write_sweep
     from .sections import read_text
-    model = parse_farm_document(read_text(args.farm))
+    model = parse_farm_document(read_text(args.farm, args.inputs))
     shares = _sweep_points(args)
     points = marginal_share_sweep(model, shares)
     flags = _flags(args, shares=",".join(f"{share:.6f}" for share in shares))
@@ -228,6 +228,7 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    args.inputs = {}  # bytes by path, each input read once to parse and to hash
     try:
         return _HANDLERS[args.command](args)
     except CropgateError as exc:

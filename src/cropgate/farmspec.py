@@ -302,6 +302,7 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
 
 
 _PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
+_MACHINE_KEYS = tuple((cls.value, cls) for cls in MachineClass)  # .value is slow
 
 
 def _read_crop(section: Section, sub: dict[str, list[Section]],
@@ -366,8 +367,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         timing = oreader.choice("timing", Timing, Timing.RECURRENT)
         diesel = oreader.quantity("diesel", "L/ha", 0.0)
         machinery = {}
-        for cls in MachineClass:
-            mass = oreader.quantity(cls.value, "Mg/ha")
+        for key, cls in _MACHINE_KEYS:
+            mass = oreader.quantity(key, "Mg/ha")
             if mass is not None:
                 machinery[cls] = mass
         oreader.finish()
@@ -436,8 +437,11 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             if value is not None:
                 prices[key] = value
 
+    kinds: dict[str, list[Section]] = {}  # sections by their first segment
+    for sec in doc.sections:
+        kinds.setdefault(sec.path[0], []).append(sec)
     products: dict[str, ProductSpec] = {}
-    for psec in doc.find("product"):
+    for psec in kinds.get("product", ()):
         if len(psec.path) != 2:
             report.error(psec.name, "product sections are [product.<id>]")
             continue
@@ -447,7 +451,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
 
     samples: list[SoilSample] = []
     first_analysis: dict[tuple[LandClass, int], str] = {}
-    for ssec in doc.find("soil"):
+    for ssec in kinds.get("soil", ()):
         if len(ssec.path) != 3:
             report.error(ssec.name, "soil sections are [soil.<class>.<year>]")
             continue
@@ -467,7 +471,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     crops: dict[str, CropPlan] = {}
     crop_secs: list[Section] = []
     crop_subsections: dict[str, dict[str, list[Section]]] = {}
-    for csec in doc.find("crop"):
+    for csec in kinds.get("crop", ()):
         if len(csec.path) == 2:
             crop_secs.append(csec)
         elif len(csec.path) in (3, 4):

@@ -11,9 +11,9 @@ clock is read; a timestamp appears only when SOURCE_DATE_EPOCH is set, and
 it stays outside the hashed manifest region either way.
 
 Every file embeds the run manifest hash: CSVs as a leading ``# run`` comment
-line, JSON as a ``manifest`` object. The manifest hashes each input's bytes
-as read when it is built; a digest computed earlier in the process is reused
-only when the bytes just read are equal to the bytes it was computed from.
+line, JSON as a ``manifest`` object. The manifest hashes the input bytes the
+caller parsed, or each file as read then; a digest computed earlier in the
+process is reused only when the bytes equal those it was computed from.
 
 An existing report file is rewritten in place: opened without ``O_TRUNC``,
 overwritten from the start and cut only when the old file was longer, so it
@@ -91,15 +91,17 @@ _DIGESTS: dict[str, tuple[bytes, str]] = {}
 _DIGESTS_MAX = 16
 
 
-def _sha256_file(path: str) -> str:
-    """SHA-256 of the file's bytes as read now.
+def _sha256_file(path: str, inputs: dict[str, bytes] | None) -> str:
+    """SHA-256 of the file's bytes: those in ``inputs``, else as read now.
 
-    A stored digest is reused only when the bytes just read equal the stored
-    bytes, never on a matching size or mtime: a same-size rewrite within one
+    A stored digest is reused only when the bytes equal the stored bytes,
+    never on a matching size or mtime: a same-size rewrite within one
     timestamp tick must still change the hash.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = inputs.get(path) if inputs else None
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
     known = _DIGESTS.get(path)
     if known is not None and known[0] == data:
         return known[1]
@@ -125,11 +127,12 @@ def _build_timestamp() -> str | None:
 
 
 def build_manifest(farm_path: str, factors_path: str | None,
-                   flags: dict[str, object]) -> RunManifest:
-    """Hash the run inputs. The hash covers content hashes, tool version and
-    flags; file names and the optional timestamp stay outside it."""
-    farm_hash = _sha256_file(farm_path)
-    factors_hash = _sha256_file(factors_path) if factors_path else None
+                   flags: dict[str, object],
+                   inputs: dict[str, bytes] | None = None) -> RunManifest:
+    """Hash the run: input bytes from ``inputs`` by path, else read now, tool
+    version and flags; file names and the optional timestamp stay outside."""
+    farm_hash = _sha256_file(farm_path, inputs)
+    factors_hash = _sha256_file(factors_path, inputs) if factors_path else None
     flag_text = {key: str(value) for key, value in sorted(flags.items())}
     region = "\n".join(
         [f"tool={_TOOL} {__version__}", f"farm={farm_hash}",

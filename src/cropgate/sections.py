@@ -46,8 +46,6 @@ class SectionSyntaxError(InputError):
 
 
 _HEADER_RE = re.compile(r"\[([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)\]\s*$")
-_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class Entry(NamedTuple):
@@ -82,10 +80,6 @@ class Document:
 
     def __init__(self, sections: list[Section] | None = None):
         self.sections = [] if sections is None else sections
-
-    def find(self, *prefix: str) -> list[Section]:
-        """Sections whose path starts with the given segments."""
-        return [s for s in self.sections if s.path[: len(prefix)] == prefix]
 
     def section(self, *path: str) -> Section | None:
         for s in self.sections:
@@ -136,19 +130,25 @@ def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
             return parse_quantity(text)
         except UnitError as exc:
             raise SectionSyntaxError(str(exc), line, col + 1) from None
-    if _IDENT_RE.match(text):
+    if text.isidentifier() and text.isascii():
         return text
     raise SectionSyntaxError(f"cannot parse value {text!r}", line, col + 1)
 
 
-def read_text(path: str | os.PathLike) -> str:
-    """UTF-8 text of an input file; other text is an OSError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
-                          f"byte {exc.start})", os.fspath(path)) from None
+def read_text(path: str | os.PathLike, inputs: dict | None = None) -> str:
+    """UTF-8 text of an input file, newlines as ``open`` reads them and one
+    leading byte order mark dropped; other bytes are an OSError naming the
+    file and the offset in it. ``inputs`` keeps the bytes read by path."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if inputs is not None:
+        inputs[path] = data
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
+                      f"byte {exc.start})", os.fspath(path)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_document(text: str) -> Document:
@@ -161,6 +161,20 @@ def parse_document(text: str) -> Document:
     current: Section | None = None
     seen_paths: set[tuple[str, ...]] = set()
     for lineno, raw_line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        if current is not None and not (
+                '"' in raw_line or "#" in raw_line or "," in raw_line):
+            # the full path without comment and list scans; it reports errors
+            key, _, scalar = raw_line.partition("=")
+            key, scalar = key.strip(), scalar.strip()
+            if key.isidentifier() and key.isascii() and key not in current.entries:
+                try:
+                    value = (parse_quantity(scalar) if scalar[:1].isdigit()
+                             else _parse_scalar(scalar, lineno, 0))
+                    # Entry(...) less the Python-level __new__ of a NamedTuple
+                    current.entries[key] = tuple.__new__(Entry, (key, value, lineno))
+                    continue
+                except (UnitError, SectionSyntaxError):
+                    pass
         line = raw_line
         if "#" in raw_line:  # strip comments outside quotes
             in_quote = False
@@ -193,7 +207,7 @@ def parse_document(text: str) -> Document:
             raise SectionSyntaxError("entry before any section header", lineno, 1)
         key_part, _, value_part = line.partition("=")
         key = key_part.strip()
-        if not _KEY_RE.fullmatch(key):
+        if not (key.isidentifier() and key.isascii()):
             raise SectionSyntaxError(f"invalid key {key!r}", lineno,
                                      len(key_part) - len(key_part.lstrip()) + 1)
         if key in current.entries:
@@ -215,7 +229,7 @@ def _serialize_scalar(value: Scalar) -> str:
     if isinstance(value, Quantity):
         return format_quantity(value)
     # plain text: emit bare identifiers unquoted so they read back identically
-    if _IDENT_RE.match(value) and value not in ("true", "false"):
+    if value.isidentifier() and value.isascii() and value not in ("true", "false"):
         return value
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -289,41 +303,37 @@ class SectionReader:
     def __init__(self, section: Section, report: ValidationReport):
         self.section = section
         self.report = report
-        self.where = section.name
         self._consumed: set[str] = set()
 
-    def _take(self, key: str):
-        self._consumed.add(key)
-        return self.section.get(key)
-
-    def _typed(self, key: str, kind: type, expected: str, default=None):
-        value = self._take(key)
-        if value is None:
+    def _take(self, key: str, kind: type = object, expected="", default=None):
+        entry = self.section.entries.get(key)
+        if entry is None:
             return default
+        self._consumed.add(key)
+        value = entry.value
         if not isinstance(value, kind):
             self.error(key, f"expected {expected}")
             return default
         return value
 
     def error(self, key: str, message: str) -> None:
-        self.report.error(f"{self.where}.{key}", message)
+        self.report.error(f"{self.section.name}.{key}", message)
 
     def quantity(self, key: str, unit_text: str, default: float | None = None,
                  ) -> float | None:
         """The finite value expressed in ``unit_text``; a bare number is
         taken as already written in that unit, a percent value is an error."""
-        value = self.raw_quantity(key)
+        value = self._take(key, Quantity, "a quantity")
         if value is None:
             return default
         expected, scale = parse_unit(unit_text)
-        if (value.unit == DIMENSIONLESS and not value.unit_written
-                and not expected.dimensionless):
+        if value.unit == expected:
+            result = value.value / scale
+        elif value.unit == DIMENSIONLESS and not value.unit_written:
             result = value.value
-        elif value.unit != expected:
+        else:
             self.error(key, f"must be in {unit_text}")
             return default
-        else:
-            result = value.value / scale
         if not math.isfinite(result):
             self.error(key, "must be finite")
             return default
@@ -331,7 +341,7 @@ class SectionReader:
 
     def _plain(self, key: str, percent: bool) -> float | None:
         """A finite dimensionless value, None if absent or reported."""
-        value = self.raw_quantity(key)
+        value = self._take(key, Quantity, "a quantity")
         if value is None:
             return None
         if not value.unit.dimensionless or (value.unit_written
@@ -368,10 +378,10 @@ class SectionReader:
         return value
 
     def text(self, key: str, default: str | None = None) -> str | None:
-        return self._typed(key, str, "text", default)
+        return self._take(key, str, "text", default)
 
     def boolean(self, key: str, default: bool = False) -> bool:
-        return self._typed(key, bool, "true or false", default)
+        return self._take(key, bool, "true or false", default)
 
     def choice(self, key: str, kind: type[enum.Enum], default=None):
         """One member of the enum ``kind``, written as its value."""
@@ -397,7 +407,7 @@ class SectionReader:
         return None
 
     def raw_quantity(self, key: str) -> Quantity | None:
-        return self._typed(key, Quantity, "a quantity")
+        return self._take(key, Quantity, "a quantity")
 
     def require(self, *keys: str) -> None:
         """Report each of ``keys`` the section lacks as ``<key> is required``."""

@@ -100,7 +100,7 @@ class Unit(NamedTuple):
 
     @property
     def dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not any(self.exponents)
 
     def __str__(self) -> str:
         num = [
@@ -276,11 +276,13 @@ def parse_quantity(text: str) -> Quantity:
         UnitError: malformed number, unknown unit token, or trailing junk.
     """
     stripped = text.strip()
-    m = _NUMBER_RE.match(stripped)
-    if not m:
-        raise UnitError(f"quantity {text!r} does not start with a number")
-    value = float(m.group(0))
-    rest = stripped[m.end():].strip()
+    number, _, rest = stripped.partition(" ")  # _NUMBER_RE's match in "1.5 ha"
+    if not (number.replace(".", "", 1).isdigit() and number.isascii()):
+        m = _NUMBER_RE.match(stripped)
+        if not m:
+            raise UnitError(f"quantity {text!r} does not start with a number")
+        number, rest = m.group(0), stripped[m.end():]
+    value, rest = float(number), rest.strip()
     if not rest:
         return Quantity(value, DIMENSIONLESS)
     unit, scale = parse_unit(rest)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import builtins
 import errno
+import hashlib
 import json
 import os
 import re
@@ -341,6 +343,87 @@ class TestAssess:
         assert code == EXIT_INPUT
         assert err.startswith(f"error: cannot read {farm}: not UTF-8 text ")
         assert err.count("\n") == 1
+
+
+class TestInputs:
+    """Each input file is read once, and the manifest hashes the bytes that
+    were parsed."""
+
+    COMMANDS = [["assess", "--crop", "rye"], ["compare"],
+                ["sweep", "--range", "0.1:0.9:0.1"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+    def test_one_open_per_input(self, command, tmp_path, capsys,
+                                monkeypatch):
+        farm = edited_copy(tmp_path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, _ = run([command[0], "--farm", farm, *command[1:],
+                          "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_OK
+        inputs = [farm]
+        if command[0] != "sweep":
+            inputs.append(str(tmp_path / "factors_calibrated.cg"))
+        assert sorted(opened) == sorted(inputs)
+
+    @pytest.mark.parametrize("command,report", [
+        (COMMANDS[0], "result.json"), (COMMANDS[1], "comparison.json"),
+        (COMMANDS[2], "sweep.json")], ids=["assess", "compare", "sweep"])
+    def test_manifest_hashes_the_parsed_bytes(self, command, report,
+                                              tmp_path, capsys, monkeypatch):
+        farm = edited_copy(tmp_path)
+        with open(farm, "rb") as handle:
+            parsed = handle.read()
+        from cropgate import reports
+        build_manifest = reports.build_manifest
+
+        def edit_then_build(farm_path, *args):
+            with open(farm_path, "ab") as handle:
+                handle.write(b"# edited after parsing\n")
+            return build_manifest(farm_path, *args)
+
+        monkeypatch.setattr(reports, "build_manifest", edit_then_build)
+        code, _, _ = run([command[0], "--farm", farm, *command[1:],
+                          "--format", "json", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / report).read_text())["manifest"]
+        assert manifest["farm_sha256"] == hashlib.sha256(parsed).hexdigest()
+
+    def test_byte_order_marks_are_read_and_hashed(self, tmp_path, capsys):
+        farm = edited_copy(tmp_path)
+        factors = tmp_path / "factors_calibrated.cg"
+        for path in (tmp_path / "farm_soria.cg", factors):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, _ = run(["validate", "--farm", farm], capsys)
+        assert (code, out) == (EXIT_OK, "ok: 7 crops on 302 ha\n")
+        code, _, _ = run(["assess", "--farm", farm, "--crop", "rye",
+                          "--format", "json", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "result.json").read_text())[
+            "manifest"]
+        for path, key in ((farm, "farm_sha256"), (factors, "factors_sha256")):
+            with open(path, "rb") as handle:
+                assert manifest[key] == hashlib.sha256(
+                    handle.read()).hexdigest()
+
+    @pytest.mark.parametrize("damaged", ["farm", "factors"])
+    def test_decode_offset_counts_the_byte_order_mark(self, damaged,
+                                                      tmp_path, capsys):
+        farm = edited_copy(tmp_path)
+        path = tmp_path / ("farm_soria.cg" if damaged == "farm"
+                           else "factors_calibrated.cg")
+        path.write_bytes(b"\xef\xbb\xbf# ca\xf1a\n" + path.read_bytes())
+        code, _, err = run(["assess", "--farm", farm, "--crop", "rye",
+                            "--out", str(tmp_path)], capsys)
+        assert code == EXIT_INPUT
+        assert err == (f"error: cannot read {path}: not UTF-8 text "
+                       "(invalid continuation byte at byte 7)\n")
 
 
 class TestCompare:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import documents
 from cropgate.sections import (Document, Section, SectionSyntaxError,
-                               parse_document, serialize_document)
+                               parse_document, read_text, serialize_document)
 
 
 SAMPLE = """
@@ -39,12 +39,6 @@ def test_crlf_and_order_independence():
         == serialize_document(parse_document(SAMPLE))
 
 
-def test_find_prefix():
-    doc = parse_document("[crop.a]\n[crop.b]\n[soil.x.y]\n")
-    assert [s.name for s in doc.find("crop")] == ["crop.a", "crop.b"]
-    assert [s.name for s in doc.find("soil", "x")] == ["soil.x.y"]
-
-
 def test_comment_inside_string_is_kept():
     doc = parse_document('[s]\nk = "a # b"\n')
     assert doc.section("s").get("k") == "a # b"
@@ -66,30 +60,86 @@ def test_escapes_in_strings():
     assert doc.section("s").get("k") == 'say "hi" \\ there'
 
 
+# grammar errors: text, line, column, a fragment of the message
+SYNTAX_ERRORS = [
+    ("[farm", 1, 1, "malformed section header"),
+    ("[fa rm]", 1, 1, "malformed section header"),
+    ("key = 1", 1, 1, "entry before any section"),
+    ("[s]\nnonsense line", 2, 1, "expected 'key = value'"),
+    ("[s]\nk = 1\nk = 2", 3, 1, "duplicate key"),
+    ("[s]\n[s]", 2, 1, "duplicate section"),
+    ('[s]\nk = "open', 2, 4, "unterminated string"),
+    ("[s]\nk = ", 2, 4, "empty value"),
+    ("[s]\nk = a, , b", 2, 7, "empty value element"),
+    ("[s]\n2bad = 1", 2, 1, "invalid key"),
+    ("[s]\nk = 3 wombats", 2, 4, "unknown unit"),
+    # plain lines whose errors the full path reports
+    ("[s]\n  k =   3 wombats", 2, 6, "unknown unit"),
+    ("[s]\nk = 1 ha, 3 wombats", 2, 10, "unknown unit"),
+    ("[s]\n\tk\t=\t1 ha,2 wombats # c", 2, 11, "unknown unit"),
+    ("[s]\nk = 1 ha = 2", 2, 4,
+     "cannot parse unit 'ha = 2' at position 3"),
+    ("[s]\nk = a b", 2, 4, "cannot parse value 'a b'"),
+    ("[s]\n k = x\n k = y", 3, 1, "duplicate key"),
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("text,fragment", [
-        ("[farm", "malformed section header"),
-        ("[fa rm]", "malformed section header"),
-        ("key = 1", "entry before any section"),
-        ("[s]\nnonsense line", "expected 'key = value'"),
-        ("[s]\nk = 1\nk = 2", "duplicate key"),
-        ("[s]\n[s]", "duplicate section"),
-        ('[s]\nk = "open', "unterminated string"),
-        ("[s]\nk = ", "empty value"),
-        ("[s]\nk = a, , b", "empty value element"),
-        ("[s]\n2bad = 1", "invalid key"),
-        ("[s]\nk = 3 wombats", "unknown unit"),
-    ])
-    def test_syntax_errors(self, text, fragment):
+    @pytest.mark.parametrize(
+        "text,line,column,fragment", SYNTAX_ERRORS,
+        ids=[f"{text}-{fragment}" for text, _, _, fragment in SYNTAX_ERRORS])
+    def test_syntax_errors(self, text, line, column, fragment):
         with pytest.raises(SectionSyntaxError) as err:
             parse_document(text)
         assert fragment in str(err.value)
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_error_carries_line_and_column(self):
         with pytest.raises(SectionSyntaxError) as err:
             parse_document("[ok]\nkey = 1\n[broken\n")
         assert err.value.line == 3
         assert err.value.column == 1
+
+
+def test_no_break_spaces_around_a_plain_entry():
+    # str.strip takes U+00A0 as whitespace, as the grammar does
+    doc = parse_document("[s]\n\u00a0k\u00a0=\u00a01\u00a0ha\u00a0")
+    value = doc.section("s").get("k")
+    assert value.to("ha") == 1.0
+    assert value.unit_written
+
+
+class TestReadText:
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "f.cg"
+        path.write_bytes(b"\xef\xbb\xbf[s]\nk = 1\n")
+        assert read_text(path) == "[s]\nk = 1\n"
+        # only one: a second mark is text, which the grammar rejects
+        path.write_bytes(b"\xef\xbb\xbf" * 2)
+        assert read_text(path) == "\ufeff"
+
+    def test_decode_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "f.cg"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(OSError) as err:
+            read_text(path)
+        assert err.value.filename == str(path)
+        assert err.value.strerror == (
+            "not UTF-8 text (invalid start byte at byte 5)")
+
+    def test_newlines_read_as_open_reads_them(self, tmp_path):
+        path = tmp_path / "f.cg"
+        path.write_bytes(b"[s]\r\nk = 1\rj = 2\n\r\n")
+        with open(path, encoding="utf-8") as handle:
+            assert read_text(path) == handle.read()
+
+    def test_bytes_read_are_kept_by_path(self, tmp_path):
+        path = str(tmp_path / "f.cg")
+        with open(path, "wb") as handle:
+            handle.write(b"\xef\xbb\xbf[s]\r\n")
+        inputs = {}
+        read_text(path, inputs)
+        assert inputs == {path: b"\xef\xbb\xbf[s]\r\n"}
 
 
 def _as_plain(doc: Document) -> dict:
