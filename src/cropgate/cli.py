@@ -84,7 +84,7 @@ def _cmd_validate(args) -> int:
 
 
 def _load(args):
-    """The farm model, the factor file path and its database."""
+    """Flags checked first, then the farm model, factor path and database."""
     if args.horizon is not None and args.horizon < 1:
         raise InputError("--horizon must be at least 1 year")
     if args.horizon is not None and args.horizon > MAX_HORIZON_YEARS:
@@ -120,9 +120,9 @@ def _write(args, factors_path, flags: dict, write, *subject) -> int:
 
 
 def _cmd_assess(args) -> int:
+    model, factors_path, db = _load(args)
     from .assess import assess_crop
     from .reports import write_assessment
-    model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) != 1:
         raise InputError("assess needs exactly one --crop")
@@ -137,9 +137,9 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    model, factors_path, db = _load(args)
     from .assess import compare_pair
     from .reports import write_comparison
-    model, factors_path, db = _load(args)
     crops = args.crop or []
     if len(crops) not in (0, 2):
         raise InputError("compare takes no --crop (the farm's pair) or two")

@@ -14,6 +14,8 @@ Every file embeds the run manifest hash: CSVs as a leading ``# run`` comment
 line, JSON as a ``manifest`` object. The manifest hashes the input bytes the
 caller parsed, or each file as read then; a digest computed earlier in the
 process is reused only when the bytes equal those it was computed from.
+SHA-256 comes from CPython's built-in module and the string escaper from
+``_json``: ``hashlib`` loads OpenSSL (~3 MB, ~4 ms) and ``json`` a package.
 
 An existing report file is rewritten in place: opened without ``O_TRUNC``,
 overwritten from the start and cut only when the old file was longer, so it
@@ -28,12 +30,21 @@ vCPUs; the flush costs vary with the disk's backlog, the order does not).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, NamedTuple
+try:  # see the module docstring
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # a build without the built-in hash modules
+        from hashlib import sha256
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import CropgateError, InputError, __version__
 from .economics import EconomicBalance, SweepPoint
@@ -105,7 +116,7 @@ def _sha256_file(path: str, inputs: dict[str, bytes] | None) -> str:
     known = _DIGESTS.get(path)
     if known is not None and known[0] == data:
         return known[1]
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     if path not in _DIGESTS and len(_DIGESTS) >= _DIGESTS_MAX:
         _DIGESTS.pop(next(iter(_DIGESTS)), None)  # the oldest entry
     _DIGESTS[path] = (data, digest)
@@ -138,7 +149,7 @@ def build_manifest(farm_path: str, factors_path: str | None,
         [f"tool={_TOOL} {__version__}", f"farm={farm_hash}",
          f"factors={factors_hash or 'none'}"]
         + [f"flag:{key}={value}" for key, value in flag_text.items()])
-    run_hash = hashlib.sha256(region.encode("utf-8")).hexdigest()
+    run_hash = sha256(region.encode("utf-8")).hexdigest()
 
     return RunManifest(
         tool=_TOOL, version=__version__,

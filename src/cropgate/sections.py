@@ -235,7 +235,8 @@ def _serialize_scalar(value: Scalar) -> str:
 
 
 def serialize_document(doc: Document) -> str:
-    """Render a document back to text; parsing the result gives equal values."""
+    """Render a document back to text; parsing the result gives equal values.
+    A line break in a text value has no syntax and raises ValueError."""
     lines: list[str] = []
     for section in doc.sections:
         lines.append(f"[{section.name}]")
@@ -244,6 +245,9 @@ def serialize_document(doc: Document) -> str:
                 rendered = ", ".join(_serialize_scalar(v) for v in entry.value)
             else:
                 rendered = _serialize_scalar(entry.value)
+            if "\n" in rendered or "\r" in rendered:  # only text can hold one
+                raise ValueError(f"[{section.name}].{entry.key}: text with a "
+                                 "line break cannot be written")
             lines.append(f"{entry.key} = {rendered}")
         lines.append("")
     return "\n".join(lines)

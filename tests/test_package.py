@@ -1,7 +1,9 @@
 """The public surface of the package."""
 
 import dataclasses
+import hashlib
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -126,6 +128,88 @@ def test_validate_loads_no_dataclasses(farm_path):
     logged = _importtime_modules("-m", "cropgate.cli", *argv)
     assert "cropgate.farmspec" in logged
     assert not {"dataclasses", "inspect"} & set(logged)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["assess", "--crop", "rye", "--horizon", "0"],
+     "error: --horizon must be at least 1 year\n"),
+    (["compare", "--horizon", "1001"],
+     "error: --horizon must be at most 1000 years\n"),
+], ids=["assess", "compare"])
+def test_bad_horizon_fails_before_the_engine_loads(farm_path, argv, message):
+    argv = argv + ["--farm", farm_path]
+    code = ("import contextlib, io\nfrom cropgate.cli import main\n"
+            "err = io.StringIO()\nwith contextlib.redirect_stderr(err):\n"
+            f"    assert main({argv!r}) == 2\n"
+            f"assert err.getvalue() == {message!r}, err.getvalue()")
+    assert _cropgate_modules_after(code) == {"cropgate", "cropgate.cli"}
+
+
+def _importable(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+# what the reports module loads only where CPython's own modules are missing
+_OPENSSL_AND_JSON = {"hashlib", "_hashlib", "json"}
+_WRITING_COMMANDS = ["assess --crop rye", "compare",
+                     "sweep --range 0.1:0.9:0.1"]
+
+
+@pytest.mark.skipif(not (_importable("_sha2") or _importable("_sha256")),
+                    reason="no built-in SHA-256 module")
+@pytest.mark.parametrize("command", _WRITING_COMMANDS,
+                         ids=["assess", "compare", "sweep"])
+def test_writing_commands_load_neither_openssl_nor_json(farm_path, tmp_path,
+                                                        command):
+    argv = command.split() + ["--farm", farm_path, "--out", str(tmp_path)]
+    code = f"from cropgate.cli import main\nassert main({argv!r}) == 0"
+    added = _modules_after(code) - _modules_after("pass")
+    assert "cropgate.reports" in added
+    assert not _OPENSSL_AND_JSON & added
+    logged = _importtime_modules("-m", "cropgate.cli", *argv)
+    assert "cropgate.reports" in logged
+    assert not _OPENSSL_AND_JSON & set(logged)
+
+
+_BLOCK_BUILTINS = ("import sys\n"
+                   "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                   "sys.modules['_json'] = None\n")
+
+
+@pytest.mark.parametrize("command", _WRITING_COMMANDS[:2],
+                         ids=["assess", "compare"])
+def test_fallback_imports_write_the_same_bytes(farm_path, factors_path,
+                                               tmp_path, command):
+    """With the built-in hash and escaper blocked, reports takes hashlib's
+    SHA-256 and json's Python escaper, and writes the same files."""
+    trees = {}
+    for name, prelude in (("builtin", ""), ("fallback", _BLOCK_BUILTINS)):
+        out = tmp_path / name
+        argv = command.split() + ["--farm", farm_path, "--out", str(out)]
+        code = (prelude + "from cropgate.cli import main\n"
+                f"assert main({argv!r}) == 0\n")
+        if prelude:  # and the fallbacks are what reports took
+            code += ("import hashlib, json.encoder\n"
+                     "from cropgate import reports\n"
+                     "assert reports.sha256 is hashlib.sha256\n"
+                     "assert reports._quote is "
+                     "json.encoder.py_encode_basestring_ascii\n")
+        _modules_after(code)
+        trees[name] = {path.name: path.read_bytes()
+                       for path in sorted(out.iterdir())}
+    assert len(trees["builtin"]) == (2 if command == "compare" else 4)
+    assert trees["fallback"] == trees["builtin"]
+    report = next(data for name, data in trees["fallback"].items()
+                  if name.endswith(".json"))
+    manifest = json.loads(report)["manifest"]
+    for key, path in (("farm_sha256", farm_path),
+                      ("factors_sha256", factors_path)):
+        with open(path, "rb") as handle:
+            assert manifest[key] == hashlib.sha256(handle.read()).hexdigest()
 
 
 # Callers copy these with their _replace: the tests build variant crops,

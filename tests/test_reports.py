@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import json.encoder
 import math
 import os
 import shutil
@@ -106,6 +107,18 @@ class TestJsonText:
         assert reports._json_text(value) == json.dumps(
             value, indent=2, sort_keys=True, allow_nan=False)
 
+    @given(st.text())
+    @example("\"\\\x00\n\x7f\u00e9\u2028\ud800\U0001f33e")
+    def test_quote_is_the_pure_python_escaper_too(self, text):
+        """Without ``_json`` the escaper is json's Python one: same text."""
+        assert reports._quote(text) \
+            == json.encoder.py_encode_basestring_ascii(text)
+
+    def test_hash_is_sha256(self):
+        for data in (b"", b"abc", bytes(range(256)) * 500):
+            assert reports.sha256(data).hexdigest() \
+                == hashlib.sha256(data).hexdigest()
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: {"k": [1, v]}],
                              ids=["bare", "nested"])
@@ -157,13 +170,13 @@ class TestManifest:
         assert len(manifest.run_hash) == 64
 
 
-class CountingHashlib:
-    """Stands in for ``reports.hashlib``, recording what each sha256 gets."""
+class CountingSha256:
+    """Stands in for ``reports.sha256``, recording what each call gets."""
 
     def __init__(self):
         self.inputs = []
 
-    def sha256(self, data=b""):
+    def __call__(self, data=b""):
         self.inputs.append(bytes(data))
         return hashlib.sha256(data)
 
@@ -195,8 +208,8 @@ class TestDigestMemo:
         for path in (farm_path, factors_path):
             shutil.copy(path, tmp_path)
             inputs.append(str(tmp_path / os.path.basename(path)))
-        counting = CountingHashlib()
-        monkeypatch.setattr(reports, "hashlib", counting)
+        counting = CountingSha256()
+        monkeypatch.setattr(reports, "sha256", counting)
         run_hashes = {build_manifest(*inputs, {"crop": "rye"}).run_hash
                       for _ in range(50)}
         assert len(run_hashes) == 1

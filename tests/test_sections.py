@@ -174,3 +174,27 @@ def test_round_trip_shipped_files(farm_path, factors_path):
             doc = parse_document(handle.read())
         assert _as_plain(parse_document(serialize_document(doc))) \
             == _as_plain(doc)
+
+
+@pytest.mark.parametrize("text", ["abc\n", "a\r\nb", "\r"], ids=repr)
+@pytest.mark.parametrize("as_list", [False, True], ids=["value", "item"])
+def test_text_with_a_line_break_is_not_written(text, as_list):
+    """The grammar has no escape for a line break: the serializer refuses
+    the value instead of writing text that does not parse back."""
+    value = ["plain", text] if as_list else text
+    doc = _build_document({("crop", "rye"): {"ok": "x", "name": value}})
+    with pytest.raises(ValueError, match=r"^\[crop\.rye\]\.name: "):
+        serialize_document(doc)
+
+
+@pytest.mark.parametrize("char", ["\t", "\x0b", "\x0c", "\x1c", "\x85",
+                                  "\u2028", "\x00"], ids=repr)
+@pytest.mark.parametrize("form", ["{}", "x{}y"])
+def test_other_control_characters_round_trip(char, form, tmp_path):
+    text = form.format(char)
+    mapping = {("s",): {"text": text, "items": ["a", text]}}
+    written = serialize_document(_build_document(mapping))
+    assert _as_plain(parse_document(written)) == mapping
+    path = tmp_path / "doc.cg"
+    path.write_bytes(written.encode("utf-8"))
+    assert _as_plain(parse_document(read_text(path))) == mapping
