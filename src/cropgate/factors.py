@@ -141,30 +141,20 @@ def _read_flow(reader: SectionReader) -> FactorRecord:
     return record
 
 
-def _non_negative(reader: SectionReader, key: str, unit_text: str,
-                  default: float | None = None) -> float | None:
-    """A quantity in ``unit_text`` that cannot be negative."""
-    value = reader.quantity(key, unit_text, default)
-    if value is not None and value < 0:
-        reader.error(key, "cannot be negative")
-        return default
-    return value
-
-
 def _read_emissions(reader: SectionReader) -> N2OParams:
     return N2OParams(
         ef_direct=reader.fraction("ef_direct", 0.01),
-        residue_n_kg_ha=_non_negative(reader, "residue_n", "kg/ha", 0.0),
+        residue_n_kg_ha=reader.non_negative("residue_n", "kg/ha", 0.0),
         nh3_loss_fraction=reader.fraction("nh3_loss_fraction", 0.0),
         ef_indirect_nh3=reader.fraction("ef_indirect_nh3", 0.0),
-        override_mg_ha=_non_negative(reader, "override", "Mg/ha"))
+        override_mg_ha=reader.non_negative("override", "Mg/ha"))
 
 
 def _read_exhaust(reader: SectionReader) -> ExhaustFactors:
     return ExhaustFactors(
-        co2_kg_l=_non_negative(reader, "co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
-        ch4_kg_l=_non_negative(reader, "ch4", "kg/L", 0.0),
-        n2o_kg_l=_non_negative(reader, "n2o", "kg/L", 0.0))
+        co2_kg_l=reader.non_negative("co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
+        ch4_kg_l=reader.non_negative("ch4", "kg/L", 0.0),
+        n2o_kg_l=reader.non_negative("n2o", "kg/L", 0.0))
 
 
 def load_factor_db(text: str) -> FactorDB:

@@ -6,13 +6,13 @@ analyses. The reserved keys for every section kind are documented in
 docs/formats.md; this module enforces them.
 
 Validation has two phases, and neither stops at the first problem. Reading
-converts every key and checks the file's structure; each mistake is one
-diagnostic at its key or section, and a missing required key reads
-``<key> is required``. The semantic invariants of :func:`validate_model`
-(area sum, marginal pair, products, prices ...) run only on a file that read
-without error, because a rejected key stands in as a default they would
-judge too. A file with both kinds of mistake therefore shows its semantic
-errors on the run after its reading errors are fixed.
+converts every key, checks the range of each value and the file's structure;
+each mistake is one diagnostic at its key or section, and a missing required
+key reads ``<key> is required``. The rules across keys of
+:func:`validate_model` (area sum, marginal pair, products, prices ...) run
+only on a file that read without error, because a rejected key stands in as
+a default they would judge too. A file with both kinds of mistake therefore
+shows its errors across keys on the run after its reading errors are fixed.
 """
 
 from __future__ import annotations
@@ -289,7 +289,12 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
         return None
     reader = SectionReader(section, report)
     depth = reader.quantity("depth", "m")
+    if depth is not None and depth <= 0:
+        reader.error("depth", "must be above 0 m")
     density = reader.quantity("bulk_density", "Mg/m3")
+    if density is not None and not 0.5 <= density <= 2.5:
+        reader.error("bulk_density", f"{density!r} Mg/m3 is outside the "
+                     "plausible 0.5-2.5 range")
     coarse = reader.fraction("coarse_fraction")
     om = reader.fraction("organic_matter")
     oc = reader.fraction("organic_carbon")
@@ -316,20 +321,20 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
 
     perennial = reader.boolean("perennial", False)
     life_span = reader.years("life_span", 1)
-    area = reader.quantity("area", "ha", 0.0)
+    area = reader.non_negative("area", "ha", 0.0)
 
-    sowing_dose = reader.quantity("sowing_dose", "Mg/ha", 0.0)
+    sowing_dose = reader.non_negative("sowing_dose", "Mg/ha", 0.0)
     sowing_timing = reader.choice("sowing_timing", Timing, Timing.RECURRENT)
     seed_source = reader.choice(
         "seed_source", SeedSource,
         SeedSource.OWN if sowing_dose else SeedSource.NONE)
     seed_flow = reader.text("seed_flow")
-    seed_yield = reader.quantity("seed_yield", "Mg/ha")
+    seed_yield = reader.non_negative("seed_yield", "Mg/ha")
 
     fertilizations = []
     for role in ("base", "top"):
         product = reader.text(f"{role}_product")
-        dose = reader.quantity(f"{role}_dose", "Mg/ha")
+        dose = reader.non_negative(f"{role}_dose", "Mg/ha")
         timing = reader.choice(f"{role}_timing", Timing, Timing.RECURRENT)
         if (f"{role}_product" in section) != (f"{role}_dose" in section):
             report.error(where, f"{role} fertilization needs both product and dose")
@@ -337,10 +342,10 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
             fertilizations.append(FertilizerApplication(
                 product_id=product, dose_mg_ha=dose, timing=timing, role=role))
 
-    grain_yield = reader.quantity("grain_yield", "Mg/ha", 0.0)
-    straw_yield = reader.quantity("straw_yield", "Mg/ha")
+    grain_yield = reader.non_negative("grain_yield", "Mg/ha", 0.0)
+    straw_yield = reader.non_negative("straw_yield", "Mg/ha")
     if straw_yield is None:
-        straw_yield = reader.quantity("biomass_yield", "Mg/ha", 0.0)
+        straw_yield = reader.non_negative("biomass_yield", "Mg/ha", 0.0)
     sales_override = reader.quantity("sales", "EUR/ha")
     soc_equilibrium = reader.boolean("soc_equilibrium", False)
     soc_fixation = reader.quantity("soc_fixation", "Mg/ha")
@@ -357,18 +362,20 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
             continue
         if dose.unit not in _PER_HA_DOSES or not math.isfinite(dose.value):
             hreader.error("dose", "must be a finite volume or mass per ha")
-            continue
-        herbicides.append(HerbicideApplication(
-            product_id=hsec.path[3], dose=dose, timing=timing))
+        elif dose.value < 0:
+            hreader.error("dose", "cannot be negative")
+        else:
+            herbicides.append(HerbicideApplication(
+                product_id=hsec.path[3], dose=dose, timing=timing))
 
     operations = []
     for osec in sub.get("op", []):
         oreader = SectionReader(osec, report)
         timing = oreader.choice("timing", Timing, Timing.RECURRENT)
-        diesel = oreader.quantity("diesel", "L/ha", 0.0)
+        diesel = oreader.non_negative("diesel", "L/ha", 0.0)
         machinery = {}
         for key, cls in _MACHINE_KEYS:
-            mass = oreader.quantity(key, "Mg/ha")
+            mass = oreader.non_negative(key, "Mg/ha")
             if mass is not None:
                 machinery[cls] = mass
         oreader.finish()
@@ -416,10 +423,10 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         return None, report
     freader = SectionReader(farm_sec, report)
     name = freader.text("name", "")
-    total_area = freader.quantity("total_area", "ha")
-    cap_aid = freader.quantity("cap_aid", "EUR/ha", 0.0)
+    total_area = freader.non_negative("total_area", "ha")
+    cap_aid = freader.non_negative("cap_aid", "EUR/ha", 0.0)
     horizon = freader.years("amortization_horizon", DEFAULT_AMORTIZATION_YEARS)
-    marginal_area = freader.quantity("marginal_area", "ha", 0.0)
+    marginal_area = freader.non_negative("marginal_area", "ha", 0.0)
     pair = freader.ident_list("marginal_pair")
     factors_ref = freader.text("factors")
     freader.finish()
@@ -521,7 +528,8 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
 
 
 def validate_model(model: FarmModel) -> ValidationReport:
-    """Semantic invariants of a built model; empty report means valid."""
+    """Rules across keys of a built model; empty report means valid. The
+    range of each single value is checked where its key is read."""
     report = ValidationReport()
 
     # land bookkeeping: every hectare accounted for exactly once
@@ -549,15 +557,8 @@ def validate_model(model: FarmModel) -> ValidationReport:
     if model.marginal_pair[0] == model.marginal_pair[1]:
         report.error("farm.marginal_pair", "pair must name two distinct crops")
 
-    if model.amortization_horizon_years < 1:
-        report.error("farm.amortization_horizon", "horizon must be at least 1 year")
-    if model.cap_aid_eur_ha < 0:
-        report.error("farm.cap_aid", "aid cannot be negative")
-
     for plan in model.crops.values():
         where = f"crop.{plan.name}"
-        if plan.life_span_years < 1:
-            report.error(f"{where}.life_span", "life span must be at least 1 year")
         if plan.perennial and plan.life_span_years == 1:
             report.warning(f"{where}.life_span",
                            "perennial crop with a one-year life span")
@@ -579,8 +580,6 @@ def validate_model(model: FarmModel) -> ValidationReport:
             elif model.products[application.product_id].kind != "fertilizer":
                 report.error(where,
                              f"{application.product_id!r} is not a fertilizer")
-            if application.dose_mg_ha < 0:
-                report.error(where, "negative fertilizer dose")
         for application in plan.herbicides:
             if application.product_id not in model.products:
                 report.error(where,
@@ -588,29 +587,14 @@ def validate_model(model: FarmModel) -> ValidationReport:
             elif model.products[application.product_id].kind != "herbicide":
                 report.error(where,
                              f"{application.product_id!r} is not a herbicide")
-            if application.dose.value < 0:
-                report.error(where, "negative herbicide dose")
-        if plan.sowing_dose_mg_ha < 0:
-            report.error(where, "negative sowing dose")
-        if plan.grain_yield_mg_ha < 0 or plan.straw_yield_mg_ha < 0:
-            report.error(where, "negative yield")
-        if plan.area_ha < 0:
-            report.error(where, "negative area")
-        if plan.seed_source is SeedSource.OWN:
-            if not plan.seed_yield_mg_ha or plan.seed_yield_mg_ha <= 0:
-                report.error(where, "own seed production needs seed_yield > 0")
+        if plan.seed_source is SeedSource.OWN and not plan.seed_yield_mg_ha:
+            report.error(where, "own seed production needs seed_yield > 0")
         if plan.seed_source is SeedSource.EXTERNAL and not plan.seed_flow:
             report.error(where, "external seed needs a seed_flow reference")
         if plan.grain_yield_mg_ha > 0 and plan.grain_price is None:
             report.error(where, f"no price for {plan.name!r} grain")
         if plan.straw_yield_mg_ha > 0 and plan.straw_price is None:
             report.error(where, f"no straw price for {plan.name!r}")
-        for op in plan.operations:
-            if op.diesel_l_ha < 0:
-                report.error(where, f"negative diesel in operation {op.name!r}")
-            for mass in op.machinery_mg_ha.values():
-                if mass < 0:
-                    report.error(where, f"negative machinery mass in {op.name!r}")
         if plan.soc_fixation_mg_c_ha is not None and plan.soc_equilibrium:
             report.warning(where,
                            "soc_fixation is ignored for equilibrium crops")
@@ -619,12 +603,6 @@ def validate_model(model: FarmModel) -> ValidationReport:
         where = f"soil.{sample.land_class.value}.{sample.year}"
         if sample.organic_carbon > sample.organic_matter:
             report.error(where, "organic carbon above organic matter")
-        if not 0.5 <= sample.bulk_density_mg_m3 <= 2.5:
-            report.error(where,
-                         f"bulk density {sample.bulk_density_mg_m3!r} Mg/m3 "
-                         "outside the plausible 0.5-2.5 range")
-        if sample.depth_m <= 0:
-            report.error(where, "non-positive sampling depth")
 
     return report
 

@@ -50,8 +50,6 @@ class ExhaustGases(NamedTuple):
 
 def exhaust_emissions(diesel_l: float, factors: ExhaustFactors) -> ExhaustGases:
     """Componentwise exhaust masses for a diesel amount in litres."""
-    if diesel_l < 0:
-        raise ValueError("diesel volume cannot be negative")
     return ExhaustGases(co2_kg=diesel_l * factors.co2_kg_l,
                         ch4_kg=diesel_l * factors.ch4_kg_l,
                         n2o_kg=diesel_l * factors.n2o_kg_l)

@@ -46,6 +46,8 @@ class SectionSyntaxError(InputError):
 
 
 _HEADER_RE = re.compile(r"\[([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)\]\s*$")
+# a quoted string up to its first unescaped quote, with the blanks around it
+_STRING_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"\s*')
 
 
 class Entry(NamedTuple):
@@ -117,10 +119,12 @@ def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
     text = raw.strip()
     if not text:
         raise SectionSyntaxError("empty value element", line, col + 1)
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise SectionSyntaxError("unterminated string", line, col + 1)
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    if text.startswith('"'):  # _split_scalars saw the closing quote
+        string = _STRING_RE.match(raw)
+        if string.end() < len(raw):  # only a comma or the end may follow
+            raise SectionSyntaxError("text after closing quote", line,
+                                     col + string.end() + 1)
+        return string[1].replace('\\"', '"').replace("\\\\", "\\")
     if text == "true":
         return True
     if text == "false":
@@ -363,11 +367,24 @@ class SectionReader:
         value = self._plain(key, percent=False)
         return default if value is None else value
 
+    def non_negative(self, key: str, unit_text: str,
+                     default: float | None = None) -> float | None:
+        """:meth:`quantity`, with a value below zero reported at the key."""
+        value = self.quantity(key, unit_text, default)
+        if value is not None and value < 0:
+            self.error(key, "cannot be negative")
+            return default
+        return value
+
     def years(self, key: str, default: int) -> int:
-        """A whole number of years; a fraction is reported, not truncated."""
+        """A whole number of years, at least 1; a fraction is reported, not
+        truncated."""
         value = self.quantity(key, "y", default)
         if not float(value).is_integer():
             self.error(key, "expected a whole number of years")
+            return default
+        if value < 1:
+            self.error(key, "must be at least 1 year")
             return default
         return int(value)
 

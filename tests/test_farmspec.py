@@ -148,6 +148,10 @@ class TestModelAssembly:
         assert [s.year for s in series] == [2013, 2016]
 
 
+def _report_of(text: str):
+    return build_farm_model(parse_document(text))[1]
+
+
 def _errors_of(text: str) -> list[str]:
     with pytest.raises(FarmValidationError) as err:
         parse_farm_document(text)
@@ -296,6 +300,75 @@ class TestValidation:
          "organic_matter = 0.540", "coarse_fraction = 29.58 percent\n"
          "organic_matter = 0.540", "soil.marginal.2013.bulk_density",
          "bulk_density is required"),
+        # a value out of its range is one error at its key, not a second
+        # one from a rule across keys that judged it too
+        ("base_dose = 0.3 Mg/ha", "base_dose = -0.3 Mg/ha",
+         "crop.grass.base_dose", "cannot be negative"),
+        ("dose = 1 L/ha", "dose = -1 L/ha",
+         "crop.grass.herbicide.weedkiller.dose", "cannot be negative"),
+        ("sowing_dose = 0.2 Mg/ha", "sowing_dose = -0.2 Mg/ha",
+         "crop.wheat.sowing_dose", "cannot be negative"),
+        ("grain_yield = 3.0 Mg/ha", "grain_yield = -3.0 Mg/ha",
+         "crop.wheat.grain_yield", "cannot be negative"),
+        ("straw_yield = 2.0 Mg/ha", "straw_yield = -2.0 Mg/ha",
+         "crop.wheat.straw_yield", "cannot be negative"),
+        ("area = 100 ha", "area = -100 ha", "crop.wheat.area",
+         "cannot be negative"),
+        ("diesel = 30 L/ha", "diesel = -30 L/ha",
+         "crop.grass.op.works.diesel", "cannot be negative"),
+        ("tractor = 0.001 Mg/ha", "tractor = -0.001 Mg/ha",
+         "crop.grass.op.works.tractor", "cannot be negative"),
+        ("cap_aid = 100 EUR/ha", "cap_aid = -100 EUR/ha", "farm.cap_aid",
+         "cannot be negative"),
+        # no area sum and no negative area on the crops that share it
+        ("marginal_area = 10 ha", "marginal_area = -10 ha",
+         "farm.marginal_area", "cannot be negative"),
+        ("life_span = 4 y", "life_span = 0 y", "crop.grass.life_span",
+         "must be at least 1 year"),
+        ("cap_aid = 100 EUR/ha",
+         "cap_aid = 100 EUR/ha\namortization_horizon = 0 y",
+         "farm.amortization_horizon", "must be at least 1 year"),
+        ("[soil.marginal.2016]\ndepth = 0.30 m",
+         "[soil.marginal.2016]\ndepth = 0 m", "soil.marginal.2016.depth",
+         "must be above 0 m"),
+        ("[soil.marginal.2016]\ndepth = 0.30 m\nbulk_density = 1.37 Mg/m3",
+         "[soil.marginal.2016]\ndepth = 0.30 m\nbulk_density = 3 Mg/m3",
+         "soil.marginal.2016.bulk_density",
+         "3.0 Mg/m3 is outside the plausible 0.5-2.5 range"),
+        # also on a crop that buys its seed and never reads the yield
+        ("seed_flow = seed_grass",
+         "seed_flow = seed_grass\nseed_yield = -0.1 Mg/ha",
+         "crop.grass.seed_yield", "cannot be negative"),
+        # structure: one error at the section
+        ('kind = fertilizer\nlabel = "8-24-8"', "kind = fertilizer",
+         "product.npk", "fertilizer needs a label or explicit fractions"),
+        ('label = "8-24-8"', 'label = "organic"', "product.npk",
+         "label 'organic' has no numeric composition"),
+        ("[soil.marginal.2016]", "[soil.swamp.2016]", "soil.swamp.2016",
+         "unknown land class 'swamp'"),
+        ("[soil.marginal.2016]", "[soil.marginal.late]",
+         "soil.marginal.late", "soil section needs a numeric year segment"),
+        ("[farm]", "[holding]", "farm", "document has no [farm] section"),
+        ("[product.weedkiller]", "[product.weed.killer]",
+         "product.weed.killer", "product sections are [product.<id>]"),
+        ("[soil.marginal.2016]", "[soil.marginal.2016.top]",
+         "soil.marginal.2016.top", "soil sections are [soil.<class>.<year>]"),
+        ("[crop.wheat.costs]", "[crop.wheat.prices]", "crop.wheat.prices",
+         "unknown crop subsection 'prices'"),
+        ("[crop.grass.op.works]", "[crop.grass.op]", "crop.grass.op",
+         "malformed crop subsection path"),
+        ("[crop.grass.op.works]", "[crop.grass.op.works.extra]",
+         "crop.grass.op.works.extra", "malformed crop section path"),
+        ("[crop.wheat.costs]", "[crop.oats.costs]", "crop.oats",
+         "subsections without a [crop.oats] section"),
+        # rules across keys
+        ("[crop.grass.herbicide.weedkiller]", "[crop.grass.herbicide.ghost]",
+         "crop.grass", "undefined product 'ghost'"),
+        ("[crop.grass.herbicide.weedkiller]", "[crop.grass.herbicide.npk]",
+         "crop.grass", "'npk' is not a herbicide"),
+        ("straw = 40 EUR/Mg",
+         "grass_straw = 40 EUR/Mg\ncereal_straw = 40 EUR/Mg",
+         "crop.wheat", "no straw price for 'wheat'"),
     ], ids=["amortization_horizon", "life_span", "infinite_aid",
             "infinite_diesel", "percent_aid", "percent_diesel",
             "percent_total_area", "mass_total_area", "missing_total_area",
@@ -307,12 +380,42 @@ class TestValidation:
             "bad_land_class", "perennial_not_bool", "mass_seed_yield",
             "bogus_kind", "active_fraction_above_1", "mass_price",
             "missing_kind", "missing_active_fraction",
-            "missing_herbicide_dose", "missing_soil_key"])
+            "missing_herbicide_dose", "missing_soil_key",
+            "negative_base_dose", "negative_herbicide_dose",
+            "negative_sowing_dose", "negative_grain_yield",
+            "negative_straw_yield", "negative_crop_area", "negative_diesel",
+            "negative_tractor", "negative_aid", "negative_marginal_area",
+            "zero_life_span", "zero_amortization_horizon", "zero_depth",
+            "bulk_density_above_range", "negative_external_seed_yield",
+            "fertilizer_without_label", "label_without_numbers",
+            "unknown_land_class", "soil_year_not_a_number", "no_farm_section",
+            "product_path", "soil_path", "unknown_crop_subsection",
+            "crop_subsection_path", "crop_section_path",
+            "subsection_without_crop", "undefined_herbicide",
+            "herbicide_not_a_herbicide", "no_straw_price"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))
         assert [(d.where, d.message) for d in err.value.report.errors] \
             == [(where, message)]
+
+    def test_unknown_crop_in_pair(self):
+        # the pair's second crop is then unpaired: a second error, at it
+        assert [(d.where, d.message) for d in _report_of(VALID.replace(
+            "marginal_pair = grass, cereal",
+            "marginal_pair = grass, oats")).errors] == [
+            ("farm.marginal_pair", "unknown crop 'oats'"),
+            ("crop.cereal", "marginal crop outside the comparison pair")]
+
+    @pytest.mark.parametrize("old,new,where,message", [
+        ("life_span = 4 y", "life_span = 1 y", "crop.grass.life_span",
+         "perennial crop with a one-year life span"),
+        ("[crop.wheat]\n", "[crop.wheat]\nlife_span = 3 y\n",
+         "crop.wheat.life_span", "annual crop with multi-year span"),
+    ], ids=["perennial_one_year", "annual_multi_year"])
+    def test_life_span_warnings(self, old, new, where, message):
+        assert [tuple(d) for d in _report_of(VALID.replace(old, new))
+                .diagnostics] == [("warning", where, message)]
 
     def test_fractional_life_span_gives_no_life_span_warning(self):
         # the rejected span used to read as 1 year: "perennial crop with a
@@ -329,6 +432,11 @@ class TestValidation:
         assert [(d.where, d.message) for d in validate_model(smaller).errors] \
             == [("farm.total_area",
                  "crop areas sum to 100.0 ha, declared total is 110.0 ha")]
+
+    def test_bare_number_is_in_the_keys_unit(self):
+        model = parse_farm_document(VALID.replace("area = 100 ha",
+                                                  "area = 100"))
+        assert model.crop("wheat").area_ha == 100.0
 
     def test_whole_years_accepted(self):
         model = parse_farm_document(VALID.replace(
@@ -364,9 +472,16 @@ _QUANTITY = re.compile(
     r"^(\w+) = (-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?: ([^\s#,]+))?")
 
 
+def _may_be_negative(section: str, key: str) -> bool:
+    """The farm keys whose negative values docs/formats.md accepts."""
+    return (section == "prices" or section.endswith(".costs")
+            or key in ("sales", "soc_fixation"))
+
+
 def test_one_rejected_key_gives_errors_at_that_key_only(farm_path):
-    """Give each quantity line of the bundled farm another unit in turn:
-    an error at the damaged key may not bring errors elsewhere."""
+    """Give each quantity line of the bundled farm another unit in turn, and
+    negate it: each damage is rejected with errors at the damaged key only,
+    except a negation that the key's documented range accepts."""
     with open(farm_path, encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     strays = []
@@ -377,15 +492,21 @@ def test_one_rejected_key_gives_errors_at_that_key_only(farm_path):
         if not match:
             continue
         key, number, unit = match.groups()
-        for new_unit in ("kg", "percent", "L", "EUR/ha", "m"):
-            if new_unit == unit:
-                continue
-            damaged = lines[:i] + [f"{key} = {number} {new_unit}"
-                                   + line[match.end():]] + lines[i + 1:]
+        negated = number[1:] if number.startswith("-") else "-" + number
+        damages = [(f"{key} = {number} {new_unit}" + line[match.end():],
+                    new_unit)
+                   for new_unit in ("kg", "percent", "L", "EUR/ha", "m")
+                   if new_unit != unit]
+        damages.append((f"{key} = {negated}" + line[match.end(2):],
+                        "negated"))
+        for damaged_line, damage in damages:
+            damaged = lines[:i] + [damaged_line] + lines[i + 1:]
             _, report = build_farm_model(parse_document("\n".join(damaged)))
-            wheres = {d.where for d in report.errors}
-            if f"{section}.{key}" in wheres and len(wheres) > 1:
-                strays.append((f"{section}.{key}", new_unit, report.render()))
+            accepted = damage == "negated" and _may_be_negative(section, key)
+            if {d.where for d in report.errors} \
+                    != (set() if accepted else {f"{section}.{key}"}):
+                strays.append((f"{section}.{key}", damage,
+                               report.render() or "accepted"))
     assert strays == []
 
 

@@ -80,6 +80,25 @@ class TestSpreading:
         assert ann.sowing_dose_mg_ha == 0.15
         assert ann.diesel_l_ha == 55.39
 
+    @pytest.mark.parametrize("horizon", [4, 2.5, 3])
+    def test_doubling_the_horizon_halves_establishment_flows_only(
+            self, farm_model, factor_db, horizon):
+        """The inventory is linear in 1/horizon for establishment-only
+        inputs: doubling the horizon halves those flows bit for bit, as
+        dividing by 2 is exact, and leaves every other flow as it was."""
+        twg = farm_model.crop("tall_wheatgrass")
+        before, after = (build_lci(twg, farm_model, factor_db,
+                                   horizon_years=years).flows
+                         for years in (horizon, 2 * horizon))
+        one_off = ("seed_tall_wheatgrass", "npk_8_24_8", "d24_acid")
+        assert [(f.flow_id, f.phase, f.amount.unit) for f in after] \
+            == [(f.flow_id, f.phase, f.amount.unit) for f in before]
+        assert set(one_off) <= {f.flow_id for f in before}
+        for old, new in zip(before, after):
+            halves = old.flow_id in one_off
+            assert new.amount.value == (old.amount.value / 2 if halves
+                                        else old.amount.value), old.flow_id
+
     def test_horizon_below_one_rejected(self, farm_model):
         with pytest.raises(InventoryError):
             annualize_schedule(farm_model.crop("tall_wheatgrass"), 0)

@@ -81,6 +81,10 @@ SYNTAX_ERRORS = [
      "cannot parse unit 'ha = 2' at position 3"),
     ("[s]\nk = a b", 2, 4, "cannot parse value 'a b'"),
     ("[s]\n k = x\n k = y", 3, 1, "duplicate key"),
+    # an unescaped quote closes the string: a comma or the end must follow
+    ('[s]\nk = "ab" "cd"', 2, 10, "text after closing quote"),
+    ('[s]\nk = "ab"cd', 2, 9, "text after closing quote"),
+    ('[s]\nk = "a"b, c', 2, 8, "text after closing quote"),
 ]
 
 
