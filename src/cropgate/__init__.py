@@ -37,6 +37,22 @@ class InputError(CropgateError):
     exit_code = 2
 
 
+# an amortization horizon longer than this is a typo, not a question about
+# the farm
+MAX_HORIZON_YEARS = 1000
+
+
+def horizon_problem(years: float) -> str | None:
+    """Why ``years`` is no amortization horizon, None if it is one: a
+    horizon runs from 1 to ``MAX_HORIZON_YEARS`` years. NaN, the infinities
+    and ints too large for a float fail a comparison too."""
+    if not years >= 1:
+        return "must be at least 1 year"
+    if not years <= MAX_HORIZON_YEARS:
+        return f"must be at most {MAX_HORIZON_YEARS} years"
+    return None
+
+
 # exported name -> its module, resolved on first access (PEP 562)
 _EXPORTS = {
     "assess": ("CropAssessment", "PairComparison", "assess_crop",
@@ -61,7 +77,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {"cli", "fieldemit", "reports", *_EXPORTS}
 
-__all__ = ["__version__", "CropgateError", "InputError", "assess", *_HOME]
+__all__ = ["__version__", "CropgateError", "InputError", "MAX_HORIZON_YEARS",
+           "horizon_problem", "assess", *_HOME]
 
 
 def __getattr__(name: str):

@@ -50,14 +50,12 @@ class PairComparison(NamedTuple):
 
 
 def assess_crop(model: FarmModel, db: FactorDB, crop_name: str, *,
-                cutoff_missing: bool = False,
-                horizon_years: float | None = None) -> CropAssessment:
+                cutoff_missing: bool = False) -> CropAssessment:
     """Everything about one crop, per hectare and year."""
     crop = model.crop(crop_name)
-    horizon = (model.amortization_horizon_years
-               if horizon_years is None else horizon_years)
-    economics = crop_balance(crop, model.cap_aid_eur_ha, horizon)
-    inventory = build_lci(crop, model, db, horizon_years=horizon)
+    economics = crop_balance(crop, model.cap_aid_eur_ha,
+                             model.amortization_horizon_years)
+    inventory = build_lci(crop, model, db)
     gwp, energy = characterize(inventory, db, cutoff_missing=cutoff_missing)
     notes = inventory.notes + tuple(
         f"flow {flow_id!r} has no factor record; cut off at zero burden"
@@ -91,21 +89,18 @@ def _verdicts(first: CropAssessment, second: CropAssessment) -> dict[str, str]:
 def compare_pair(model: FarmModel, db: FactorDB,
                  first_name: str | None = None,
                  second_name: str | None = None, *,
-                 cutoff_missing: bool = False,
-                 horizon_years: float | None = None) -> PairComparison:
+                 cutoff_missing: bool = False) -> PairComparison:
     """Compare two marginal-land alternatives; defaults to the farm's pair."""
     if first_name is None and second_name is None:
         first_name, second_name = model.marginal_pair
     if first_name is None or second_name is None:
         raise CropgateError("compare needs either no crop names or both")
-    first = assess_crop(model, db, first_name, cutoff_missing=cutoff_missing,
-                        horizon_years=horizon_years)
-    second = assess_crop(model, db, second_name, cutoff_missing=cutoff_missing,
-                         horizon_years=horizon_years)
+    first = assess_crop(model, db, first_name, cutoff_missing=cutoff_missing)
+    second = assess_crop(model, db, second_name, cutoff_missing=cutoff_missing)
     return PairComparison(
         first=first, second=second,
-        income_first=farm_income(model, first_name, horizon_years),
-        income_second=farm_income(model, second_name, horizon_years),
+        income_first=farm_income(model, first_name),
+        income_second=farm_income(model, second_name),
         margin_difference_eur_ha=(first.economics.balance_with_cap
                                   - second.economics.balance_with_cap),
         verdicts=_verdicts(first, second))

@@ -12,7 +12,8 @@ import argparse
 import math
 import sys
 
-from . import CropgateError, InputError, __version__
+from . import (MAX_HORIZON_YEARS, CropgateError, InputError, __version__,
+               horizon_problem)
 
 __all__ = ["main"]
 
@@ -22,8 +23,6 @@ EXIT_INPUT = InputError.exit_code
 
 # a sweep this long is a typo in --range, not a question about the farm
 MAX_SWEEP_POINTS = 10_000
-# likewise an amortization horizon this long is a typo in --horizon
-MAX_HORIZON_YEARS = 1000
 
 
 def _parse_share(text: str) -> float:
@@ -85,13 +84,12 @@ def _cmd_validate(args) -> int:
 
 def _load(args):
     """Flags checked first, then the farm model, factor path and database."""
-    if args.horizon is not None and args.horizon < 1:
-        raise InputError("--horizon must be at least 1 year")
-    if args.horizon is not None and args.horizon > MAX_HORIZON_YEARS:
-        raise InputError(f"--horizon must be at most {MAX_HORIZON_YEARS} "
-                         "years")
+    if args.horizon is not None and (problem := horizon_problem(args.horizon)):
+        raise InputError(f"--horizon {problem}")
     from .assess import load_factors, load_farm, resolve_factors_path
     model = load_farm(args.farm, args.inputs)
+    if args.horizon is not None:
+        model = model._replace(amortization_horizon_years=args.horizon)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
     return model, factors_path, load_factors(factors_path, args.inputs)
 
@@ -127,8 +125,7 @@ def _cmd_assess(args) -> int:
     if len(crops) != 1:
         raise InputError("assess needs exactly one --crop")
     result = assess_crop(model, db, crops[0],
-                         cutoff_missing=args.cutoff_missing,
-                         horizon_years=args.horizon)
+                         cutoff_missing=args.cutoff_missing)
     code = _write(args, factors_path, _flags(args, crop=crops[0]),
                   write_assessment, result)
     for note in result.notes:
@@ -144,8 +141,7 @@ def _cmd_compare(args) -> int:
     if len(crops) not in (0, 2):
         raise InputError("compare takes no --crop (the farm's pair) or two")
     comparison = compare_pair(model, db, *crops,
-                              cutoff_missing=args.cutoff_missing,
-                              horizon_years=args.horizon)
+                              cutoff_missing=args.cutoff_missing)
     pair = f"{comparison.first.crop_name},{comparison.second.crop_name}"
     return _write(args, factors_path, _flags(args, crops=pair),
                   write_comparison, comparison)

@@ -13,8 +13,8 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from . import CropgateError
-from .farmspec import CropPlan, FarmModel, LandClass, check_horizon
+from . import CropgateError, horizon_problem
+from .farmspec import CropPlan, FarmModel, LandClass
 
 __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
            "farm_income", "marginal_share_sweep"]
@@ -43,7 +43,8 @@ def crop_balance(crop: CropPlan, cap_aid_eur_ha: float,
     The balance identities hold exactly: total cost is the sum of the four
     components, and the with-aid balance is the without-aid balance plus aid.
     """
-    check_horizon(horizon_years)
+    if problem := horizon_problem(horizon_years):
+        raise CropgateError(f"amortization horizon {problem}")
     costs = crop.costs
     seed = costs.seed + costs.seed_establishment / horizon_years
     herbicide = costs.herbicide + costs.herbicide_establishment / horizon_years
@@ -77,15 +78,11 @@ class FarmIncome(NamedTuple):
     by_crop: dict[str, tuple[float, float]]  # name -> (area ha, balance w/ aid)
 
 
-def farm_income(model: FarmModel, marginal_choice: str,
-                horizon_years: float | None = None) -> FarmIncome:
+def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
     """Whole-farm income with the marginal land planted to one alternative.
 
-    Establishment costs are spread over ``horizon_years``, by default the
-    farm's amortization horizon.
+    Establishment costs are spread over the farm's amortization horizon.
     """
-    horizon = (model.amortization_horizon_years
-               if horizon_years is None else horizon_years)
     chosen = model.crop(marginal_choice)
     if chosen.land_class is not LandClass.MARGINAL:
         raise CropgateError(f"{marginal_choice!r} is not a marginal-land crop")
@@ -94,7 +91,8 @@ def farm_income(model: FarmModel, marginal_choice: str,
     for crop in model.crops.values():
         if crop.land_class is LandClass.MARGINAL and crop.name != marginal_choice:
             continue
-        balance = crop_balance(crop, model.cap_aid_eur_ha, horizon)
+        balance = crop_balance(crop, model.cap_aid_eur_ha,
+                               model.amortization_horizon_years)
         by_crop[crop.name] = (crop.area_ha, balance.balance_with_cap)
         total += crop.area_ha * balance.balance_with_cap
     return FarmIncome(marginal_choice=marginal_choice, total_eur=total,

@@ -129,16 +129,12 @@ def _read_flow(reader: SectionReader) -> FactorRecord:
                              "(Mg, kg, g) or a volume (L, m3)")
         except UnitError:
             reader.error("unit", f"unknown unit basis {unit!r}")
-    record = FactorRecord(
+    return FactorRecord(
         flow_id=reader.section.path[1], unit=unit,
         gwp100=reader.number("gwp100", 0.0),
-        pe_renewable=reader.number("pe_renewable", 0.0),
-        pe_nonrenewable=reader.number("pe_nonrenewable", 0.0),
+        pe_renewable=reader.non_negative("pe_renewable", None, 0.0),
+        pe_nonrenewable=reader.non_negative("pe_nonrenewable", None, 0.0),
         note=reader.text("note", ""))
-    for key in ("pe_renewable", "pe_nonrenewable"):
-        if getattr(record, key) < 0:
-            reader.error(key, "primary energy factors cannot be negative")
-    return record
 
 
 def _read_emissions(reader: SectionReader) -> N2OParams:

@@ -26,7 +26,7 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import CropgateError
+from . import CropgateError, horizon_problem
 from .sections import (Diagnostic, Document, Section, SectionReader,
                        ValidationReport, parse_document)
 from .units import Quantity, parse_unit
@@ -38,7 +38,7 @@ __all__ = [
     "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
     "FarmFileError", "FarmValidationError", "UnknownCropError",
     "parse_product_label", "parse_farm_document", "build_farm_model",
-    "validate_model", "check_horizon",
+    "validate_model",
 ]
 
 DEFAULT_AMORTIZATION_YEARS = 4
@@ -192,20 +192,6 @@ class FarmModel(NamedTuple):
     def soil_series(self, land_class: LandClass) -> list[SoilSample]:
         return sorted((s for s in self.soil_samples if s.land_class == land_class),
                       key=lambda s: s.year)
-
-
-def check_horizon(years: float, error: type[CropgateError] = CropgateError,
-                  ) -> None:
-    """Raise ``error`` unless ``years`` is a finite amortization horizon of
-    at least 1 year; an int too large for a float is not finite."""
-    try:
-        finite = math.isfinite(years)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise error("amortization horizon must be a finite number of years")
-    if years < 1:
-        raise error("amortization horizon must be at least 1 year")
 
 
 # ---------------------------------------------------------------------- #
@@ -426,6 +412,9 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     total_area = freader.non_negative("total_area", "ha")
     cap_aid = freader.non_negative("cap_aid", "EUR/ha", 0.0)
     horizon = freader.years("amortization_horizon", DEFAULT_AMORTIZATION_YEARS)
+    if problem := horizon_problem(horizon):  # years() checked the lower bound
+        freader.error("amortization_horizon", problem)
+        horizon = DEFAULT_AMORTIZATION_YEARS
     marginal_area = freader.non_negative("marginal_area", "ha", 0.0)
     pair = freader.ident_list("marginal_pair")
     factors_ref = freader.text("factors")

@@ -33,10 +33,10 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import CropgateError
+from . import CropgateError, horizon_problem
 from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from .farmspec import (CropPlan, FarmModel, LandClass, MachineClass,
-                       SeedSource, Timing, check_horizon)
+                       SeedSource, Timing)
 from .fieldemit import exhaust_emissions, n2o_field_emissions
 from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, UnitError, parse_unit
@@ -131,7 +131,8 @@ def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
     recurrent entries pass through unchanged. Nothing is lost: annualized
     establishment rates times the horizon give back the one-off totals.
     """
-    check_horizon(horizon_years, InventoryError)
+    if problem := horizon_problem(horizon_years):
+        raise InventoryError(f"amortization horizon {problem}")
     machinery: dict[MachineClass, float] = {}
     diesel = 0.0
     for op in crop.operations:
@@ -214,7 +215,8 @@ def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
                  cultivation: dict[str, Quantity], one_level: bool,
                  seed_mg: float = 1.0) -> dict[str, Quantity]:
     """x = (c/Y + p) / (1 - r) * seed_mg per flow id, summed in floats in
-    that order; one quantity per flow. Seed-chain flows p must be masses."""
+    that order; one quantity per flow. The seed-chain flows p are masses:
+    :func:`_production_flows` makes every flow a mass but ``diesel``."""
     yield_mg = crop.seed_yield_mg_ha
     if yield_mg is None or yield_mg <= 0:
         raise SeedRecursionError(f"crop {crop.name!r} has no seed yield")
@@ -227,8 +229,6 @@ def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
               for flow_id, amount in cultivation.items()}
     for flow_id in SEED_CHAIN_FLOWS:
         value, unit = vector.get(flow_id, (0.0, _MG))
-        if unit != _MG:
-            raise UnitError(f"cannot add {unit} and {_MG}")
         vector[flow_id] = (value + 1.0, unit)
     one_minus_r = 1.0 if one_level else 1.0 - dose / yield_mg
     return {flow_id: Quantity(value / one_minus_r * seed_mg, unit)
@@ -274,12 +274,9 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
 
 
 def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
-              horizon_years: float | None = None,
               seed_one_level: bool = False) -> Inventory:
     """Full per-ha*y inventory of one crop, all flows tagged by phase."""
-    horizon = (model.amortization_horizon_years
-               if horizon_years is None else horizon_years)
-    ann = annualize_schedule(crop, horizon)
+    ann = annualize_schedule(crop, model.amortization_horizon_years)
     production = _production_flows(model, ann, db.exhaust)
     flows: list[Flow] = []
 

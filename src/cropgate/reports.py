@@ -278,18 +278,16 @@ def _rewrite(path: str, data: bytes) -> None:
 _BALANCE_FIELDS = tuple(f.name for f in fields(EconomicBalance)[1:])
 
 
-def _balance_rows(result: CropAssessment) -> list[tuple[str, float]]:
-    return [(name, getattr(result.economics, name))
-            for name in _BALANCE_FIELDS]
-
-
 def _assessment_json(result: CropAssessment) -> dict:
+    """The values of result.json. Each mapping keeps the row order of its
+    CSV table: the file sorts its keys, the tables do not."""
     from .inventory import PHASES
     gwp, energy = result.gwp, result.energy
     return {
         "functional_unit": FUNCTIONAL_UNIT,
         "crop": result.crop_name,
-        "economics_eur_ha": dict(_balance_rows(result)),
+        "economics_eur_ha": {name: getattr(result.economics, name)
+                             for name in _BALANCE_FIELDS},
         "gwp": {
             "by_phase_mg_co2e": {phase.value: gwp.by_phase[phase]
                                  for phase in PHASES},
@@ -317,46 +315,45 @@ def _assessment_json(result: CropAssessment) -> dict:
     }
 
 
-def _share_cell(shares: dict, phase) -> str:
-    share = shares.get(phase)
-    return fmt_share(share) if share is not None else ""
-
-
 def write_assessment(result: CropAssessment, manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
     """Emit the report files for one crop; returns the paths written.
 
     ``csv`` writes the three tables plus result.json; ``json`` writes only
-    result.json.
+    result.json. The tables format the values of result.json; a phase
+    without a share has a blank share cell.
     """
-    from .inventory import PHASES
-    gwp, energy = result.gwp, result.energy
+    payload = _assessment_json(result)
+    gwp, energy = payload["gwp"], payload["energy"]
     balance = [("concept", "eur_per_ha")] + [
-        (concept, fmt_eur(value)) for concept, value in _balance_rows(result)]
+        (concept, fmt_eur(value))
+        for concept, value in payload["economics_eur_ha"].items()]
+    shares = {phase: fmt_share(share)
+              for phase, share in gwp["shares_pct"].items()}
     gwp_rows = [("phase", "mg_co2e_per_ha_y", "share_pct")] + [
-        (phase.value, fmt_mg_co2e(gwp.by_phase[phase]),
-         _share_cell(result.gwp_shares, phase)) for phase in PHASES]
+        (phase, fmt_mg_co2e(value), shares.get(phase, ""))
+        for phase, value in gwp["by_phase_mg_co2e"].items()]
     gwp_rows += [
-        ("positive_total", fmt_mg_co2e(gwp.positive_total),
-         fmt_share(100.0) if result.gwp_shares else ""),
-        ("net_total", fmt_mg_co2e(gwp.net_total), "")]
+        ("positive_total", fmt_mg_co2e(gwp["positive_total_mg_co2e"]),
+         fmt_share(100.0) if shares else ""),
+        ("net_total", fmt_mg_co2e(gwp["net_total_mg_co2e"]), "")]
+    shares = {phase: fmt_share(share)
+              for phase, share in energy["shares_pct"].items()}
     energy_rows = [("phase", "renewable_gj_per_ha_y",
                     "nonrenewable_gj_per_ha_y", "total_gj_per_ha_y",
                     "share_pct")]
-    for phase in PHASES:
-        ren = energy.renewable_by_phase[phase]
-        non = energy.nonrenewable_by_phase[phase]
-        energy_rows.append((phase.value, fmt_gj(ren), fmt_gj(non),
-                            fmt_gj(ren + non),
-                            _share_cell(result.energy_shares, phase)))
+    for phase, ren in energy["renewable_by_phase_gj"].items():
+        non = energy["nonrenewable_by_phase_gj"][phase]
+        energy_rows.append((phase, fmt_gj(ren), fmt_gj(non),
+                            fmt_gj(ren + non), shares.get(phase, "")))
     energy_rows.append((
-        "total", fmt_gj(energy.renewable_total),
-        fmt_gj(energy.nonrenewable_total), fmt_gj(energy.total),
-        fmt_share(100.0) if result.energy_shares else ""))
+        "total", fmt_gj(energy["renewable_total_gj"]),
+        fmt_gj(energy["nonrenewable_total_gj"]), fmt_gj(energy["total_gj"]),
+        fmt_share(100.0) if shares else ""))
     return _emit(out_dir, fmt, manifest,
                  {"balance.csv": balance, "gwp_phases.csv": gwp_rows,
                   "energy_phases.csv": energy_rows},
-                 "result.json", _assessment_json(result))
+                 "result.json", payload)
 
 
 # ---------------------------------------------------------------------- #

@@ -367,10 +367,12 @@ class SectionReader:
         value = self._plain(key, percent=False)
         return default if value is None else value
 
-    def non_negative(self, key: str, unit_text: str,
+    def non_negative(self, key: str, unit_text: str | None,
                      default: float | None = None) -> float | None:
-        """:meth:`quantity`, with a value below zero reported at the key."""
-        value = self.quantity(key, unit_text, default)
+        """:meth:`quantity` in ``unit_text``, or :meth:`number` if that is
+        None, with a value below zero reported at the key."""
+        value = (self.number(key, default) if unit_text is None
+                 else self.quantity(key, unit_text, default))
         if value is not None and value < 0:
             self.error(key, "cannot be negative")
             return default

@@ -88,8 +88,9 @@ class TestAssessCrop:
     def test_longer_horizon_shrinks_establishment_burden(self, farm_model,
                                                          factor_db):
         base = assess_crop(farm_model, factor_db, "tall_wheatgrass")
-        spread = assess_crop(farm_model, factor_db, "tall_wheatgrass",
-                             horizon_years=8)
+        spread = assess_crop(
+            farm_model._replace(amortization_horizon_years=8), factor_db,
+            "tall_wheatgrass")
         assert spread.gwp.positive_total < base.gwp.positive_total
         assert spread.inventory.amount("seed_tall_wheatgrass").to("Mg") \
             == pytest.approx(0.02 / 8)
@@ -98,8 +99,10 @@ class TestAssessCrop:
     def test_horizon_beyond_a_float_rejected(self, farm_model, factor_db,
                                              call):
         crops = ("tall_wheatgrass",) if call is assess_crop else ()
-        with pytest.raises(CropgateError, match="finite number of years"):
-            call(farm_model, factor_db, *crops, horizon_years=10**400)
+        model = farm_model._replace(amortization_horizon_years=10**400)
+        with pytest.raises(CropgateError, match="^amortization horizon must "
+                                                "be at most 1000 years$"):
+            call(model, factor_db, *crops)
 
     def test_unknown_crop(self, farm_model, factor_db):
         with pytest.raises(KeyError):
@@ -156,8 +159,9 @@ class TestComparePair:
                 "[crop.tall_wheatgrass.costs]\n",
                 "[crop.tall_wheatgrass.costs]\n"
                 "seed_establishment = 100 EUR/ha\n")
-        result = compare_pair(parse_farm_document(text), factor_db,
-                              horizon_years=8)
+        model = parse_farm_document(text)
+        result = compare_pair(model._replace(amortization_horizon_years=8),
+                              factor_db)
         first = result.first
         assert result.income_first.by_crop[first.crop_name][1] \
             == first.economics.balance_with_cap

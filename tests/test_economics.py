@@ -57,7 +57,10 @@ class TestCropBalance:
     @pytest.mark.parametrize("horizon", [10**400, math.inf, math.nan],
                              ids=["int_beyond_float", "inf", "nan"])
     def test_horizon_not_finite_rejected(self, farm_model, horizon):
-        with pytest.raises(CropgateError, match="finite number of years"):
+        bound = ("at least 1 year" if horizon is math.nan
+                 else "at most 1000 years")
+        with pytest.raises(CropgateError,
+                           match=f"^amortization horizon must be {bound}$"):
             crop_balance(farm_model.crop("rye"), 165.0, horizon)
 
     @given(seed=money, herbicide=money, fertilizer=money, machinery=money,

@@ -136,11 +136,19 @@ class TestProblems:
          "applies: the flow is a gas, characterized by [gas.n2o]"),
         ("[flow.x]\nunit = MJ", "error: [flow.x.unit] unit basis 'MJ' is not "
          "a mass (Mg, kg, g) or a volume (L, m3)"),
+        # primary energy used to have a check of its own, after reading
+        ("[flow.x]\nunit = Mg\npe_renewable = -1",
+         "error: [flow.x.pe_renewable] cannot be negative"),
+        ("[flow.x]\nunit = Mg\npe_nonrenewable = -0.5",
+         "error: [flow.x.pe_nonrenewable] cannot be negative"),
+        ("[flow.x]\nunit = Mg\npe_renewable = 5 percent",
+         "error: [flow.x.pe_renewable] must be a plain number"),
         ("[gas.sf6]\ngwp100 = 23500", "error: [gas.sf6] never applies: the "
          "inventory emits co2, ch4 and n2o only"),
     ], ids=["exhaust_co2", "exhaust_ch4", "override", "residue_n",
             "infinite_gas_gwp", "unit_not_text", "gas_flow", "energy_basis",
-            "unknown_gas"])
+            "negative_pe_renewable", "negative_pe_nonrenewable",
+            "percent_pe_renewable", "unknown_gas"])
     def test_one_line_per_bad_key(self, text, line):
         with pytest.raises(FactorFileError) as err:
             load_factor_db(text)

@@ -328,6 +328,10 @@ class TestValidation:
         ("cap_aid = 100 EUR/ha",
          "cap_aid = 100 EUR/ha\namortization_horizon = 0 y",
          "farm.amortization_horizon", "must be at least 1 year"),
+        # the bound of --horizon; a longer horizon used to validate
+        ("cap_aid = 100 EUR/ha",
+         "cap_aid = 100 EUR/ha\namortization_horizon = 1001 y",
+         "farm.amortization_horizon", "must be at most 1000 years"),
         ("[soil.marginal.2016]\ndepth = 0.30 m",
          "[soil.marginal.2016]\ndepth = 0 m", "soil.marginal.2016.depth",
          "must be above 0 m"),
@@ -385,7 +389,8 @@ class TestValidation:
             "negative_sowing_dose", "negative_grain_yield",
             "negative_straw_yield", "negative_crop_area", "negative_diesel",
             "negative_tractor", "negative_aid", "negative_marginal_area",
-            "zero_life_span", "zero_amortization_horizon", "zero_depth",
+            "zero_life_span", "zero_amortization_horizon",
+            "long_amortization_horizon", "zero_depth",
             "bulk_density_above_range", "negative_external_seed_yield",
             "fertilizer_without_label", "label_without_numbers",
             "unknown_land_class", "soil_year_not_a_number", "no_farm_section",
@@ -439,11 +444,12 @@ class TestValidation:
         assert model.crop("wheat").area_ha == 100.0
 
     def test_whole_years_accepted(self):
-        model = parse_farm_document(VALID.replace(
-            "cap_aid = 100 EUR/ha",
-            "cap_aid = 100 EUR/ha\namortization_horizon = 6 y"))
-        assert model.amortization_horizon_years == 6
-        assert model.crop("grass").life_span_years == 4
+        for years in (6, 1000):  # 1000: the longest horizon
+            model = parse_farm_document(VALID.replace(
+                "cap_aid = 100 EUR/ha",
+                f"cap_aid = 100 EUR/ha\namortization_horizon = {years} y"))
+            assert model.amortization_horizon_years == years
+            assert model.crop("grass").life_span_years == 4
 
     def test_unknown_key_reported(self):
         messages = _errors_of(VALID.replace("soc_equilibrium = true",

@@ -87,9 +87,9 @@ class TestSpreading:
         inputs: doubling the horizon halves those flows bit for bit, as
         dividing by 2 is exact, and leaves every other flow as it was."""
         twg = farm_model.crop("tall_wheatgrass")
-        before, after = (build_lci(twg, farm_model, factor_db,
-                                   horizon_years=years).flows
-                         for years in (horizon, 2 * horizon))
+        before, after = (build_lci(
+            twg, farm_model._replace(amortization_horizon_years=years),
+            factor_db).flows for years in (horizon, 2 * horizon))
         one_off = ("seed_tall_wheatgrass", "npk_8_24_8", "d24_acid")
         assert [(f.flow_id, f.phase, f.amount.unit) for f in after] \
             == [(f.flow_id, f.phase, f.amount.unit) for f in before]
@@ -108,10 +108,14 @@ class TestSpreading:
     def test_horizon_not_finite_rejected(self, farm_model, factor_db,
                                          horizon):
         twg = farm_model.crop("tall_wheatgrass")
-        with pytest.raises(InventoryError, match="finite number of years"):
+        bound = ("at least 1 year" if horizon is math.nan
+                 else "at most 1000 years")
+        message = f"^amortization horizon must be {bound}$"
+        with pytest.raises(InventoryError, match=message):
             annualize_schedule(twg, horizon)
-        with pytest.raises(InventoryError, match="finite number of years"):
-            build_lci(twg, farm_model, factor_db, horizon_years=horizon)
+        with pytest.raises(InventoryError, match=message):
+            build_lci(twg, farm_model._replace(
+                amortization_horizon_years=horizon), factor_db)
 
     @given(one_off=st.floats(0, 1e6, allow_nan=False),
            yearly=st.floats(0, 1e6, allow_nan=False),
@@ -256,14 +260,16 @@ class TestBuildLci:
     def test_horizon_override_rescales_establishment(self, farm_model,
                                                      factor_db):
         twg = farm_model.crop("tall_wheatgrass")
-        lci8 = build_lci(twg, farm_model, factor_db, horizon_years=8)
+        lci8 = build_lci(twg, farm_model._replace(
+            amortization_horizon_years=8), factor_db)
         assert lci8.amount("seed_tall_wheatgrass", Phase.SEED).to("Mg") \
             == pytest.approx(0.02 / 8)
 
     def test_fractional_horizon_reaches_the_seed_chain(self, factor_db):
         model = parse_farm_document(seed_farm(0.6, 1.5, establishment=True))
         crop = model.crop("a")
-        lci = build_lci(crop, model, factor_db, horizon_years=2.5)
+        lci = build_lci(crop, model._replace(amortization_horizon_years=2.5),
+                        factor_db)
 
         def seed_flows(horizon: float) -> dict[str, float]:
             ann = annualize_schedule(crop, horizon)

@@ -392,3 +392,97 @@ class TestSweepFiles:
         assert point["share"] == 0.25
         assert set(point) == {"share", "income_tall_wheatgrass", "income_rye",
                               "relative_difference"}
+
+
+
+def _table(path) -> dict[str, list[str]]:
+    """The rows of a CSV report by their first cell, header included; the
+    JSON file sorts its keys, so only the cells are compared, not the row
+    order, which the layout tests pin."""
+    rows = [line.split(",") for line in read(path).splitlines()[1:]]
+    table = {row[0]: row[1:] for row in rows}
+    assert len(table) == len(rows), path
+    return table
+
+
+def _share_cells(shares: dict) -> dict:
+    return {phase: round_then_format(share, 1) for phase, share in
+            shares.items()}
+
+
+class TestCsvCellsFormatJsonValues:
+    """Each CSV cell is the fixed-point text of the JSON value it shows, and
+    each totals row the text of the JSON total: no table computes a figure
+    of its own, except an energy phase's total, the sum of its two JSON
+    values."""
+
+    def test_every_bundled_crop(self, farm_model, factor_db, manifest,
+                                tmp_path):
+        for name in farm_model.crops:
+            out = tmp_path / name
+            write_assessment(assess_crop(farm_model, factor_db, name),
+                             manifest, str(out))
+            payload = json.loads(read(out / "result.json"))
+            assert _table(out / "balance.csv") == {
+                "concept": ["eur_per_ha"],
+                **{concept: [round_then_format(value, 2)] for concept, value
+                   in payload["economics_eur_ha"].items()}}, name
+
+            gwp = payload["gwp"]
+            shares = _share_cells(gwp["shares_pct"])
+            assert _table(out / "gwp_phases.csv") == {
+                "phase": ["mg_co2e_per_ha_y", "share_pct"],
+                **{phase: [round_then_format(value, 3), shares.get(phase, "")]
+                   for phase, value in gwp["by_phase_mg_co2e"].items()},
+                "positive_total": [
+                    round_then_format(gwp["positive_total_mg_co2e"], 3),
+                    "100.0" if shares else ""],
+                "net_total": [round_then_format(gwp["net_total_mg_co2e"], 3),
+                              ""]}, name
+
+            energy = payload["energy"]
+            shares = _share_cells(energy["shares_pct"])
+            renewable = energy["renewable_by_phase_gj"]
+            nonrenewable = energy["nonrenewable_by_phase_gj"]
+            assert _table(out / "energy_phases.csv") == {
+                "phase": ["renewable_gj_per_ha_y", "nonrenewable_gj_per_ha_y",
+                          "total_gj_per_ha_y", "share_pct"],
+                **{phase: [round_then_format(renewable[phase], 1),
+                           round_then_format(nonrenewable[phase], 1),
+                           round_then_format(renewable[phase]
+                                             + nonrenewable[phase], 1),
+                           shares.get(phase, "")] for phase in renewable},
+                "total": [round_then_format(energy["renewable_total_gj"], 1),
+                          round_then_format(energy["nonrenewable_total_gj"], 1),
+                          round_then_format(energy["total_gj"], 1),
+                          "100.0" if shares else ""]}, name
+
+    def test_compare(self, farm_model, factor_db, manifest, tmp_path):
+        write_comparison(compare_pair(farm_model, factor_db), manifest,
+                         str(tmp_path))
+        payload = json.loads(read(tmp_path / "comparison.json"))
+        first, second = payload["crops"]
+        decimals = {"_eur_ha": 2, "_eur_y": 2, "_mg_co2e": 3, "_gj": 1}
+        expected = {"metric": [first, second, "difference"]}
+        for metric, values in payload["metrics"].items():
+            places, = (places for suffix, places in decimals.items()
+                       if metric.endswith(suffix))
+            expected[metric] = [round_then_format(values[key], places)
+                                for key in (first, second, "difference")]
+        for metric, winner in payload["verdicts"].items():
+            expected[f"verdict_{metric}"] = [winner, "", ""]
+        assert _table(tmp_path / "comparison.csv") == expected
+
+    def test_sweep(self, farm_model, manifest, tmp_path):
+        first, second = farm_model.marginal_pair
+        write_sweep(sweep_shares(farm_model, [i / 10 for i in range(11)]),
+                    farm_model.marginal_pair, manifest, str(tmp_path))
+        payload = json.loads(read(tmp_path / "sweep.json"))
+        assert _table(tmp_path / "sweep.csv") == {
+            "share": [f"income_{first}", f"income_{second}",
+                      "relative_difference_pct"],
+            **{f"{point['share']:.6f}": [
+                round_then_format(point[f"income_{first}"], 2),
+                round_then_format(point[f"income_{second}"], 2),
+                round_then_format(point["relative_difference"] * 100.0, 1)]
+               for point in payload["points"]}}
