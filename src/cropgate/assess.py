@@ -95,6 +95,8 @@ def compare_pair(model: FarmModel, db: FactorDB,
         first_name, second_name = model.marginal_pair
     if first_name is None or second_name is None:
         raise CropgateError("compare needs either no crop names or both")
+    if first_name == second_name:
+        raise CropgateError(f"cannot compare crop {first_name!r} with itself")
     first = assess_crop(model, db, first_name, cutoff_missing=cutoff_missing)
     second = assess_crop(model, db, second_name, cutoff_missing=cutoff_missing)
     return PairComparison(

@@ -554,28 +554,23 @@ def validate_model(model: FarmModel) -> ValidationReport:
         if not plan.perennial and plan.life_span_years > 1:
             report.warning(f"{where}.life_span",
                            "annual crop with multi-year span")
-        has_establishment = (
-            (plan.sowing_timing is Timing.ESTABLISHMENT and plan.sowing_dose_mg_ha)
-            or any(f.timing is Timing.ESTABLISHMENT for f in plan.fertilizations)
-            or any(h.timing is Timing.ESTABLISHMENT for h in plan.herbicides)
-            or any(o.timing is Timing.ESTABLISHMENT for o in plan.operations))
-        if not plan.perennial and has_establishment:
+        if not plan.perennial and (
+                (plan.sowing_timing is Timing.ESTABLISHMENT
+                 and plan.sowing_dose_mg_ha)
+                or any(entry.timing is Timing.ESTABLISHMENT for entry in (
+                    *plan.fertilizations, *plan.herbicides, *plan.operations))):
             report.error(where,
                          "establishment-only entries on a non-perennial crop")
-        for application in plan.fertilizations:
-            if application.product_id not in model.products:
-                report.error(where,
-                             f"undefined product {application.product_id!r}")
-            elif model.products[application.product_id].kind != "fertilizer":
-                report.error(where,
-                             f"{application.product_id!r} is not a fertilizer")
-        for application in plan.herbicides:
-            if application.product_id not in model.products:
-                report.error(where,
-                             f"undefined product {application.product_id!r}")
-            elif model.products[application.product_id].kind != "herbicide":
-                report.error(where,
-                             f"{application.product_id!r} is not a herbicide")
+        for kind, applications in (("fertilizer", plan.fertilizations),
+                                   ("herbicide", plan.herbicides)):
+            for application in applications:
+                product = model.products.get(application.product_id)
+                if product is None:
+                    report.error(where, f"undefined product "
+                                        f"{application.product_id!r}")
+                elif product.kind != kind:
+                    report.error(where, f"{application.product_id!r} "
+                                        f"is not a {kind}")
         if plan.seed_source is SeedSource.OWN and not plan.seed_yield_mg_ha:
             report.error(where, "own seed production needs seed_yield > 0")
         if plan.seed_source is SeedSource.EXTERNAL and not plan.seed_flow:

@@ -278,41 +278,17 @@ def _rewrite(path: str, data: bytes) -> None:
 _BALANCE_FIELDS = tuple(f.name for f in fields(EconomicBalance)[1:])
 
 
-def _assessment_json(result: CropAssessment) -> dict:
-    """The values of result.json. Each mapping keeps the row order of its
-    CSV table: the file sorts its keys, the tables do not."""
-    from .inventory import PHASES
-    gwp, energy = result.gwp, result.energy
-    return {
-        "functional_unit": FUNCTIONAL_UNIT,
-        "crop": result.crop_name,
-        "economics_eur_ha": {name: getattr(result.economics, name)
-                             for name in _BALANCE_FIELDS},
-        "gwp": {
-            "by_phase_mg_co2e": {phase.value: gwp.by_phase[phase]
-                                 for phase in PHASES},
-            "positive_total_mg_co2e": gwp.positive_total,
-            "net_total_mg_co2e": gwp.net_total,
-            "shares_pct": {phase.value: share
-                           for phase, share in result.gwp_shares.items()},
-            "missing_flows": list(gwp.missing),
-        },
-        "energy": {
-            "renewable_by_phase_gj": {
-                phase.value: energy.renewable_by_phase[phase]
-                for phase in PHASES},
-            "nonrenewable_by_phase_gj": {
-                phase.value: energy.nonrenewable_by_phase[phase]
-                for phase in PHASES},
-            "renewable_total_gj": energy.renewable_total,
-            "nonrenewable_total_gj": energy.nonrenewable_total,
-            "total_gj": energy.total,
-            "shares_pct": {phase.value: share
-                           for phase, share in result.energy_shares.items()},
-            "missing_flows": list(energy.missing),
-        },
-        "notes": list(result.notes),
-    }
+def _phase_table(header: tuple[str, ...], shares: dict[str, float],
+                 rows: list[tuple[str, ...]],
+                 totals: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The header; each phase row ``(phase, *cells)`` plus its share or a
+    blank; then the total rows, of which the first, the sum of the phases,
+    has a share of 100 when there are shares."""
+    share_cells = {phase: fmt_share(share) for phase, share in shares.items()}
+    first, *rest = totals
+    return [header, *[(*row, share_cells.get(row[0], "")) for row in rows],
+            (*first, fmt_share(100.0) if shares else ""),
+            *[(*row, "") for row in rest]]
 
 
 def write_assessment(result: CropAssessment, manifest: RunManifest,
@@ -320,36 +296,58 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     """Emit the report files for one crop; returns the paths written.
 
     ``csv`` writes the three tables plus result.json; ``json`` writes only
-    result.json. The tables format the values of result.json; a phase
-    without a share has a blank share cell.
+    result.json. The tables format its values, in the order its mappings
+    keep: the file sorts its keys, the tables do not.
     """
-    payload = _assessment_json(result)
-    gwp, energy = payload["gwp"], payload["energy"]
+    from .inventory import PHASES
+    gwp, energy = result.gwp, result.energy
+    economics = {name: getattr(result.economics, name)
+                 for name in _BALANCE_FIELDS}
+    mg_co2e, renewable, nonrenewable = (
+        {phase.value: by_phase[phase] for phase in PHASES}
+        for by_phase in (gwp.by_phase, energy.renewable_by_phase,
+                         energy.nonrenewable_by_phase))
+    gwp_shares, energy_shares = (
+        {phase.value: share for phase, share in shares.items()}
+        for shares in (result.gwp_shares, result.energy_shares))
+    payload = {
+        "functional_unit": FUNCTIONAL_UNIT,
+        "crop": result.crop_name,
+        "economics_eur_ha": economics,
+        "gwp": {
+            "by_phase_mg_co2e": mg_co2e,
+            "positive_total_mg_co2e": gwp.positive_total,
+            "net_total_mg_co2e": gwp.net_total,
+            "shares_pct": gwp_shares,
+            "missing_flows": list(gwp.missing),
+        },
+        "energy": {
+            "renewable_by_phase_gj": renewable,
+            "nonrenewable_by_phase_gj": nonrenewable,
+            "renewable_total_gj": energy.renewable_total,
+            "nonrenewable_total_gj": energy.nonrenewable_total,
+            "total_gj": energy.total,
+            "shares_pct": energy_shares,
+            "missing_flows": list(energy.missing),
+        },
+        "notes": list(result.notes),
+    }
     balance = [("concept", "eur_per_ha")] + [
-        (concept, fmt_eur(value))
-        for concept, value in payload["economics_eur_ha"].items()]
-    shares = {phase: fmt_share(share)
-              for phase, share in gwp["shares_pct"].items()}
-    gwp_rows = [("phase", "mg_co2e_per_ha_y", "share_pct")] + [
-        (phase, fmt_mg_co2e(value), shares.get(phase, ""))
-        for phase, value in gwp["by_phase_mg_co2e"].items()]
-    gwp_rows += [
-        ("positive_total", fmt_mg_co2e(gwp["positive_total_mg_co2e"]),
-         fmt_share(100.0) if shares else ""),
-        ("net_total", fmt_mg_co2e(gwp["net_total_mg_co2e"]), "")]
-    shares = {phase: fmt_share(share)
-              for phase, share in energy["shares_pct"].items()}
-    energy_rows = [("phase", "renewable_gj_per_ha_y",
-                    "nonrenewable_gj_per_ha_y", "total_gj_per_ha_y",
-                    "share_pct")]
-    for phase, ren in energy["renewable_by_phase_gj"].items():
-        non = energy["nonrenewable_by_phase_gj"][phase]
-        energy_rows.append((phase, fmt_gj(ren), fmt_gj(non),
-                            fmt_gj(ren + non), shares.get(phase, "")))
-    energy_rows.append((
-        "total", fmt_gj(energy["renewable_total_gj"]),
-        fmt_gj(energy["nonrenewable_total_gj"]), fmt_gj(energy["total_gj"]),
-        fmt_share(100.0) if shares else ""))
+        (concept, fmt_eur(value)) for concept, value in economics.items()]
+    gwp_rows = _phase_table(
+        ("phase", "mg_co2e_per_ha_y", "share_pct"), gwp_shares,
+        [(phase, fmt_mg_co2e(value)) for phase, value in mg_co2e.items()],
+        [("positive_total", fmt_mg_co2e(gwp.positive_total)),
+         ("net_total", fmt_mg_co2e(gwp.net_total))])
+    # the per-phase energy total is in the table only
+    energy_rows = _phase_table(
+        ("phase", "renewable_gj_per_ha_y", "nonrenewable_gj_per_ha_y",
+         "total_gj_per_ha_y", "share_pct"), energy_shares,
+        [(phase, fmt_gj(ren), fmt_gj(non), fmt_gj(ren + non))
+         for (phase, ren), non in zip(renewable.items(),
+                                      nonrenewable.values())],
+        [("total", fmt_gj(energy.renewable_total),
+          fmt_gj(energy.nonrenewable_total), fmt_gj(energy.total))])
     return _emit(out_dir, fmt, manifest,
                  {"balance.csv": balance, "gwp_phases.csv": gwp_rows,
                   "energy_phases.csv": energy_rows},

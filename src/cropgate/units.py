@@ -265,9 +265,6 @@ class Quantity:
             raise UnitError(f"cannot express {self.unit or '1'} in {unit_text!r}")
         return self.value / scale
 
-    def __str__(self) -> str:
-        return format_quantity(self)
-
 
 def parse_quantity(text: str) -> Quantity:
     """Parse a quantity literal: a number followed by an optional unit.

@@ -170,6 +170,11 @@ class TestComparePair:
         with pytest.raises(ValueError):
             compare_pair(farm_model, factor_db, "rye", None)
 
+    def test_a_crop_with_itself_rejected(self, farm_model, factor_db):
+        with pytest.raises(CropgateError, match=r"^cannot compare crop "
+                                                r"'rye' with itself$"):
+            compare_pair(farm_model, factor_db, "rye", "rye")
+
 
 # An unrelated crop added to the bundled farm: its name, its area in ha, its
 # price line (or "") and its sections, with a product of its own.

@@ -450,6 +450,16 @@ class TestCompare:
         assert code == EXIT_INPUT
         assert "compare takes" in err
 
+    def test_a_crop_with_itself_writes_nothing(self, farm_path, tmp_path,
+                                               capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["compare", "--farm", farm_path, "--crop", "rye", "--crop",
+             "rye", "--out", str(out_dir)], capsys)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: cannot compare crop 'rye' with itself\n"
+        assert not out_dir.exists()
+
 
 def huge_areas(text: str) -> str:
     """Every area of the bundled farm times 1e305: 3.02e307 ha in all."""

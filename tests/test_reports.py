@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from cropgate import CropgateError, reports
 from cropgate.assess import assess_crop, compare_pair, sweep_shares
+from cropgate.cli import main
 from cropgate.reports import (build_manifest, fmt_eur, fmt_gj, fmt_mg_co2e,
                               fmt_share, write_assessment, write_comparison,
                               write_sweep)
@@ -486,3 +487,116 @@ class TestCsvCellsFormatJsonValues:
                 round_then_format(point[f"income_{second}"], 2),
                 round_then_format(point["relative_difference"] * 100.0, 1)]
                for point in payload["points"]}}
+
+
+# ---------------------------------------------------------------------- #
+#  pinned report bytes
+# ---------------------------------------------------------------------- #
+
+# (output directory, arguments after --farm and --out) on the bundled farm
+PINNED_RUNS = [
+    *[(crop, ["assess", "--crop", crop]) for crop in (
+        "wheat", "barley", "triticale", "sunflower", "fallow", "rye",
+        "tall_wheatgrass")],
+    ("tall_wheatgrass_json",
+     ["assess", "--crop", "tall_wheatgrass", "--format", "json"]),
+    ("tall_wheatgrass_horizon_7_cutoff",
+     ["assess", "--crop", "tall_wheatgrass", "--horizon", "7",
+      "--cutoff-missing"]),
+    ("compare", ["compare"]),
+    ("compare_json", ["compare", "--format", "json"]),
+    ("sweep", ["sweep", "--range", "0.1:0.9:0.1"]),
+]
+
+PINNED_SHA256 = {
+    "wheat/balance.csv":
+        "93af773d723cc8aacc07cd8b57febac10b6cce646e43bf2174cfff28ca12e6e2",
+    "wheat/energy_phases.csv":
+        "18897e5b360fac00531492adbbee62e85006e4298ce4d4d50abd04b9a61adce8",
+    "wheat/gwp_phases.csv":
+        "60ae1c0b8d18c273103318ebf304884427f7420edc556be6a535562b446aad07",
+    "wheat/result.json":
+        "5f2122aa6c8df9f6a0a40d2a2ee44410f47b72d92c6f8787a509f459c1217e0e",
+    "barley/balance.csv":
+        "9a4e016fd7cbe8ae9fdc80d944d1cd739952635cd273cf87fb2567b1be94d01a",
+    "barley/energy_phases.csv":
+        "13b3ca905b9fbc23376a05444bd1aedfe31760de3b690915d43a31fff8ffe879",
+    "barley/gwp_phases.csv":
+        "5b01d66017ab23900ba467af8cc277fabed257c8a48cc4c11bad284d1c0b92d2",
+    "barley/result.json":
+        "02f453048f02230a182f0b9098aa457be5bd5597a2da770055dff12be165a03a",
+    "triticale/balance.csv":
+        "2c67d5debed4a579f4a6dca8563464f650e17ff9a5ddb7818c099f1b998be154",
+    "triticale/energy_phases.csv":
+        "19e8e027a883cb9a2a6c7a987ed8dfae00f6c56433168bdaee192994bfe87b10",
+    "triticale/gwp_phases.csv":
+        "113c1153ea5b787d8c9d2b8713885b0f5baae44aa702aeaab2c5a7bf6bdd904a",
+    "triticale/result.json":
+        "13b0f015ada017fb0ed449771fb6ca438354476261f29f11bdf18aafd50726df",
+    "sunflower/balance.csv":
+        "ce00f037710b1376af0d0085b7eca03732b05a7d61905f9fbe80819fa6df8a47",
+    "sunflower/energy_phases.csv":
+        "f0fdf51f682bab7898d1f91fd7484adc8955bf3603d8bcd442804727bd9a54d3",
+    "sunflower/gwp_phases.csv":
+        "77c5106d831d0ba1516025b34079be96dc8eff9489dc8dfec1a9d2b080299688",
+    "sunflower/result.json":
+        "7dd3ae51213c46875aa96d092993a6b6d3fe2ce66ef8b548a4c29d663ea5362a",
+    "fallow/balance.csv":
+        "acabcfc5c13c0a413e48da694a3dafdc4205a254918e9029c4b66b1be63b90bb",
+    "fallow/energy_phases.csv":
+        "8b85b46658488acdcaa30bbc02545c496b9c9351c90f04b871ae47efbebd517e",
+    "fallow/gwp_phases.csv":
+        "230394606f2c5530ca60504a6d60fa2069d2871f6bd18da7fbea0bd2093aaa80",
+    "fallow/result.json":
+        "f7b0f8eec2ccc57cf5b49d51adad95a7343d8e1f745965562d4d83cb6a899877",
+    "rye/balance.csv":
+        "acf78007e786fb5df1ab363d9426c33eed92ba8b7c1ea6ab7cbfff50b80e7fd8",
+    "rye/energy_phases.csv":
+        "4b43765085a7ba975c6444535575d21e7392da3293f84449d29f9cbadfd76081",
+    "rye/gwp_phases.csv":
+        "5fcf52682a37f1e6b8a1fa558766983fffc1cf787c157a186fcd665a36bcd408",
+    "rye/result.json":
+        "cfc07d4e199d9e300c80641058e659be22d4638e25f65a9d3d8f49f7d65f9134",
+    "tall_wheatgrass/balance.csv":
+        "6093e7e984f1c482f0f549303215ec332d3f47698eb2b816f75183bed4544fbb",
+    "tall_wheatgrass/energy_phases.csv":
+        "c8bc1cc0746928843e2c7178c111bba3e9bc1dfe68cb0fbd8ab8b176ae73170e",
+    "tall_wheatgrass/gwp_phases.csv":
+        "08bf5c91762e71bc5e8abc3cbb1309018b848865ab2db286f47e50e92aaf238b",
+    "tall_wheatgrass/result.json":
+        "6a62714f7e775453db931ed0c261649d33ec4aee74fe2279a9aae995804befd1",
+    "tall_wheatgrass_json/result.json":
+        "d9bc1af81634b0357c14f40f29cf09e03cdba135ca9904db7f201124533709a4",
+    "tall_wheatgrass_horizon_7_cutoff/balance.csv":
+        "6df9d1d585e37ab0eb3dfecd0803535fc3b4cab503b8bbd7d8c358cb85c9183b",
+    "tall_wheatgrass_horizon_7_cutoff/energy_phases.csv":
+        "a641f87d016df31ccd1e7888db8a276b1f314810fbb0eb11a30eca733e8046bf",
+    "tall_wheatgrass_horizon_7_cutoff/gwp_phases.csv":
+        "6fca4d52af6a76750741c6398f1d2a733dfecdc87776e291fda52550b5262019",
+    "tall_wheatgrass_horizon_7_cutoff/result.json":
+        "229b336be90d6c2e1198ed995ffc0bc93be5d69d46ddd89d5554f414e4d1c0de",
+    "compare/comparison.csv":
+        "a1a1dbc42c1f8901667989adce107b2d56075a7d6d59b207e29daaa44db293ad",
+    "compare/comparison.json":
+        "2edf4222c66cf22e46e68a24b91dce600874a3846ae9e4dfff71a60d8e698b51",
+    "compare_json/comparison.json":
+        "faeda0d9092ffc1402e81645079eda32602fd25c66a26bd034b10b9742bf1220",
+    "sweep/sweep.csv":
+        "b65887d30b3d16df872e6a8e78191600bfd31a879eee03724cdafd0b6355c9ab",
+    "sweep/sweep.json":
+        "d8ac258ee9b1982dfd9e0405b969d9b384174be38cfecf44da9141f66cb9efe0",
+}
+
+
+def test_report_bytes_are_pinned(farm_path, tmp_path, monkeypatch):
+    """Every report file the commands write has the bytes it had when the
+    digests were recorded; a report change must update them here."""
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    digests = {}
+    for name, argv in PINNED_RUNS:
+        out_dir = tmp_path / name
+        assert main([*argv, "--farm", farm_path, "--out", str(out_dir)]) == 0
+        for path in sorted(out_dir.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert digests == PINNED_SHA256
