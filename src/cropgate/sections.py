@@ -90,36 +90,37 @@ class Document:
         return None
 
 
-def _is_escaped(text: str, i: int) -> bool:
-    # a character is escaped iff an odd number of backslashes precede it
+def _scan(line: str) -> tuple[str, list[int], bool]:
+    # one pass over a line: the line less its comment, the commas outside
+    # quotes, and whether a quote is left open; a quote after an odd number
+    # of backslashes is escaped and toggles nothing
+    commas: list[int] = []
+    in_quote = False
     backslashes = 0
-    while i - backslashes - 1 >= 0 and text[i - backslashes - 1] == "\\":
-        backslashes += 1
-    return backslashes % 2 == 1
-
-
-def _split_scalars(text: str, line: int, col0: int) -> list[tuple[str, int]]:
-    # split on commas outside quotes, keeping column offsets
-    parts: list[tuple[str, int]] = []
-    depth_quote = False
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == '"' and not _is_escaped(text, i):
-            depth_quote = not depth_quote
-        elif ch == "," and not depth_quote:
-            parts.append((text[start:i], col0 + start))
-            start = i + 1
-    if depth_quote:
-        raise SectionSyntaxError("unterminated string", line, col0 + start + 1)
-    parts.append((text[start:], col0 + start))
-    return parts
+    for i, ch in enumerate(line):
+        if ch == "\\":
+            backslashes += 1
+            continue
+        if ch == '"' and not backslashes % 2:
+            in_quote = not in_quote
+        elif ch == "#" and not in_quote:
+            return line[:i], commas, False
+        elif ch == "," and not in_quote:
+            commas.append(i)
+        backslashes = 0
+    return line, commas, in_quote
 
 
 def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
     text = raw.strip()
     if not text:
         raise SectionSyntaxError("empty value element", line, col + 1)
-    if text.startswith('"'):  # _split_scalars saw the closing quote
+    if text[0].isdigit() or text[0] in "+-." and len(text) > 1:
+        try:
+            return parse_quantity(text)
+        except UnitError as exc:
+            raise SectionSyntaxError(str(exc), line, col + 1) from None
+    if text[0] == '"':  # _scan saw the closing quote
         string = _STRING_RE.match(raw)
         if string.end() < len(raw):  # only a comma or the end may follow
             raise SectionSyntaxError("text after closing quote", line,
@@ -129,11 +130,6 @@ def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
         return True
     if text == "false":
         return False
-    if text[0].isdigit() or text[0] in "+-." and len(text) > 1:
-        try:
-            return parse_quantity(text)
-        except UnitError as exc:
-            raise SectionSyntaxError(str(exc), line, col + 1) from None
     if text.isidentifier() and text.isascii():
         return text
     raise SectionSyntaxError(f"cannot parse value {text!r}", line, col + 1)
@@ -164,34 +160,15 @@ def parse_document(text: str) -> Document:
     doc = Document()
     current: Section | None = None
     seen_paths: set[tuple[str, ...]] = set()
-    for lineno, raw_line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        if current is not None and not (
-                '"' in raw_line or "#" in raw_line or "," in raw_line):
-            # the full path without comment and list scans; it reports errors
-            key, _, scalar = raw_line.partition("=")
-            key, scalar = key.strip(), scalar.strip()
-            if key.isidentifier() and key.isascii() and key not in current.entries:
-                try:
-                    value = (parse_quantity(scalar) if scalar[:1].isdigit()
-                             else _parse_scalar(scalar, lineno, 0))
-                    # Entry(...) less the Python-level __new__ of a NamedTuple
-                    current.entries[key] = tuple.__new__(Entry, (key, value, lineno))
-                    continue
-                except (UnitError, SectionSyntaxError):
-                    pass
-        line = raw_line
-        if "#" in raw_line:  # strip comments outside quotes
-            in_quote = False
-            for i, ch in enumerate(raw_line):
-                if ch == '"' and not _is_escaped(raw_line, i):
-                    in_quote = not in_quote
-                elif ch == "#" and not in_quote:
-                    line = raw_line[:i]
-                    break
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        if '"' in line or "#" in line or "," in line:  # else nothing to scan
+            line, commas, open_quote = _scan(line)
+        else:
+            commas, open_quote = (), False
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("["):
+        if stripped[0] == "[":
             m = _HEADER_RE.match(stripped)
             if not m:
                 raise SectionSyntaxError("malformed section header", lineno,
@@ -204,12 +181,12 @@ def parse_document(text: str) -> Document:
             current = Section(path=path, line=lineno)
             doc.sections.append(current)
             continue
-        if "=" not in stripped:
+        key_part, equals, value_part = line.partition("=")
+        if not equals:
             raise SectionSyntaxError("expected 'key = value' or section header",
                                      lineno, len(line) - len(line.lstrip()) + 1)
         if current is None:
             raise SectionSyntaxError("entry before any section header", lineno, 1)
-        key_part, _, value_part = line.partition("=")
         key = key_part.strip()
         if not (key.isidentifier() and key.isascii()):
             raise SectionSyntaxError(f"invalid key {key!r}", lineno,
@@ -217,13 +194,19 @@ def parse_document(text: str) -> Document:
         if key in current.entries:
             raise SectionSyntaxError(
                 f"duplicate key {key!r} in section [{current.name}]", lineno, 1)
-        col0 = len(key_part) + 1
-        scalars = [
-            _parse_scalar(part, lineno, col)
-            for part, col in _split_scalars(value_part, lineno, col0)
-        ]
-        value: Value = scalars[0] if len(scalars) == 1 else scalars
-        current.entries[key] = Entry(key=key, value=value, line=lineno)
+        # a valid key holds no quote or comma: both lie in the value
+        start = len(key_part) + 1
+        if open_quote:  # the string opens in the last element
+            raise SectionSyntaxError("unterminated string", lineno,
+                                     (commas[-1] + 1 if commas else start) + 1)
+        if commas:
+            value: Value = [
+                _parse_scalar(line[a + 1:b], lineno, a + 1)
+                for a, b in zip([start - 1, *commas], [*commas, len(line)])]
+        else:
+            value = _parse_scalar(value_part, lineno, start)
+        # Entry(...) less the Python-level __new__ of a NamedTuple
+        current.entries[key] = tuple.__new__(Entry, (key, value, lineno))
     return doc
 
 

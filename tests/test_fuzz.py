@@ -38,7 +38,7 @@ FARM_NAME = os.path.basename(SHIPPED_FARM)
 # "key = <number>[ <unit>]", the number and its unit as groups
 _QUANTITY = re.compile(
     r"^(\w+ = )(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?: ([^\s#,]+))?")
-_NEW_NUMBERS = ("0", "1e306", "1e999")
+_NEW_NUMBERS = ("0", "-1", "1e306", "1e999")
 _UNITS = ("kg", "Mg/ha", "kg/ha", "g/ha", "L", "L/ha", "kg/L", "ha", "y",
           "m", "Mg/m3", "EUR/ha", "EUR/Mg", "percent", "MJ")
 
@@ -104,6 +104,9 @@ COMMANDS = [
 # income on 302 ha at 1e306 EUR/ha overflows: used to write Infinity
 @example((FARM_NAME, FILES[FARM_NAME].replace("cap_aid = 165.00 EUR/ha",
                                               "cap_aid = 1e306 EUR/ha")))
+# a sign damage that every command accepts: the derandomized draw has none
+@example((FARM_NAME, FILES[FARM_NAME].replace("soc_fixation = 0.765 Mg/ha",
+                                              "soc_fixation = -1 Mg/ha")))
 def test_damaged_inputs_keep_the_exit_contract(damaged):
     name, text = damaged
     with tempfile.TemporaryDirectory() as work:

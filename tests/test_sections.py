@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from conftest import documents
 from cropgate.sections import (Document, Section, SectionSyntaxError,
                                parse_document, read_text, serialize_document)
+from cropgate.units import Quantity
 
 
 SAMPLE = """
@@ -73,7 +74,8 @@ SYNTAX_ERRORS = [
     ("[s]\nk = a, , b", 2, 7, "empty value element"),
     ("[s]\n2bad = 1", 2, 1, "invalid key"),
     ("[s]\nk = 3 wombats", 2, 4, "unknown unit"),
-    # plain lines whose errors the full path reports
+    # a column counts from the start of the line, across blanks, tabs,
+    # the '=' and the elements before it
     ("[s]\n  k =   3 wombats", 2, 6, "unknown unit"),
     ("[s]\nk = 1 ha, 3 wombats", 2, 10, "unknown unit"),
     ("[s]\n\tk\t=\t1 ha,2 wombats # c", 2, 11, "unknown unit"),
@@ -85,7 +87,25 @@ SYNTAX_ERRORS = [
     ('[s]\nk = "ab" "cd"', 2, 10, "text after closing quote"),
     ('[s]\nk = "ab"cd', 2, 9, "text after closing quote"),
     ('[s]\nk = "a"b, c', 2, 8, "text after closing quote"),
+    # outside a string an escaped quote opens nothing: the '#' is a comment
+    ('[s]\nk = a\\"b # c', 2, 4, "cannot parse value"),
+    ('[s]\nk = "a", "b', 2, 9, "unterminated string"),
 ]
+
+# a quote is escaped after an odd number of backslashes only
+ESCAPE_VALUES = [
+    # an even run closes the string, and a comment or a comma may follow
+    ('k = "a\\\\" # c', "a\\"),
+    ('k = "a\\\\", b', ["a\\", "b"]),
+    # a quote in a comment is inert
+    ('k = 1 # "', Quantity(1.0)),
+]
+
+
+@pytest.mark.parametrize("line,value", ESCAPE_VALUES,
+                         ids=[line for line, _ in ESCAPE_VALUES])
+def test_escape_rule_at_its_edges(line, value):
+    assert parse_document("[s]\n" + line).section("s").get("k") == value
 
 
 class TestErrors:
@@ -178,6 +198,21 @@ def test_round_trip_shipped_files(farm_path, factors_path):
             doc = parse_document(handle.read())
         assert _as_plain(parse_document(serialize_document(doc))) \
             == _as_plain(doc)
+
+
+def test_comments_are_inert_in_shipped_files(farm_path, factors_path):
+    """A quote, a backslash and a comma at the end of every comment leave
+    each section's values and entry lines as they were."""
+    for path in (farm_path, factors_path):
+        text = read_text(path)
+        lines = text.split("\n")
+        damaged = [line + ' "\\,' if "#" in line else line for line in lines]
+        assert damaged != lines
+        sections = [(s.path, s.line, s.entries)
+                    for s in parse_document(text).sections]
+        assert [(s.path, s.line, s.entries)
+                for s in parse_document("\n".join(damaged)).sections] \
+            == sections
 
 
 @pytest.mark.parametrize("text", ["abc\n", "a\r\nb", "\r"], ids=repr)
