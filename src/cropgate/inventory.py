@@ -164,7 +164,7 @@ def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
     if dose.unit == _MG_PER_HA:
         return dose.value / _KG_VALUE * active_fraction
     raise UnitError(f"herbicide dose must be volume or mass per ha, got "
-                    f"{dose.unit or '1'}")
+                    f"{dose.unit}")
 
 
 def _production_flows(model: FarmModel, ann: AnnualizedPlan,

@@ -54,9 +54,8 @@ class UnitError(CropgateError):
     """Malformed unit/quantity text or an operation mixing dimensions."""
 
 
-# Dimension order is fixed; it defines the canonical formatting order too.
-_DIMS = ("mass", "volume", "area", "length", "time", "energy", "currency")
-
+# canonical unit of each dimension; the order is that of a Unit's exponents
+# and of its formatted text
 _CANONICAL = {
     "mass": "Mg",
     "volume": "L",
@@ -65,25 +64,6 @@ _CANONICAL = {
     "time": "y",
     "energy": "MJ",
     "currency": "EUR",
-}
-
-# token -> (dimension, scale to the canonical unit); None = dimensionless
-_TOKENS = {
-    "Mg": ("mass", 1.0),
-    "kg": ("mass", 1e-3),
-    "g": ("mass", 1e-6),
-    "L": ("volume", 1.0),
-    "m3": ("volume", 1000.0),
-    "ha": ("area", 1.0),
-    "m": ("length", 1.0),
-    "km": ("length", 1000.0),
-    "y": ("time", 1.0),
-    "MJ": ("energy", 1.0),
-    "GJ": ("energy", 1000.0),
-    "EUR": ("currency", 1.0),
-    "percent": (None, 0.01),
-    "%": (None, 0.01),
-    "1": (None, 1.0),
 }
 
 
@@ -103,28 +83,47 @@ class Unit(NamedTuple):
         return not any(self.exponents)
 
     def __str__(self) -> str:
-        num = [
-            _CANONICAL[d] for d, e in zip(_DIMS, self.exponents) if e > 0 for _ in range(e)
-        ]
-        den = [
-            _CANONICAL[d] for d, e in zip(_DIMS, self.exponents) if e < 0 for _ in range(-e)
-        ]
-        if not num and not den:
-            return ""
-        head = "·".join(num) if num else "1"
+        """``Mg/ha·y``; a dimensionless unit is ``1``, which parses back."""
+        pairs = list(zip(_CANONICAL.values(), self.exponents))
+        num = [name for name, e in pairs if e > 0 for _ in range(e)]
+        den = [name for name, e in pairs if e < 0 for _ in range(-e)]
+        head = "·".join(num) or "1"
         if den:
             return head + "/" + "·".join(den)
         return head
 
 
-DIMENSIONLESS = Unit((0,) * len(_DIMS))
+DIMENSIONLESS = Unit((0,) * len(_CANONICAL))
 
 
-def _base_unit(dim: str) -> Unit:
-    return Unit(tuple(1 if d == dim else 0 for d in _DIMS))
+def _base_unit(dim: str | None) -> Unit:
+    return Unit(tuple(1 if d == dim else 0 for d in _CANONICAL))
 
 
-_UNIT_TOKEN_RE = re.compile(r"[A-Za-z%][A-Za-z0-9]*|1")
+# token -> (canonical unit, scale to it), from token -> (dimension, scale);
+# dimension None is dimensionless
+_TOKENS = {token: (_base_unit(dim), scale) for token, (dim, scale) in {
+    "Mg": ("mass", 1.0),
+    "kg": ("mass", 1e-3),
+    "g": ("mass", 1e-6),
+    "L": ("volume", 1.0),
+    "m3": ("volume", 1000.0),
+    "ha": ("area", 1.0),
+    "m": ("length", 1.0),
+    "km": ("length", 1000.0),
+    "y": ("time", 1.0),
+    "MJ": ("energy", 1.0),
+    "GJ": ("energy", 1000.0),
+    "EUR": ("currency", 1.0),
+    "percent": (None, 0.01),
+    "%": (None, 0.01),
+    "1": (None, 1.0),
+}.items()}
+
+# one step of a unit expression: blanks, then a separator, a token, or any
+# other character, which starts no token; on stripped text the steps cover
+# every character
+_UNIT_STEP_RE = re.compile(r"\s*(?:([/·*])|([A-Za-z%][A-Za-z0-9]*|1)|(.))")
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -153,40 +152,29 @@ def _parse_unit(text: str) -> tuple[Unit, float]:
     unit = DIMENSIONLESS
     scale = 1.0
     sign = 1  # +1 numerator, -1 denominator
-    pos = 0
     expect_token = True
     text = text.strip()
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "/":
+    for step in _UNIT_STEP_RE.finditer(text):
+        separator, token = step.group(1, 2)
+        if separator == "/":
             if expect_token:
                 raise UnitError(f"misplaced '/' in unit {text!r}")
             sign = -1  # everything after the first '/' divides
             expect_token = True
-            pos += 1
-            continue
-        if ch in ("·", "*"):
+        elif separator:
             if expect_token:
                 raise UnitError(f"misplaced separator in unit {text!r}")
             expect_token = True
-            pos += 1
-            continue
-        m = _UNIT_TOKEN_RE.match(text, pos)
-        if not m or not expect_token:
-            raise UnitError(f"cannot parse unit {text!r} at position {pos}")
-        token = m.group(0)
-        if token not in _TOKENS:
+        elif token is None or not expect_token:
+            raise UnitError(f"cannot parse unit {text!r} at position "
+                            f"{step.start(step.lastindex)}")
+        elif token not in _TOKENS:
             raise UnitError(f"unknown unit {token!r} in {text!r}")
-        dim, factor = _TOKENS[token]
-        if dim is not None:
-            base = _base_unit(dim)
+        else:
+            base, factor = _TOKENS[token]
             unit = unit * base if sign > 0 else unit / base
-        scale *= factor if sign > 0 else 1.0 / factor
-        expect_token = False
-        pos = m.end()
+            scale *= factor if sign > 0 else 1.0 / factor
+            expect_token = False
     if expect_token and text:
         raise UnitError(f"unit expression {text!r} ends with a separator")
     return unit, scale
@@ -223,7 +211,7 @@ class Quantity:
 
     def _require_same(self, other: "Quantity", op: str) -> None:
         if self.unit != other.unit:
-            raise UnitError(f"cannot {op} {self.unit or '1'} and {other.unit or '1'}")
+            raise UnitError(f"cannot {op} {self.unit} and {other.unit}")
 
     def __add__(self, other: "Quantity") -> "Quantity":
         self._require_same(other, "add")
@@ -262,7 +250,7 @@ class Quantity:
         """Value expressed in ``unit_text`` (must have the same dimension)."""
         unit, scale = parse_unit(unit_text)
         if unit != self.unit:
-            raise UnitError(f"cannot express {self.unit or '1'} in {unit_text!r}")
+            raise UnitError(f"cannot express {self.unit} in {unit_text!r}")
         return self.value / scale
 
 

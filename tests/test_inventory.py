@@ -213,6 +213,23 @@ class TestSeedChain:
         assert "diverges" in str(err.value)
 
 
+    def test_repeated_flow_id_is_one_seed_flow(self, farm_path, factor_db):
+        """Rye top-dressed with its base product: two fertilizer flows of
+        one id make one seed-chain flow of their sum."""
+        with open(farm_path, encoding="utf-8") as handle:
+            head, rye = handle.read().split("[crop.rye]\n")
+        model = parse_farm_document(head + "[crop.rye]\n" + rye.replace(
+            "top_product = can_27", "top_product = npk_8_24_8", 1))
+        flows = build_lci(model.crop("rye"), model, factor_db).flows
+        assert [(f.flow_id, f.amount.value) for f in flows
+                if f.phase is Phase.FERTILIZER] == [("npk_8_24_8", 0.2),
+                                                    ("npk_8_24_8", 0.15)]
+        seed = [f.amount.value for f in flows
+                if f.phase is Phase.SEED and f.flow_id == "npk_8_24_8"]
+        assert seed == [pytest.approx(
+            (0.20 + 0.15) / 1.50 / (1 - 0.15 / 1.50) * 0.15)]
+
+
 class TestBuildLci:
     def test_tall_wheatgrass_flows(self, farm_model, factor_db):
         lci = build_lci(farm_model.crop("tall_wheatgrass"), farm_model,

@@ -129,6 +129,10 @@ class TestJsonText:
         with pytest.raises(ValueError):
             reports._json_text(wrap(bad))
 
+    def test_unsupported_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+            reports._json_text({"a": object()})
+
 
 class TestManifest:
     def test_identical_inputs_hash_identically(self, farm_path, factors_path):

@@ -48,6 +48,40 @@ class TestParseUnit:
         with pytest.raises(UnitError):
             parse_unit(bad)
 
+    @pytest.mark.parametrize("text,outcome", [
+        ("·kg", "misplaced separator in unit '·kg'"),
+        ("kg··ha", "misplaced separator in unit 'kg··ha'"),
+        ("/ha", "misplaced '/' in unit '/ha'"),
+        ("kg//ha", "misplaced '/' in unit 'kg//ha'"),
+        ("kg*/ha", "misplaced '/' in unit 'kg*/ha'"),
+        ("kg ha", "cannot parse unit 'kg ha' at position 3"),
+        ("kg-ha", "cannot parse unit 'kg-ha' at position 2"),
+        ("2/ha", "cannot parse unit '2/ha' at position 0"),
+        ("furlong", "unknown unit 'furlong' in 'furlong'"),
+        ("kg/", "unit expression 'kg/' ends with a separator"),
+        ("kg·", "unit expression 'kg·' ends with a separator"),
+        ("  kg / ha ", ((1, 0, -1, 0, 0, 0, 0), 0.001)),
+        ("1/ha", ((0, 0, -1, 0, 0, 0, 0), 1.0)),
+        ("%", ((0, 0, 0, 0, 0, 0, 0), 0.01)),
+    ])
+    def test_tokenizer_outcomes(self, text, outcome):
+        """Each error text of the tokenizer, and blanks around accepted ones."""
+        if isinstance(outcome, str):
+            with pytest.raises(UnitError) as raised:
+                parse_unit(text)
+            assert str(raised.value) == outcome
+        else:
+            unit, scale = parse_unit(text)
+            assert (unit.exponents, scale) == outcome
+
+    @pytest.mark.parametrize("text", ["Mg/ha·y", "1/ha", "EUR/Mg", "1"])
+    def test_text_parses_back(self, text):
+        unit = parse_unit(text)[0]
+        assert parse_unit(str(unit))[0] == unit
+
+    def test_dimensionless_prints_as_one(self):
+        assert str(DIMENSIONLESS) == "1"
+
     def test_memo_is_bounded_and_keeps_errors_out(self, monkeypatch):
         # repeated calls give the first result; a bad unit raises every time
         monkeypatch.setattr(units, "_UNIT_CACHE", {})
@@ -123,6 +157,14 @@ class TestArithmetic:
 
     def test_negation(self):
         assert (-parse_quantity("2 Mg")).value == -2.0
+
+    def test_dimensionless_is_named_1_in_errors(self):
+        with pytest.raises(UnitError) as raised:
+            Quantity(1.0) + parse_quantity("1 Mg")
+        assert str(raised.value) == "cannot add 1 and Mg"
+        with pytest.raises(UnitError) as raised:
+            Quantity(1.0).to("Mg")
+        assert str(raised.value) == "cannot express 1 in 'Mg'"
 
 
 class TestFormatting:
