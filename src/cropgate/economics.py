@@ -78,6 +78,19 @@ class FarmIncome(NamedTuple):
     by_crop: dict[str, tuple[float, float]]  # name -> (area ha, balance w/ aid)
 
 
+def _covered(model: FarmModel, marginal_choice: str | None = None,
+             ) -> dict[str, tuple[float, float]]:
+    """Name -> (area ha, balance with aid) in model order for the crops a
+    whole-farm total covers: the non-marginal ones, plus the marginal choice
+    when one is given."""
+    return {crop.name: (crop.area_ha, crop_balance(
+                crop, model.cap_aid_eur_ha,
+                model.amortization_horizon_years).balance_with_cap)
+            for crop in model.crops.values()
+            if crop.land_class is not LandClass.MARGINAL
+            or crop.name == marginal_choice}
+
+
 def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
     """Whole-farm income with the marginal land planted to one alternative.
 
@@ -86,15 +99,10 @@ def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
     chosen = model.crop(marginal_choice)
     if chosen.land_class is not LandClass.MARGINAL:
         raise CropgateError(f"{marginal_choice!r} is not a marginal-land crop")
-    by_crop: dict[str, tuple[float, float]] = {}
-    total = 0.0
-    for crop in model.crops.values():
-        if crop.land_class is LandClass.MARGINAL and crop.name != marginal_choice:
-            continue
-        balance = crop_balance(crop, model.cap_aid_eur_ha,
-                               model.amortization_horizon_years)
-        by_crop[crop.name] = (crop.area_ha, balance.balance_with_cap)
-        total += crop.area_ha * balance.balance_with_cap
+    by_crop = _covered(model, marginal_choice)
+    # a left fold, as in impact.characterize
+    total = reduce(add, (area * balance for area, balance in by_crop.values()),
+                   0.0)
     return FarmIncome(marginal_choice=marginal_choice, total_eur=total,
                       by_crop=by_crop)
 
@@ -118,18 +126,11 @@ def marginal_share_sweep(model: FarmModel,
     if not shares:
         raise CropgateError("sweep needs at least one marginal share")
     first_name, second_name = model.marginal_pair
-    # a left fold, as in impact.characterize
-    fixed_area = reduce(add, (c.area_ha for c in model.crops.values()
-                              if c.land_class is not LandClass.MARGINAL), 0.0)
+    fixed = _covered(model).values()
+    fixed_area = reduce(add, (area for area, _ in fixed), 0.0)
     if fixed_area <= 0:
         raise CropgateError("no non-marginal crop mix to scale")
-    base = 0.0
-    for crop in model.crops.values():
-        if crop.land_class is LandClass.MARGINAL:
-            continue
-        balance = crop_balance(crop, model.cap_aid_eur_ha,
-                               model.amortization_horizon_years)
-        base += crop.area_ha * balance.balance_with_cap
+    base = reduce(add, (area * balance for area, balance in fixed), 0.0)
     balances = {
         name: crop_balance(model.crop(name), model.cap_aid_eur_ha,
                            model.amortization_horizon_years).balance_with_cap

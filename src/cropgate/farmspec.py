@@ -297,7 +297,8 @@ _MACHINE_KEYS = tuple((cls.value, cls) for cls in MachineClass)  # .value is slo
 
 
 def _read_crop(section: Section, sub: dict[str, list[Section]],
-               prices: dict[str, float], report: ValidationReport) -> CropPlan:
+               prices: dict[str, float], marginal_area: float,
+               report: ValidationReport) -> CropPlan:
     name = section.path[1]
     reader = SectionReader(section, report)
     where = section.name
@@ -308,6 +309,11 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
     perennial = reader.boolean("perennial", False)
     life_span = reader.years("life_span", 1)
     area = reader.non_negative("area", "ha", 0.0)
+    if land_class is LandClass.MARGINAL:  # the alternatives share that land
+        if area:
+            reader.error("area",
+                         "marginal alternatives take the shared marginal_area")
+        area = marginal_area
 
     sowing_dose = reader.non_negative("sowing_dose", "Mg/ha", 0.0)
     sowing_timing = reader.choice("sowing_timing", Timing, Timing.RECURRENT)
@@ -464,13 +470,11 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         first_analysis[land_year] = ssec.name
         samples.append(sample)
 
-    crops: dict[str, CropPlan] = {}
-    crop_secs: list[Section] = []
+    # path order: the file's section order changes no crop and no total
+    crop_secs = sorted(kinds.get("crop", ()), key=lambda sec: sec.path)
     crop_subsections: dict[str, dict[str, list[Section]]] = {}
-    for csec in kinds.get("crop", ()):
-        if len(csec.path) == 2:
-            crop_secs.append(csec)
-        elif len(csec.path) in (3, 4):
+    for csec in crop_secs:
+        if len(csec.path) in (3, 4):
             kind = csec.path[2]
             if kind not in ("herbicide", "op", "costs"):
                 report.error(csec.name, f"unknown crop subsection {kind!r}")
@@ -480,11 +484,12 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
                 continue
             crop_subsections.setdefault(csec.path[1], {}).setdefault(
                 kind, []).append(csec)
-        else:
+        elif len(csec.path) != 2:
             report.error(csec.name, "malformed crop section path")
-    for csec in crop_secs:
-        crops[csec.path[1]] = _read_crop(
-            csec, crop_subsections.get(csec.path[1], {}), prices, report)
+    crops = {
+        csec.path[1]: _read_crop(csec, crop_subsections.get(csec.path[1], {}),
+                                 prices, marginal_area, report)
+        for csec in crop_secs if len(csec.path) == 2}
     for crop_name in crop_subsections:
         if crop_name not in crops:
             report.error(f"crop.{crop_name}",
@@ -496,20 +501,10 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         elif top.path[0] in ("farm", "prices") and len(top.path) != 1:
             report.error(top.name, "unknown section")
 
-    # marginal crops share the marginal land; fill their area from the farm
-    resolved: dict[str, CropPlan] = {}
-    for crop_name, plan in crops.items():
-        if plan.land_class is LandClass.MARGINAL:
-            if plan.area_ha:
-                report.error(f"crop.{crop_name}.area",
-                             "marginal alternatives take the shared marginal_area")
-            plan = plan._replace(area_ha=marginal_area)
-        resolved[crop_name] = plan
-
     model = FarmModel(
         name=name, total_area_ha=total_area, cap_aid_eur_ha=cap_aid,
         amortization_horizon_years=horizon, marginal_area_ha=marginal_area,
-        marginal_pair=tuple(pair or ()), crops=resolved, products=products,
+        marginal_pair=tuple(pair or ()), crops=crops, products=products,
         soil_samples=tuple(samples), factors_ref=factors_ref)
     if report.ok:  # checks across keys would see the defaults of rejected ones
         report.extend(validate_model(model))
@@ -526,7 +521,8 @@ def validate_model(model: FarmModel) -> ValidationReport:
     fixed = reduce(add, (p.area_ha for p in model.crops.values()
                          if p.land_class is not LandClass.MARGINAL), 0.0)
     declared = fixed + model.marginal_area_ha
-    if abs(declared - model.total_area_ha) > 1e-6:
+    if not math.isclose(declared, model.total_area_ha, rel_tol=1e-12,
+                        abs_tol=1e-6):
         report.error("farm.total_area",
                      f"crop areas sum to {declared!r} ha, "
                      f"declared total is {model.total_area_ha!r} ha")

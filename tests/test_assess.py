@@ -1,6 +1,9 @@
 """The one-call assessment layer that the CLI and demos sit on."""
 
+import dataclasses
 import os
+import random
+import re
 from importlib import resources
 
 import pytest
@@ -13,7 +16,7 @@ from cropgate.factors import MissingFlowError, load_factor_db
 from cropgate.farmspec import parse_farm_document
 from cropgate.impact import ENERGY_PHASES, POSITIVE_PHASES
 from cropgate.inventory import Phase
-from cropgate.reports import build_manifest, write_comparison
+from cropgate.reports import build_manifest, write_comparison, write_sweep
 
 GASES_ONLY = """
 [flow.diesel]
@@ -84,6 +87,39 @@ class TestAssessCrop:
         assert cut.energy.renewable_by_phase == zero.energy.renewable_by_phase
         assert cut.energy.nonrenewable_by_phase \
             == zero.energy.nonrenewable_by_phase
+
+    @pytest.mark.parametrize("crop", ["wheat", "barley", "triticale",
+                                      "sunflower", "rye", "tall_wheatgrass"])
+    def test_cut_off_equals_a_zero_record(self, farm_model, factor_db,
+                                          factors_text, crop):
+        """Each factor record a crop uses, dropped and cut off, gives the
+        assessment of that record with all-zero factors, bit for bit; only
+        ``missing`` and the cut-off notes tell the two apart."""
+        flow_ids = {flow.flow_id for flow in assess_crop(
+            farm_model, factor_db, crop).inventory.flows
+            if flow.flow_id in factor_db.records}
+        assert flow_ids
+        for flow_id in sorted(flow_ids):
+            start = factors_text.index(f"[flow.{flow_id}]\n")
+            end = factors_text.find("\n[", start)
+            block = factors_text[start:end if end >= 0 else None]
+            zeroed = (f"[flow.{flow_id}]\nunit = "
+                      f"{factor_db.records[flow_id].unit}\ngwp100 = 0\n"
+                      "pe_renewable = 0\npe_nonrenewable = 0\n")
+            cut = assess_crop(
+                farm_model, load_factor_db(factors_text.replace(block, "")),
+                crop, cutoff_missing=True)
+            zero = assess_crop(
+                farm_model, load_factor_db(factors_text.replace(block, zeroed)),
+                crop)
+            assert cut.gwp.missing == cut.energy.missing == (flow_id,)
+            assert cut.notes == zero.notes + (
+                f"flow {flow_id!r} has no factor record; cut off at zero "
+                "burden",)
+            assert repr(dataclasses.replace(
+                cut, gwp=dataclasses.replace(cut.gwp, missing=()),
+                energy=dataclasses.replace(cut.energy, missing=()),
+                notes=zero.notes)) == repr(zero), flow_id
 
     def test_longer_horizon_shrinks_establishment_burden(self, farm_model,
                                                          factor_db):
@@ -272,7 +308,7 @@ class TestLocality:
                             f"{farm_model.total_area_ha + area:g} ha\n")
         text = text.replace("[prices]\n", f"[prices]\n{price}\n") + sections
         extended = parse_farm_document(text)
-        assert list(extended.crops) == [*farm_model.crops, name]
+        assert list(extended.crops) == sorted([*farm_model.crops, name])
         for other in farm_model.crops:
             assert repr(assess_crop(extended, factor_db, other)) \
                 == repr(assess_crop(farm_model, factor_db, other)), other
@@ -316,3 +352,101 @@ class TestInputResolution:
         bare = farm_model._replace(factors_ref=None)
         with pytest.raises(FileNotFoundError):
             resolve_factors_path("/x/farm.cg", bare)
+
+
+def shuffled_sections(text: str, seed: int) -> str:
+    """The file with its sections in a seeded random order; the lines
+    before the first section stay first."""
+    head, *sections = re.split(r"(?m)^(?=\[)", text)
+    random.Random(seed).shuffle(sections)
+    return head + "".join(sections)
+
+
+def larger_holding(farm_text: str, n_crops: int) -> str:
+    """The bundled farm plus ``n_crops`` seeded non-marginal crops, each
+    with two herbicides and two field operations, written out of name
+    order. Their areas and margins have no short binary form, so sums over
+    them round differently in different orders."""
+    rng = random.Random(20)
+    prices, sections, added_cents = [], [], 0
+    for i in rng.sample(range(n_crops), n_crops):
+        name = f"extra_{i:02d}"
+        cents = rng.randrange(100, 4000)
+        added_cents += cents
+        prices.append(f"{name}_grain = {rng.uniform(120, 330):.2f} EUR/Mg")
+        sections.append(f"""
+[crop.{name}]
+land_class = non_marginal
+area = {cents / 100:.2f} ha
+grain_yield = {rng.uniform(1, 5):.3f} Mg/ha
+straw_yield = {rng.uniform(0.5, 3):.3f} Mg/ha
+soc_equilibrium = true
+
+[crop.{name}.herbicide.glyphosate]
+dose = {rng.uniform(0.5, 3):.2f} L/ha
+
+[crop.{name}.herbicide.d24_acid]
+dose = {rng.uniform(0.5, 2):.2f} L/ha
+
+[crop.{name}.op.tillage]
+diesel = {rng.uniform(10, 40):.2f} L/ha
+tillage = 0.00{rng.randrange(100, 999)} Mg/ha
+
+[crop.{name}.op.harvest]
+diesel = {rng.uniform(10, 30):.2f} L/ha
+harvester = 0.00{rng.randrange(100, 999)} Mg/ha
+
+[crop.{name}.costs]
+seed = {rng.uniform(20, 60):.2f} EUR/ha
+machinery_labor = {rng.uniform(100, 250):.2f} EUR/ha
+""")
+    total = "total_area = 302 ha\n"
+    assert farm_text.count(total) == 1 and farm_text.count("[prices]\n") == 1
+    text = farm_text.replace(
+        total, f"total_area = {(30200 + added_cents) / 100:.2f} ha\n")
+    text = text.replace("[prices]\n", "[prices]\n" + "\n".join(prices) + "\n")
+    return text + "".join(sections)
+
+
+class TestSectionOrder:
+    """Sections are read in path order, so their order in the file changes
+    no crop, no flow order and no whole-farm total."""
+
+    SHARES = [i / 100 for i in range(101)]
+
+    def outcome(self, farm_text, factors_text, manifest, out_dir):
+        model = parse_farm_document(farm_text)
+        db = load_factor_db(factors_text)
+        crops = {name: repr(assess_crop(model, db, name))
+                 for name in model.crops}
+        # one manifest for every run: the payloads must then match byte
+        # for byte, the manifest included
+        paths = write_comparison(compare_pair(model, db), manifest, out_dir,
+                                 "json")
+        paths += write_sweep(sweep_shares(model, self.SHARES),
+                             model.marginal_pair, manifest, out_dir, "json")
+        payloads = {}
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                payloads[os.path.basename(path)] = handle.read()
+        return crops, payloads
+
+    @pytest.mark.parametrize("holding", ["bundled", "larger"])
+    def test_shuffled_sections_change_nothing(self, holding, farm_path,
+                                              factors_text, tmp_path):
+        with open(farm_path, encoding="utf-8") as handle:
+            farm_text = handle.read()
+        if holding == "larger":
+            farm_text = larger_holding(farm_text, 24)
+        manifest = build_manifest(farm_path, None, {})
+        expected = self.outcome(farm_text, factors_text, manifest,
+                                tmp_path / "in_order")
+        assert len(expected[0]) >= 7 and sorted(expected[1]) \
+            == ["comparison.json", "sweep.json"]
+        for seed in range(4):
+            crops, payloads = self.outcome(
+                shuffled_sections(farm_text, seed),
+                shuffled_sections(factors_text, seed), manifest,
+                tmp_path / str(seed))
+            assert payloads == expected[1], seed
+            assert crops == expected[0], seed

@@ -533,6 +533,24 @@ class TestShippedFarm:
         assert report.ok
         assert report.warnings == []
 
+    @pytest.mark.parametrize("exponent", [20, 23, 29, 45, 180])
+    def test_consistent_areas_accepted_at_any_scale(self, farm_path,
+                                                    exponent):
+        """Every area of the farm times 10**exponent still adds up: the
+        area check allows for the rounding of the fold over the crops."""
+        with open(farm_path, encoding="utf-8") as handle:
+            text = handle.read()
+        scaled = re.sub(r"(?m)^((?:total_|marginal_)?area = \d+)( ha)$",
+                        rf"\1e{exponent}\2", text)
+        assert parse_farm_document(scaled).total_area_ha \
+            == float(f"302e{exponent}")
+        # a total off by one part in 10**10 is still rejected
+        off = scaled.replace(f"total_area = 302e{exponent} ha",
+                             f"total_area = 302.00000003e{exponent} ha")
+        assert [(d.where, d.message.startswith("crop areas sum to"))
+                for d in _report_of(off).errors] \
+            == [("farm.total_area", True)]
+
     def test_compositions(self, farm_model):
         assert farm_model.products["npk_8_24_8"].composition \
             == Composition(0.08, 0.24, 0.08)

@@ -1,6 +1,7 @@
 """Inventory assembly: spreading, the seed chain, and flow tagging."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,6 +205,35 @@ class TestSeedChain:
         for flow_id in SEED_CHAIN_FLOWS:
             assert vector[flow_id].value == pytest.approx(
                 1.0 / (1.0 - ratio), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_ratio_near_one_against_exact_rationals(self, gap):
+        """The multiplier 1/(1 - r) and the flows x = (c/Y + p)/(1 - r)
+        against their exact values from the parsed floats. Rounding D/Y
+        and 1 - D/Y leaves 1 - r off by a few units of 2**-53, so the
+        multiplier stays within 4 * 2**-53 / (1 - r), relative; the flows
+        may add three roundings: c/Y, + p and the division."""
+        seed_yield = 1.5
+        model = parse_farm_document(seed_farm((1 - gap) * seed_yield,
+                                              seed_yield))
+        crop = model.crop("a")
+        dose, yield_mg = (Fraction(crop.sowing_dose_mg_ha),
+                          Fraction(crop.seed_yield_mg_ha))
+        multiplier = yield_mg / (yield_mg - dose)
+        assert float(1 / multiplier) == pytest.approx(gap, rel=1e-4)
+        ulp = Fraction(1, 2**53)
+        ann = annualize_schedule(crop, model.amortization_horizon_years)
+        cultivation = _cultivation_flows(crop, model, ann, DEFAULT_EXHAUST)
+        vector = seed_inventory(crop, model)
+        assert set(vector) == set(cultivation) | set(SEED_CHAIN_FLOWS)
+        for flow_id in SEED_CHAIN_FLOWS:  # grown on no cultivation flow
+            assert flow_id not in cultivation
+            error = abs(Fraction(vector[flow_id].value) - multiplier)
+            assert error / multiplier <= 4 * ulp * multiplier, flow_id
+        for flow_id, amount in cultivation.items():
+            exact = Fraction(amount.value) / yield_mg * multiplier
+            error = abs(Fraction(vector[flow_id].value) - exact)
+            assert error / exact <= (4 * multiplier + 3) * ulp, flow_id
 
     @pytest.mark.parametrize("ratio", [1.0, 1.2])
     def test_ratio_at_or_above_one_diverges(self, ratio, factor_db):
