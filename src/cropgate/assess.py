@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import CropgateError
 from .economics import (EconomicBalance, FarmIncome, crop_balance,
-                        farm_income, marginal_share_sweep)
+                        farm_incomes, marginal_share_sweep)
 from .factors import FactorDB, load_factor_db
 from .farmspec import FarmModel, parse_farm_document
 from .impact import (EnergyBreakdown, GwpBreakdown, characterize,
@@ -99,10 +99,10 @@ def compare_pair(model: FarmModel, db: FactorDB,
         raise CropgateError(f"cannot compare crop {first_name!r} with itself")
     first = assess_crop(model, db, first_name, cutoff_missing=cutoff_missing)
     second = assess_crop(model, db, second_name, cutoff_missing=cutoff_missing)
+    income_first, income_second = farm_incomes(model, (first_name, second_name))
     return PairComparison(
         first=first, second=second,
-        income_first=farm_income(model, first_name),
-        income_second=farm_income(model, second_name),
+        income_first=income_first, income_second=income_second,
         margin_difference_eur_ha=(first.economics.balance_with_cap
                                   - second.economics.balance_with_cap),
         verdicts=_verdicts(first, second))

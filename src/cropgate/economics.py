@@ -17,7 +17,7 @@ from . import CropgateError, horizon_problem
 from .farmspec import CropPlan, FarmModel, LandClass
 
 __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
-           "farm_income", "marginal_share_sweep"]
+           "farm_income", "farm_incomes", "marginal_share_sweep"]
 
 
 @dataclass(frozen=True)
@@ -78,33 +78,40 @@ class FarmIncome(NamedTuple):
     by_crop: dict[str, tuple[float, float]]  # name -> (area ha, balance w/ aid)
 
 
-def _covered(model: FarmModel, marginal_choice: str | None = None,
+def _covered(model: FarmModel, choices: tuple[str, ...] = (),
              ) -> dict[str, tuple[float, float]]:
     """Name -> (area ha, balance with aid) in model order for the crops a
-    whole-farm total covers: the non-marginal ones, plus the marginal choice
-    when one is given."""
+    whole-farm total covers: the non-marginal ones, plus the marginal
+    choices given."""
     return {crop.name: (crop.area_ha, crop_balance(
                 crop, model.cap_aid_eur_ha,
                 model.amortization_horizon_years).balance_with_cap)
             for crop in model.crops.values()
             if crop.land_class is not LandClass.MARGINAL
-            or crop.name == marginal_choice}
+            or crop.name in choices}
+
+
+def farm_incomes(model: FarmModel, choices: tuple[str, ...],
+                 ) -> tuple[FarmIncome, ...]:
+    """Whole-farm income with the marginal land planted to each choice in
+    turn, from one balance per crop."""
+    for choice in choices:
+        if model.crop(choice).land_class is not LandClass.MARGINAL:
+            raise CropgateError(f"{choice!r} is not a marginal-land crop")
+    covered = _covered(model, choices)
+    incomes = []
+    for choice in choices:
+        by_crop = {name: entry for name, entry in covered.items()
+                   if name == choice or name not in choices}
+        # a left fold in model order, as in impact.characterize
+        total = reduce(add, (ha * eur for ha, eur in by_crop.values()), 0.0)
+        incomes.append(FarmIncome(choice, total, by_crop))
+    return tuple(incomes)
 
 
 def farm_income(model: FarmModel, marginal_choice: str) -> FarmIncome:
-    """Whole-farm income with the marginal land planted to one alternative.
-
-    Establishment costs are spread over the farm's amortization horizon.
-    """
-    chosen = model.crop(marginal_choice)
-    if chosen.land_class is not LandClass.MARGINAL:
-        raise CropgateError(f"{marginal_choice!r} is not a marginal-land crop")
-    by_crop = _covered(model, marginal_choice)
-    # a left fold, as in impact.characterize
-    total = reduce(add, (area * balance for area, balance in by_crop.values()),
-                   0.0)
-    return FarmIncome(marginal_choice=marginal_choice, total_eur=total,
-                      by_crop=by_crop)
+    """Whole-farm income with the marginal land planted to one alternative."""
+    return farm_incomes(model, (marginal_choice,))[0]
 
 
 class SweepPoint(NamedTuple):

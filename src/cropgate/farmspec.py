@@ -439,8 +439,10 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             if value is not None:
                 prices[key] = value
 
+    # path order: section order changes no crop, total or diagnostic
+    sections = sorted(doc.sections, key=lambda sec: sec.path)
     kinds: dict[str, list[Section]] = {}  # sections by their first segment
-    for sec in doc.sections:
+    for sec in sections:
         kinds.setdefault(sec.path[0], []).append(sec)
     products: dict[str, ProductSpec] = {}
     for psec in kinds.get("product", ()):
@@ -470,8 +472,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         first_analysis[land_year] = ssec.name
         samples.append(sample)
 
-    # path order: the file's section order changes no crop and no total
-    crop_secs = sorted(kinds.get("crop", ()), key=lambda sec: sec.path)
+    crop_secs = kinds.get("crop", ())
     crop_subsections: dict[str, dict[str, list[Section]]] = {}
     for csec in crop_secs:
         if len(csec.path) in (3, 4):
@@ -495,7 +496,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             report.error(f"crop.{crop_name}",
                          "subsections without a [crop.{}] section".format(crop_name))
 
-    for top in doc.sections:
+    for top in sections:
         if top.path[0] not in ("farm", "prices", "product", "soil", "crop"):
             report.error(top.name, "unknown section")
         elif top.path[0] in ("farm", "prices") and len(top.path) != 1:

@@ -42,9 +42,10 @@ from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, UnitError, parse_unit
 
 __all__ = [
-    "Phase", "PHASES", "Flow", "Inventory", "AnnualizedPlan", "InventoryError",
-    "SeedRecursionError", "annualize_schedule", "seed_inventory", "build_lci",
-    "GAS_FLOWS", "MACHINERY_FLOWS", "SEED_CHAIN_FLOWS",
+    "Phase", "PHASES", "PHASE_NAMES", "Flow", "Inventory", "AnnualizedPlan",
+    "InventoryError", "SeedRecursionError", "annualize_schedule",
+    "seed_inventory", "build_lci", "GAS_FLOWS", "MACHINERY_FLOWS",
+    "SEED_CHAIN_FLOWS",
 ]
 
 
@@ -69,6 +70,8 @@ class Phase(enum.Enum):
 
 
 PHASES = tuple(Phase)
+# report names, read once: Enum's .value is a Python-level descriptor
+PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
 
 # flows characterized through gas GWPs rather than factor records

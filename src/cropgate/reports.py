@@ -26,6 +26,8 @@ write per file is the cost avoided. Rewriting 488 report files (417 kB) into
 an existing directory took a median 61 ms with ``open(path, "w")``, 125 ms
 with a temp file plus ``os.replace`` and 3.4 ms in place (ext4, 2 shared
 vCPUs; the flush costs vary with the disk's backlog, the order does not).
+The output directory costs one ``stat`` when it exists (a symlink to one
+included) and is created, parents too, only when it is missing.
 """
 
 from __future__ import annotations
@@ -60,27 +62,27 @@ _TOOL = "cropgate"
 FUNCTIONAL_UNIT = "1 ha cultivated for 1 year"
 
 
-def _fixed(value: float, decimals: int) -> str:
-    text = "%.*f" % (decimals, value)
-    if text[0] == "-" and not text.strip("-0."):
-        return text[1:]  # a value that rounds to zero prints without "-"
-    return text
+def _fixed(decimals: int, name: str = "fmt"):
+    """The cell formatter to ``decimals`` places: one call per cell.
+
+    ``name`` becomes the formatter's ``__name__``, so a public formatter
+    reads as itself in tracebacks and test ids.
+    """
+    template = f"%.{decimals}f"
+
+    def fmt(value: float) -> str:
+        text = template % value
+        if text[0] == "-" and not text.strip("-0."):
+            return text[1:]  # a value that rounds to zero prints without "-"
+        return text
+    fmt.__name__ = fmt.__qualname__ = name
+    return fmt
 
 
-def fmt_eur(value: float) -> str:
-    return _fixed(value, 2)
-
-
-def fmt_mg_co2e(value: float) -> str:
-    return _fixed(value, 3)
-
-
-def fmt_gj(value: float) -> str:
-    return _fixed(value, 1)
-
-
-def fmt_share(value: float) -> str:
-    return _fixed(value, 1)
+fmt_eur = _fixed(2, "fmt_eur")
+fmt_mg_co2e = _fixed(3, "fmt_mg_co2e")
+fmt_gj = _fixed(1, "fmt_gj")
+fmt_share = _fixed(1, "fmt_share")
 
 
 class RunManifest(NamedTuple):
@@ -181,7 +183,8 @@ def _emit(out_dir: str, fmt: str, manifest: RunManifest,
     except ValueError:
         raise CropgateError(f"{json_name} would hold a value that is not "
                             "finite; an input is too large") from None
-    os.makedirs(out_dir, exist_ok=True)
+    if not os.path.isdir(out_dir):  # one stat per call when it exists
+        os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, text in texts.items():
         path = os.path.join(out_dir, name)
@@ -299,16 +302,16 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
     result.json. The tables format its values, in the order its mappings
     keep: the file sorts its keys, the tables do not.
     """
-    from .inventory import PHASES
+    from .inventory import PHASE_NAMES
     gwp, energy = result.gwp, result.energy
     economics = {name: getattr(result.economics, name)
                  for name in _BALANCE_FIELDS}
     mg_co2e, renewable, nonrenewable = (
-        {phase.value: by_phase[phase] for phase in PHASES}
+        {name: by_phase[phase] for phase, name in PHASE_NAMES.items()}
         for by_phase in (gwp.by_phase, energy.renewable_by_phase,
                          energy.nonrenewable_by_phase))
     gwp_shares, energy_shares = (
-        {phase.value: share for phase, share in shares.items()}
+        {PHASE_NAMES[phase]: share for phase, share in shares.items()}
         for shares in (result.gwp_shares, result.energy_shares))
     payload = {
         "functional_unit": FUNCTIONAL_UNIT,

@@ -1,9 +1,11 @@
 """The one-call assessment layer that the CLI and demos sit on."""
 
 import dataclasses
+import math
 import os
 import random
 import re
+from decimal import Decimal
 from importlib import resources
 
 import pytest
@@ -12,6 +14,8 @@ from cropgate import CropgateError
 from cropgate.assess import (assess_crop, bundled_data_path, compare_pair,
                              load_factors, load_farm, resolve_factors_path,
                              sweep_shares)
+from cropgate.cli import main
+from cropgate.economics import farm_income
 from cropgate.factors import MissingFlowError, load_factor_db
 from cropgate.farmspec import parse_farm_document
 from cropgate.impact import ENERGY_PHASES, POSITIVE_PHASES
@@ -201,6 +205,24 @@ class TestComparePair:
         first = result.first
         assert result.income_first.by_crop[first.crop_name][1] \
             == first.economics.balance_with_cap
+
+    @pytest.mark.parametrize("holding", ["bundled", "larger"])
+    def test_pair_incomes_are_farm_income(self, holding, farm_path,
+                                          factor_db):
+        with open(farm_path, encoding="utf-8") as handle:
+            farm_text = handle.read()
+        if holding == "larger":  # sums that round differently by order
+            farm_text = larger_holding(farm_text, 24)
+        model = parse_farm_document(farm_text)
+        for names in (model.marginal_pair, model.marginal_pair[::-1]):
+            result = compare_pair(model, factor_db, *names)
+            for income, name in zip((result.income_first,
+                                     result.income_second), names):
+                alone = farm_income(model, name)
+                assert income.total_eur.hex() == alone.total_eur.hex()
+                assert list(income.by_crop.items()) \
+                    == list(alone.by_crop.items())
+                assert income == alone
 
     def test_single_name_rejected(self, farm_model, factor_db):
         with pytest.raises(ValueError):
@@ -450,3 +472,108 @@ class TestSectionOrder:
                 tmp_path / str(seed))
             assert payloads == expected[1], seed
             assert crops == expected[0], seed
+
+    def test_shuffled_sections_change_no_diagnostic(self, farm_path,
+                                                    tmp_path, capsys):
+        # four errors from [product.*] and [soil.*] sections: three labels
+        # without a composition, and one year analysed twice
+        with open(farm_path, encoding="utf-8") as handle:
+            farm_text = re.sub(r"(?m)^label = .*$", 'label = "organic"',
+                               handle.read())
+        farm_text = farm_text.replace("[soil.marginal.2016]",
+                                      "[soil.marginal.02013]")
+        path = tmp_path / "farm.cg"
+
+        def validate(text):
+            path.write_text(text, encoding="utf-8")
+            code = main(["validate", "--farm", str(path)])
+            return code, *capsys.readouterr()
+
+        expected = validate(farm_text)
+        assert expected[0] == 1 and expected[1].count("error: ") == 4
+        assert ("error: [soil.marginal.2013] two analyses of marginal land "
+                "in 2013: this one and [soil.marginal.02013]\n") in expected[1]
+        for seed in range(10):
+            assert validate(shuffled_sections(farm_text, seed)) == expected, \
+                seed
+
+
+# unit token -> (an equivalent token, the power of ten its value gains when
+# the token is in the numerator)
+_ALIASES = {"Mg": ("kg", 3), "kg": ("g", 3), "g": ("kg", -3),
+            "L": ("m3", -3), "m3": ("L", 3), "MJ": ("GJ", -3),
+            "GJ": ("MJ", 3), "m": ("km", -3), "km": ("m", 3),
+            "percent": ("%", 0), "%": ("percent", 0)}
+_QUANTITY_LINE = re.compile(r"(?m)^(\w+ = )(-?[0-9.]+) ([^\s#]+)")
+
+
+def unit_rewrites(text: str):
+    """Each line ``key = <number> <unit>`` whose unit has an alias, once:
+    the first aliased token swapped for its alias and the number's decimal
+    point shifted to match, so the written amount is exactly the same."""
+    for m in _QUANTITY_LINE.finditer(text):
+        head, number, unit = m.groups()
+        numerator, _, denominator = unit.partition("/")
+        for side, shift_sign in ((numerator, 1), (denominator, -1)):
+            tokens = re.split(r"([·*])", side)
+            hits = [i for i, token in enumerate(tokens) if token in _ALIASES]
+            if hits:
+                alias, shift = _ALIASES[tokens[hits[0]]]
+                tokens[hits[0]] = alias
+                side_text = "".join(tokens)
+                new_unit = (side_text + unit[len(numerator):]
+                            if shift_sign == 1 else
+                            numerator + "/" + side_text)
+                value = format(Decimal(number).scaleb(shift * shift_sign), "f")
+                yield (m.group(0), text[:m.start()] + head + value + " "
+                       + new_unit + text[m.end():])
+                break
+
+
+def reported_values(model, db) -> dict[str, float]:
+    """Every economics, GWP and energy value of every crop, by name."""
+    values = {}
+    for name in model.crops:
+        result = assess_crop(model, db, name)
+        for field, value in dataclasses.asdict(result.economics).items():
+            if field != "crop_name":
+                values[f"{name}.{field}"] = value
+        gwp, energy = result.gwp, result.energy
+        for phase in Phase:
+            values[f"{name}.gwp.{phase.value}"] = gwp.by_phase[phase]
+            values[f"{name}.ren.{phase.value}"] = \
+                energy.renewable_by_phase[phase]
+            values[f"{name}.non.{phase.value}"] = \
+                energy.nonrenewable_by_phase[phase]
+        values.update({f"{name}.gwp.positive": gwp.positive_total,
+                       f"{name}.gwp.net": gwp.net_total,
+                       f"{name}.energy.ren": energy.renewable_total,
+                       f"{name}.energy.non": energy.nonrenewable_total,
+                       f"{name}.energy.total": energy.total})
+    return values
+
+
+class TestUnitEquivalence:
+    """A quantity written in an equivalent unit, with the decimal point
+    shifted exactly, changes no reported value beyond 1e-12 relative: the
+    parse rounds the written decimal once and the scale conversions add a
+    few roundings more, never a wrong power of ten."""
+
+    def test_every_aliased_line_in_an_equivalent_unit(self, farm_path,
+                                                      factors_text):
+        with open(farm_path, encoding="utf-8") as handle:
+            farm_text = handle.read()
+        model, db = parse_farm_document(farm_text), load_factor_db(factors_text)
+        expected = reported_values(model, db)
+        assert len(expected) > 7 * 30
+        rewrites = 0
+        for in_farm, text in ((True, farm_text), (False, factors_text)):
+            for line, rewritten in unit_rewrites(text):
+                rewrites += 1
+                values = reported_values(
+                    parse_farm_document(rewritten) if in_farm else model,
+                    db if in_farm else load_factor_db(rewritten))
+                for key, value in expected.items():
+                    assert math.isclose(values[key], value, rel_tol=1e-12), \
+                        (line, key, values[key], value)
+        assert rewrites == 76

@@ -116,8 +116,8 @@ class TestValidate:
         code, out, _ = run(["validate", "--farm", farm], capsys)
         assert code == EXIT_DOMAIN
         assert out.splitlines() == [
-            "error: [soil.marginal.02013] two analyses of marginal land in "
-            "2013: this one and [soil.marginal.2013]",
+            "error: [soil.marginal.2013] two analyses of marginal land in "
+            "2013: this one and [soil.marginal.02013]",
             "invalid: 1 error(s)"]
         code, _, err = run(["assess", "--farm", farm, "--crop",
                             "tall_wheatgrass", "--out", str(tmp_path)], capsys)
@@ -286,6 +286,45 @@ class TestAssess:
         assert code == EXIT_INPUT
         assert err.startswith("error: cannot write ")
         assert err.count("\n") == 1
+
+    def test_missing_out_dir_is_created(self, farm_path, tmp_path, capsys):
+        out_dir = tmp_path / "not" / "yet"
+        code, out, _ = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(out_dir)], capsys)
+        assert code == EXIT_OK
+        names = ["balance.csv", "gwp_phases.csv", "energy_phases.csv",
+                 "result.json"]
+        assert out.splitlines() == [str(out_dir / name) for name in names]
+        assert sorted(os.listdir(out_dir)) == sorted(names)
+
+    def test_out_dir_that_is_a_file_exit_2(self, farm_path, tmp_path,
+                                           capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept", encoding="utf-8")
+        code, out, err = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(blocker)], capsys)
+        assert code == EXIT_INPUT
+        assert err == (f"error: cannot write {blocker}: "
+                       f"{os.strerror(errno.EEXIST)}\n")
+        assert out == "" and blocker.read_text(encoding="utf-8") == "kept"
+
+    def test_out_dir_symlinked_to_a_directory_writes_through(
+            self, farm_path, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(target, target_is_directory=True)
+        code, out, _ = run(
+            ["assess", "--farm", farm_path, "--crop", "rye",
+             "--out", str(link)], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == str(link / "balance.csv")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert sorted(os.listdir(target)) == [
+            "balance.csv", "energy_phases.csv", "gwp_phases.csv",
+            "result.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

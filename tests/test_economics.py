@@ -1,6 +1,7 @@
 """Gross margins, whole-farm income, and the marginal-share sweep."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,3 +145,100 @@ class TestShareSweep:
             crops=only_marginal, total_area_ha=farm_model.marginal_area_ha)
         with pytest.raises(ValueError):
             marginal_share_sweep(stripped, [0.5])
+
+
+# ---------------------------------------------------------------------- #
+#  the money against exact references
+# ---------------------------------------------------------------------- #
+
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def gamma(n: int) -> Fraction:
+    """Higham's gamma_n = n*u / (1 - n*u): a value computed through at most
+    n roundings of binary64 arithmetic on exact inputs lies within gamma_n
+    times the sum of the absolute values of its exact terms."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def exact_balance(crop, aid: float, horizon: float) -> dict:
+    """Field -> (exact value, magnitude, roundings) of ``crop_balance``,
+    from ``Fraction`` values of the parsed floats. The magnitude is the sum
+    of the absolute exact terms, the roundings the longest chain of
+    floating-point operations the engine applies: a component is one
+    division and one addition, the cost total three additions more, a sale
+    one product, the sales total one addition, each balance one more."""
+    costs = {name: Fraction(value)
+             for name, value in crop.costs._asdict().items()}
+    out = {}
+    for part in ("seed", "herbicide", "fertilizer", "machinery_labor"):
+        annual = costs[part]
+        spread = costs[f"{part}_establishment"] / Fraction(horizon)
+        out[f"{part}_cost"] = (annual + spread, abs(annual) + abs(spread), 2)
+    parts = [out[f"{part}_cost"] for part in
+             ("seed", "herbicide", "fertilizer", "machinery_labor")]
+    out["total_cost"] = (sum(p[0] for p in parts), sum(p[1] for p in parts), 5)
+    for sale, yield_, price in (
+            ("grain_sales", crop.grain_yield_mg_ha, crop.grain_price),
+            ("straw_sales", crop.straw_yield_mg_ha, crop.straw_price)):
+        value = (Fraction(yield_) * Fraction(price)
+                 if yield_ and price is not None else Fraction(0))
+        out[sale] = (value, abs(value), 1)
+    if crop.sales_override is not None:
+        out["total_sales"] = (Fraction(crop.sales_override),
+                              abs(Fraction(crop.sales_override)), 0)
+    else:
+        grain, straw = out["grain_sales"], out["straw_sales"]
+        out["total_sales"] = (grain[0] + straw[0], grain[1] + straw[1], 2)
+    sales, cost = out["total_sales"], out["total_cost"]
+    out["balance_without_cap"] = (sales[0] - cost[0], sales[1] + cost[1], 6)
+    out["balance_with_cap"] = (sales[0] - cost[0] + Fraction(aid),
+                               sales[1] + cost[1] + abs(Fraction(aid)), 7)
+    return out
+
+
+class TestExactMoney:
+    """Each bundled crop's balance and both pair farm incomes, against the
+    exact rational value of the same formula on the parsed floats."""
+
+    def test_each_crop_balance_within_its_rounding_bound(self, farm_model):
+        aid = farm_model.cap_aid_eur_ha
+        horizon = farm_model.amortization_horizon_years
+        assert len(farm_model.crops) == 7
+        for crop in farm_model.crops.values():
+            bal = crop_balance(crop, aid, horizon)
+            # the identities hold exactly in floating point
+            assert bal.total_cost == (bal.seed_cost + bal.herbicide_cost
+                                      + bal.fertilizer_cost
+                                      + bal.machinery_labor_cost)
+            assert bal.total_sales == (
+                crop.sales_override if crop.sales_override is not None
+                else bal.grain_sales + bal.straw_sales)
+            assert bal.balance_without_cap == bal.total_sales - bal.total_cost
+            assert bal.balance_with_cap == bal.balance_without_cap + aid
+            for field, (exact, magnitude, n) in exact_balance(
+                    crop, aid, horizon).items():
+                error = abs(Fraction(getattr(bal, field)) - exact)
+                assert error <= gamma(n) * magnitude, (crop.name, field)
+
+    def test_pair_farm_incomes_within_their_rounding_bound(self, farm_model):
+        aid = farm_model.cap_aid_eur_ha
+        horizon = farm_model.amortization_horizon_years
+        for choice in farm_model.marginal_pair:
+            income = farm_income(farm_model, choice)
+            exact = magnitude = Fraction(0)
+            for name, (area, balance) in income.by_crop.items():
+                crop = farm_model.crop(name)
+                assert area == crop.area_ha
+                value, size, _ = exact_balance(crop, aid, horizon)[
+                    "balance_with_cap"]
+                exact += Fraction(area) * value
+                magnitude += abs(Fraction(area)) * size
+            # 7 roundings per balance, 1 per product, 1 per fold step
+            n = 7 + 1 + len(income.by_crop) - 1
+            assert abs(Fraction(income.total_eur) - exact) \
+                <= gamma(n) * magnitude, choice
+            assert set(income.by_crop) == {
+                crop.name for crop in farm_model.crops.values()
+                if crop.land_class is not LandClass.MARGINAL
+                or crop.name == choice}

@@ -251,11 +251,12 @@ class TestValidation:
          "crop.grass.base_dose", "must be finite"),
         ("organic_carbon = 0.313 percent", "organic_carbon = 0.313 kg",
          "soil.marginal.2013.organic_carbon", "must be a plain number"),
-        # int() reads both years as 2013; the soil pair then spans 0 years
+        # int() reads both years as 2013; the soil pair then spans 0 years.
+        # The error names the analysis that comes first by path
         ("[soil.marginal.2016]", "[soil.marginal.02013]",
-         "soil.marginal.02013",
+         "soil.marginal.2013",
          "two analyses of marginal land in 2013: this one and "
-         "[soil.marginal.2013]"),
+         "[soil.marginal.02013]"),
         # a dose that is not per ha used to fail only in the inventory
         ("dose = 1 L/ha", "dose = 1 L",
          "crop.grass.herbicide.weedkiller.dose",

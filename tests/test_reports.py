@@ -81,7 +81,7 @@ class TestFixedMatchesRound:
     @example((math.nan, 1))
     def test_same_text_as_round_then_format(self, case):
         value, decimals = case
-        assert reports._fixed(value, decimals) \
+        assert reports._fixed(decimals)(value) \
             == round_then_format(value, decimals)
 
 
