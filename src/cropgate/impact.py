@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .factors import FactorDB
+from .factors import FactorDB, MissingFlowError
 from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
 
 __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize",
@@ -69,9 +69,10 @@ def characterize(inventory: Inventory, db: FactorDB,
     kg, ren, non = ([0.0] * len(PHASES) for _ in range(3))
     soc_mg = 0.0
     missing: set[str] = set()
-    resolve = db.records.get if cutoff_missing else db.lookup
+    # on Python 3.10-3.11 each Phase.SOC read runs EnumType.__getattr__
+    soc, resolve = Phase.SOC, db.records.get
     for flow_id, amount, phase in inventory.flows:
-        if phase is Phase.SOC:
+        if phase is soc:
             soc_mg += amount.to("Mg")
             continue
         i = _INDEX[phase]
@@ -80,6 +81,8 @@ def characterize(inventory: Inventory, db: FactorDB,
             continue
         record = resolve(flow_id)
         if record is None:
+            if not cutoff_missing:
+                raise MissingFlowError(flow_id)
             missing.add(flow_id)
             continue
         basis = amount.to(record.unit)
@@ -87,7 +90,7 @@ def characterize(inventory: Inventory, db: FactorDB,
         ren[i] += basis * record.pe_renewable / 1000.0
         non[i] += basis * record.pe_nonrenewable / 1000.0
     by_phase = {phase: total / 1000.0 for phase, total in zip(PHASES, kg)}
-    by_phase[Phase.SOC] = soc_mg
+    by_phase[soc] = soc_mg
     # plain left folds: sum() of floats is compensated since Python 3.12
     positive = reduce(add, (by_phase[phase] for phase in POSITIVE_PHASES), 0.0)
     ren_total, non_total = reduce(add, ren, 0.0), reduce(add, non, 0.0)

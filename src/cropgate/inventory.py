@@ -70,6 +70,11 @@ class Phase(enum.Enum):
 
 
 PHASES = tuple(Phase)
+# read once: on Python 3.10 and 3.11 each Phase.X runs EnumType.__getattr__
+_SEED, _FERTILIZER, _PESTICIDE, _FIELD_WORKS, _FIELD_EMISSIONS, _SOC = (
+    Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE, Phase.FIELD_WORKS,
+    Phase.FIELD_EMISSIONS, Phase.SOC)
+_ESTABLISHMENT = Timing.ESTABLISHMENT
 # report names, read once: Enum's .value is a Python-level descriptor
 PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
@@ -124,7 +129,7 @@ class AnnualizedPlan(NamedTuple):
 
 
 def _spread(value, timing: Timing, horizon: float):
-    return value / horizon if timing is Timing.ESTABLISHMENT else value
+    return value / horizon if timing is _ESTABLISHMENT else value
 
 
 def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
@@ -176,26 +181,26 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
 
     The order fixes the order of the per-phase float sums downstream.
     """
-    flows = [Flow(product_id, Quantity(dose, _MG), Phase.FERTILIZER)
+    flows = [Flow(product_id, Quantity(dose, _MG), _FERTILIZER)
              for product_id, dose in ann.fertilizations]
     for product_id, dose in ann.herbicides:
         product = model.products[product_id]
         ai_kg = _active_ingredient_kg(dose, product.active_fraction)
         flows.append(Flow(product_id, Quantity(ai_kg * _KG_VALUE, _MG),
-                          Phase.PESTICIDE))
+                          _PESTICIDE))
     if ann.diesel_l_ha:
         flows.append(Flow("diesel", Quantity(ann.diesel_l_ha, _L),
-                          Phase.FIELD_WORKS))
+                          _FIELD_WORKS))
         gases = exhaust_emissions(ann.diesel_l_ha, exhaust)
         for gas, kg in (("co2", gases.co2_kg), ("ch4", gases.ch4_kg),
                         ("n2o", gases.n2o_kg)):
             if kg:
                 flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
-                                  Phase.FIELD_WORKS))
+                                  _FIELD_WORKS))
     for cls, flow_id in MACHINERY_FLOWS.items():
         mass = ann.machinery_mg_ha.get(cls)
         if mass:
-            flows.append(Flow(flow_id, Quantity(mass, _MG), Phase.FIELD_WORKS))
+            flows.append(Flow(flow_id, Quantity(mass, _MG), _FIELD_WORKS))
     return flows
 
 
@@ -265,7 +270,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
         return None, None
     if crop.soc_fixation_mg_c_ha is not None:
         credit = soc_co2_credit(crop.soc_fixation_mg_c_ha)
-        return Flow("co2", Quantity(-credit, _MG), Phase.SOC), None
+        return Flow("co2", Quantity(-credit, _MG), _SOC), None
     series = model.soil_series(crop.land_class)
     if len(series) < 2:
         return None, (f"no soil analysis pair for {crop.land_class.value} "
@@ -273,7 +278,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
     first, last = series[0], series[-1]
     years = last.year - first.year
     change = soc_annual_change(soc_stock(first), soc_stock(last), years)
-    return Flow("co2", Quantity(-soc_co2_credit(change), _MG), Phase.SOC), None
+    return Flow("co2", Quantity(-soc_co2_credit(change), _MG), _SOC), None
 
 
 def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
@@ -287,10 +292,10 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
         vector = _seed_vector(crop, ann, _by_flow_id(production),
                               seed_one_level, ann.sowing_dose_mg_ha)
         for flow_id in sorted(vector):
-            flows.append(Flow(flow_id, vector[flow_id], Phase.SEED))
+            flows.append(Flow(flow_id, vector[flow_id], _SEED))
     elif ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.EXTERNAL:
         flows.append(Flow(crop.seed_flow, Quantity(ann.sowing_dose_mg_ha, _MG),
-                          Phase.SEED))
+                          _SEED))
     flows.extend(production)
 
     # a left fold, as in impact.characterize
@@ -300,14 +305,14 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
         if product_id in model.products), 0.0)
     n2o_mg = n2o_field_emissions(n_applied_kg, db.n2o_params(crop.name))
     if n2o_mg:
-        flows.append(Flow("n2o", Quantity(n2o_mg, _MG), Phase.FIELD_EMISSIONS))
+        flows.append(Flow("n2o", Quantity(n2o_mg, _MG), _FIELD_EMISSIONS))
 
     soc_flow, note = _soc_flow(crop, model)
     if soc_flow is not None:
         flows.append(soc_flow)
 
     for flow in flows:
-        if flow.amount.value < 0 and flow.phase is not Phase.SOC:
+        if flow.amount.value < 0 and flow.phase is not _SOC:
             raise InventoryError(
                 f"negative amount for flow {flow.flow_id!r} in phase "
                 f"{flow.phase.value}")

@@ -48,6 +48,8 @@ class SectionSyntaxError(InputError):
 _HEADER_RE = re.compile(r"\[([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)\]\s*$")
 # a quoted string up to its first unescaped quote, with the blanks around it
 _STRING_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"\s*')
+# value -> member, per enum class read by SectionReader.choice
+_CHOICES: dict[type[enum.Enum], dict[str, enum.Enum]] = {}
 
 
 class Entry(NamedTuple):
@@ -390,16 +392,18 @@ class SectionReader:
         return self._take(key, bool, "true or false", default)
 
     def choice(self, key: str, kind: type[enum.Enum], default=None):
-        """One member of the enum ``kind``, written as its value."""
+        """One member of the enum ``kind``, written as its value; found in a
+        value-to-member mapping built once per class, not by ``kind(value)``."""
         value = self._take(key)
         if value is None:
             return default
-        try:
-            return kind(value)
-        except (ValueError, TypeError):
-            names = [member.value for member in kind]
-            self.error(key, f"expected {', '.join(names[:-1])} or {names[-1]}")
-            return default
+        members = _CHOICES.get(kind) or _CHOICES.setdefault(
+            kind, {member.value: member for member in kind})
+        if isinstance(value, str) and value in members:
+            return members[value]
+        *names, last = members
+        self.error(key, f"expected {', '.join(names)} or {last}")
+        return default
 
     def ident_list(self, key: str) -> list[str] | None:
         """The identifiers at ``key``, [] when it is absent; None, reported

@@ -374,6 +374,16 @@ class TestValidation:
         ("straw = 40 EUR/Mg",
          "grass_straw = 40 EUR/Mg\ncereal_straw = 40 EUR/Mg",
          "crop.wheat", "no straw price for 'wheat'"),
+        # a choice takes a member's value only: not a list, a member's
+        # name, a number or a boolean
+        ("land_class = non_marginal", "land_class = marginal, fallow",
+         "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
+        ("land_class = non_marginal", "land_class = NON_MARGINAL",
+         "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
+        ("land_class = non_marginal", "land_class = 3 ha",
+         "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
+        ("seed_source = external", "seed_source = true",
+         "crop.grass.seed_source", "expected own, external or none"),
     ], ids=["amortization_horizon", "life_span", "infinite_aid",
             "infinite_diesel", "percent_aid", "percent_diesel",
             "percent_total_area", "mass_total_area", "missing_total_area",
@@ -398,7 +408,9 @@ class TestValidation:
             "product_path", "soil_path", "unknown_crop_subsection",
             "crop_subsection_path", "crop_section_path",
             "subsection_without_crop", "undefined_herbicide",
-            "herbicide_not_a_herbicide", "no_straw_price"])
+            "herbicide_not_a_herbicide", "no_straw_price",
+            "land_class_list", "land_class_member_name", "land_class_number",
+            "seed_source_bool"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))

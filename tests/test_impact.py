@@ -168,9 +168,18 @@ class TestOnePass:
     def test_each_record_resolved_once(self, sample_inventory, sample_db,
                                        monkeypatch):
         resolved = []
-        lookup = sample_db.lookup
-        monkeypatch.setattr(sample_db, "lookup", lambda flow_id: (
-            resolved.append(flow_id), lookup(flow_id))[1])
+
+        class CountingRecords(dict):
+            def __getitem__(self, flow_id):
+                resolved.append(flow_id)
+                return super().__getitem__(flow_id)
+
+            def get(self, flow_id, default=None):
+                resolved.append(flow_id)
+                return super().get(flow_id, default)
+
+        monkeypatch.setattr(sample_db, "records",
+                            CountingRecords(sample_db.records))
         characterize(sample_inventory, sample_db)
         # gases and the soil carbon flow need no record
         assert resolved == ["fert", "herb", "diesel"]

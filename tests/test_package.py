@@ -1,6 +1,8 @@
 """The public surface of the package."""
 
+import ast
 import dataclasses
+import enum
 import hashlib
 import importlib
 import json
@@ -258,3 +260,39 @@ def test_replace_works_on_the_kept_dataclasses(name, farm_model, factor_db):
     first = dataclasses.fields(value)[0].name
     copy = dataclasses.replace(value, **{first: getattr(value, first)})
     assert copy == value and copy is not value
+
+
+# where a read of an Enum class attribute is paid per flow, per schedule
+# entry or per key: on Python 3.10 and 3.11 EnumType.__getattr__ makes each
+# such read several times the cost of a global, so a member is read once
+_PER_RECORD_NODES = (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                     ast.DictComp, ast.GeneratorExp)
+
+
+def _enum_reads_per_record(module) -> list[str]:
+    """Each ``<Enum>.<attr>`` read of ``module`` inside a loop, inside a
+    comprehension or in ``_spread``, as ``<line>: <Enum>.<attr>``."""
+    enums = {name for name, value in vars(module).items()
+             if isinstance(value, type) and issubclass(value, enum.Enum)}
+    found = []
+
+    def visit(node, per_record):
+        per_record = per_record or isinstance(node, _PER_RECORD_NODES) or (
+            isinstance(node, ast.FunctionDef) and node.name == "_spread")
+        if (per_record and isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in enums):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, per_record)
+
+    with open(module.__file__, encoding="utf-8") as handle:
+        visit(ast.parse(handle.read()), False)
+    return found
+
+
+@pytest.mark.parametrize("name", ["cropgate.inventory", "cropgate.impact"])
+def test_enum_members_are_not_read_per_record(name):
+    module = importlib.import_module(name)
+    assert issubclass(module.Phase, enum.Enum)  # a class the walk checks
+    assert _enum_reads_per_record(module) == []
