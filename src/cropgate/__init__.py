@@ -37,6 +37,10 @@ class InputError(CropgateError):
     exit_code = 2
 
 
+# the flows characterized through the IPCC 2013 GWP100 table, not through
+# [flow.*] records, in the field order of fieldemit.ExhaustGases
+GASES = ("co2", "ch4", "n2o")
+
 # an amortization horizon longer than this is a typo, not a question about
 # the farm
 MAX_HORIZON_YEARS = 1000
@@ -77,8 +81,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {"cli", "fieldemit", "reports", *_EXPORTS}
 
-__all__ = ["__version__", "CropgateError", "InputError", "MAX_HORIZON_YEARS",
-           "horizon_problem", "assess", *_HOME]
+__all__ = ["__version__", "CropgateError", "InputError", "GASES",
+           "MAX_HORIZON_YEARS", "horizon_problem", "assess", *_HOME]
 
 
 def __getattr__(name: str):

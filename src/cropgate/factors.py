@@ -25,18 +25,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import CropgateError
+from . import GASES, CropgateError
 from .sections import SectionReader, ValidationReport, parse_document
 from .units import UnitError, parse_unit
 
 __all__ = [
-    "FactorFileError", "MissingFlowError", "FactorRecord", "GasGWP",
-    "N2OParams", "ExhaustFactors", "FactorDB", "load_factor_db",
+    "FactorFileError", "MissingFlowError", "FactorRecord", "N2OParams",
+    "ExhaustFactors", "FactorDB", "load_factor_db",
     "DEFAULT_GAS_GWP", "DEFAULT_EXHAUST",
 ]
 
-# IPCC 2013 GWP100 values as commonly applied in LCA practice.
-DEFAULT_GAS_GWP = {"co2": 1.0, "n2o": 265.0, "ch4": 30.5}
+# IPCC 2013 GWP100 values as commonly applied in LCA practice, in GASES order
+DEFAULT_GAS_GWP = dict(zip(GASES, (1.0, 30.5, 265.0)))
 # the units of inventory flows: masses in Mg, volumes in L
 _FLOW_BASES = (parse_unit("Mg")[0], parse_unit("L")[0])
 
@@ -64,11 +64,6 @@ class FactorRecord(NamedTuple):
     note: str = ""
 
 
-class GasGWP(NamedTuple):
-    gas: str
-    gwp100: float  # kg CO2e per kg gas
-
-
 class N2OParams(NamedTuple):
     """Field N2O model parameters for one crop.
 
@@ -84,7 +79,8 @@ class N2OParams(NamedTuple):
 
 
 class ExhaustFactors(NamedTuple):
-    """Exhaust masses per litre of diesel burned, all in kg/L."""
+    """Exhaust masses per litre of diesel burned, all in kg/L, one field
+    per gas in ``GASES`` order."""
     co2_kg_l: float = 2.64
     ch4_kg_l: float = 0.0
     n2o_kg_l: float = 0.0
@@ -95,15 +91,13 @@ DEFAULT_EXHAUST = ExhaustFactors()
 
 class FactorDB:
     def __init__(self, records: dict[str, FactorRecord] | None = None,
-                 gases: dict[str, GasGWP] | None = None,
+                 gases: dict[str, float] | None = None,
                  emissions: dict[str, N2OParams] | None = None,
                  exhaust: ExhaustFactors = DEFAULT_EXHAUST):
         self.records = {} if records is None else records
-        self.gases = {} if gases is None else gases
+        self.gases = {**DEFAULT_GAS_GWP, **(gases or {})}  # kg CO2e per kg
         self.emissions = {} if emissions is None else emissions
         self.exhaust = exhaust
-        for gas, gwp in DEFAULT_GAS_GWP.items():
-            self.gases.setdefault(gas, GasGWP(gas, gwp))
 
     def lookup(self, flow_id: str) -> FactorRecord:
         try:
@@ -112,7 +106,7 @@ class FactorDB:
             raise MissingFlowError(flow_id) from None
 
     def gas_gwp(self, gas: str) -> float:
-        return self.gases[gas].gwp100
+        return self.gases[gas]
 
     def n2o_params(self, crop_name: str) -> N2OParams:
         return self.emissions.get(crop_name, N2OParams())
@@ -147,10 +141,9 @@ def _read_emissions(reader: SectionReader) -> N2OParams:
 
 
 def _read_exhaust(reader: SectionReader) -> ExhaustFactors:
-    return ExhaustFactors(
-        co2_kg_l=reader.non_negative("co2", "kg/L", DEFAULT_EXHAUST.co2_kg_l),
-        ch4_kg_l=reader.non_negative("ch4", "kg/L", 0.0),
-        n2o_kg_l=reader.non_negative("n2o", "kg/L", 0.0))
+    return ExhaustFactors._make(
+        reader.non_negative(gas, "kg/L", default)
+        for gas, default in zip(GASES, DEFAULT_EXHAUST))
 
 
 def load_factor_db(text: str) -> FactorDB:
@@ -170,17 +163,17 @@ def load_factor_db(text: str) -> FactorDB:
             continue
         reader = SectionReader(section, report)
         if kind == "flow":
-            if name in DEFAULT_GAS_GWP:  # the co2, ch4 and n2o flows
+            if name in GASES:
                 report.error(section.name, "never applies: the flow is a gas, "
                              f"characterized by [gas.{name}]")
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
-            if name not in DEFAULT_GAS_GWP:
+            if name not in GASES:
                 report.error(section.name, "never applies: the inventory "
                              "emits co2, ch4 and n2o only")
             if "gwp100" not in section:
                 reader.error("gwp100", "gas needs a finite gwp100")
-            db.gases[name] = GasGWP(name, reader.number("gwp100"))
+            db.gases[name] = reader.number("gwp100")
         elif name == "exhaust":
             db.exhaust = _read_exhaust(reader)
         else:

@@ -26,14 +26,14 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import CropgateError, horizon_problem
+from . import GASES, CropgateError, horizon_problem
 from .sections import (Diagnostic, Document, Section, SectionReader,
                        ValidationReport, parse_document)
 from .units import Quantity, parse_unit
 
 __all__ = [
-    "LandClass", "Timing", "SeedSource", "MachineClass",
-    "Composition", "ProductSpec", "FertilizerApplication",
+    "LandClass", "Timing", "SeedSource", "MACHINERY_FLOWS", "Composition",
+    "ProductSpec", "FertilizerApplication",
     "HerbicideApplication", "FieldOperation", "CostBlock", "CropPlan",
     "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
     "FarmFileError", "FarmValidationError", "UnknownCropError",
@@ -78,13 +78,14 @@ class SeedSource(enum.Enum):
     NONE = "none"
 
 
-class MachineClass(enum.Enum):
-    TRACTOR = "tractor"
-    HARVESTER = "harvester"
-    TILLAGE = "tillage"
-    IMPLEMENT = "implements"
-
-    __hash__ = object.__hash__  # a dict key per field operation
+# the machinery keys of a [crop.<name>.op.<label>] section -> the flow id
+# of the machine wear each one holds, in report order
+MACHINERY_FLOWS = {
+    "tractor": "machinery_tractor",
+    "harvester": "machinery_harvester",
+    "tillage": "machinery_tillage",
+    "implements": "machinery_implement",
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -123,7 +124,7 @@ class FieldOperation(NamedTuple):
     name: str
     timing: Timing
     diesel_l_ha: float = 0.0
-    machinery_mg_ha: Mapping[MachineClass, float] = MappingProxyType({})
+    machinery_mg_ha: Mapping[str, float] = MappingProxyType({})  # by key
 
 
 class CostBlock(NamedTuple):
@@ -229,9 +230,14 @@ def parse_product_label(label: str) -> Composition:
 # ---------------------------------------------------------------------- #
 
 _FRACTION_KEYS = ("n_fraction", "p_fraction", "k_fraction")
+# a product or seed_flow id is a flow id: a gas's would be characterized
+# through the GWP table, not through its [flow.*] record
+_GAS_ID = "names a gas: the flow {0} is characterized by [gas.{0}]"
 
 
 def _read_product(section: Section, report: ValidationReport) -> ProductSpec | None:
+    if section.path[1] in GASES:
+        report.error(section.name, _GAS_ID.format(section.path[1]))
     reader = SectionReader(section, report)
     reader.require("kind")
     kind = reader.text("kind")
@@ -293,7 +299,6 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
 
 
 _PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
-_MACHINE_KEYS = tuple((cls.value, cls) for cls in MachineClass)  # .value is slow
 
 
 def _read_crop(section: Section, sub: dict[str, list[Section]],
@@ -321,6 +326,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         "seed_source", SeedSource,
         SeedSource.OWN if sowing_dose else SeedSource.NONE)
     seed_flow = reader.text("seed_flow")
+    if seed_flow in GASES:
+        reader.error("seed_flow", _GAS_ID.format(seed_flow))
     seed_yield = reader.non_negative("seed_yield", "Mg/ha")
 
     fertilizations = []
@@ -366,10 +373,10 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         timing = oreader.choice("timing", Timing, Timing.RECURRENT)
         diesel = oreader.non_negative("diesel", "L/ha", 0.0)
         machinery = {}
-        for key, cls in _MACHINE_KEYS:
+        for key in MACHINERY_FLOWS:
             mass = oreader.non_negative(key, "Mg/ha")
             if mass is not None:
-                machinery[cls] = mass
+                machinery[key] = mass
         oreader.finish()
         operations.append(FieldOperation(name=osec.path[3], timing=timing,
                                          diesel_l_ha=diesel,
@@ -434,10 +441,12 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     price_sec = doc.section("prices")
     if price_sec is not None:
         preader = SectionReader(price_sec, report)
-        for key in list(price_sec.entries):
-            value = preader.quantity(key, "EUR/Mg")
-            if value is not None:
-                prices[key] = value
+        for key in price_sec.entries:  # a crop the farm lacks is no error
+            if key == "straw" or key.endswith(("_grain", "_straw")):
+                value = preader.quantity(key, "EUR/Mg")
+                if value is not None:
+                    prices[key] = value
+        preader.finish()
 
     # path order: section order changes no crop, total or diagnostic
     sections = sorted(doc.sections, key=lambda sec: sec.path)

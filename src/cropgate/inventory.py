@@ -33,10 +33,10 @@ from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import CropgateError, horizon_problem
+from . import GASES, CropgateError, horizon_problem
 from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
-from .farmspec import (CropPlan, FarmModel, LandClass, MachineClass,
-                       SeedSource, Timing)
+from .farmspec import (MACHINERY_FLOWS, CropPlan, FarmModel, SeedSource,
+                       Timing)
 from .fieldemit import exhaust_emissions, n2o_field_emissions
 from .soc import soc_annual_change, soc_co2_credit, soc_stock
 from .units import Quantity, UnitError, parse_unit
@@ -80,14 +80,8 @@ PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
 
 # flows characterized through gas GWPs rather than factor records
-GAS_FLOWS = ("co2", "ch4", "n2o")
-
-MACHINERY_FLOWS = {
-    MachineClass.TRACTOR: "machinery_tractor",
-    MachineClass.HARVESTER: "machinery_harvester",
-    MachineClass.TILLAGE: "machinery_tillage",
-    MachineClass.IMPLEMENT: "machinery_implement",
-}
+GAS_FLOWS = GASES
+_CO2, _, _N2O = GASES  # the soil-carbon and field-emission flows
 
 # reserved flow ids added per Mg of farm-multiplied seed (see docs/formats.md)
 SEED_CHAIN_FLOWS = ("seed_processing", "seed_transport", "seed_biomass_energy")
@@ -125,7 +119,7 @@ class AnnualizedPlan(NamedTuple):
     fertilizations: tuple  # (product_id, dose_mg_ha) pairs
     herbicides: tuple      # (product_id, per-ha dose Quantity) pairs
     diesel_l_ha: float
-    machinery_mg_ha: Mapping[MachineClass, float] = MappingProxyType({})
+    machinery_mg_ha: Mapping[str, float] = MappingProxyType({})  # by key
 
 
 def _spread(value, timing: Timing, horizon: float):
@@ -141,12 +135,12 @@ def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
     """
     if problem := horizon_problem(horizon_years):
         raise InventoryError(f"amortization horizon {problem}")
-    machinery: dict[MachineClass, float] = {}
+    machinery: dict[str, float] = {}
     diesel = 0.0
     for op in crop.operations:
         diesel += _spread(op.diesel_l_ha, op.timing, horizon_years)
-        for cls, mass in op.machinery_mg_ha.items():
-            machinery[cls] = machinery.get(cls, 0.0) + _spread(
+        for key, mass in op.machinery_mg_ha.items():
+            machinery[key] = machinery.get(key, 0.0) + _spread(
                 mass, op.timing, horizon_years)
     return AnnualizedPlan(
         sowing_dose_mg_ha=_spread(crop.sowing_dose_mg_ha, crop.sowing_timing,
@@ -191,14 +185,12 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
     if ann.diesel_l_ha:
         flows.append(Flow("diesel", Quantity(ann.diesel_l_ha, _L),
                           _FIELD_WORKS))
-        gases = exhaust_emissions(ann.diesel_l_ha, exhaust)
-        for gas, kg in (("co2", gases.co2_kg), ("ch4", gases.ch4_kg),
-                        ("n2o", gases.n2o_kg)):
+        for gas, kg in zip(GASES, exhaust_emissions(ann.diesel_l_ha, exhaust)):
             if kg:
                 flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
                                   _FIELD_WORKS))
-    for cls, flow_id in MACHINERY_FLOWS.items():
-        mass = ann.machinery_mg_ha.get(cls)
+    for key, flow_id in MACHINERY_FLOWS.items():
+        mass = ann.machinery_mg_ha.get(key)
         if mass:
             flows.append(Flow(flow_id, Quantity(mass, _MG), _FIELD_WORKS))
     return flows
@@ -270,7 +262,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
         return None, None
     if crop.soc_fixation_mg_c_ha is not None:
         credit = soc_co2_credit(crop.soc_fixation_mg_c_ha)
-        return Flow("co2", Quantity(-credit, _MG), _SOC), None
+        return Flow(_CO2, Quantity(-credit, _MG), _SOC), None
     series = model.soil_series(crop.land_class)
     if len(series) < 2:
         return None, (f"no soil analysis pair for {crop.land_class.value} "
@@ -278,7 +270,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
     first, last = series[0], series[-1]
     years = last.year - first.year
     change = soc_annual_change(soc_stock(first), soc_stock(last), years)
-    return Flow("co2", Quantity(-soc_co2_credit(change), _MG), _SOC), None
+    return Flow(_CO2, Quantity(-soc_co2_credit(change), _MG), _SOC), None
 
 
 def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
@@ -305,7 +297,7 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
         if product_id in model.products), 0.0)
     n2o_mg = n2o_field_emissions(n_applied_kg, db.n2o_params(crop.name))
     if n2o_mg:
-        flows.append(Flow("n2o", Quantity(n2o_mg, _MG), _FIELD_EMISSIONS))
+        flows.append(Flow(_N2O, Quantity(n2o_mg, _MG), _FIELD_EMISSIONS))
 
     soc_flow, note = _soc_flow(crop, model)
     if soc_flow is not None:

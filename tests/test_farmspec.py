@@ -384,6 +384,19 @@ class TestValidation:
          "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
         ("seed_source = external", "seed_source = true",
          "crop.grass.seed_source", "expected own, external or none"),
+        # a product or seed flow named after a gas used to be characterized
+        # through the gas's GWP, never through its [flow.*] record
+        ("npk", "co2", "product.co2",
+         "names a gas: the flow co2 is characterized by [gas.co2]"),
+        ("weedkiller", "ch4", "product.ch4",
+         "names a gas: the flow ch4 is characterized by [gas.ch4]"),
+        ("seed_flow = seed_grass", "seed_flow = n2o", "crop.grass.seed_flow",
+         "names a gas: the flow n2o is characterized by [gas.n2o]"),
+        # a misspelled price key used to be read and never applied
+        ("straw = 40 EUR/Mg", "straw = 40 EUR/Mg\ncereal_straww = 30 EUR/Mg",
+         "prices.cereal_straww", "unknown key"),
+        ("straw = 40 EUR/Mg", "straw = 40 EUR/Mg\ncereal = 30 EUR/Mg",
+         "prices.cereal", "unknown key"),
     ], ids=["amortization_horizon", "life_span", "infinite_aid",
             "infinite_diesel", "percent_aid", "percent_diesel",
             "percent_total_area", "mass_total_area", "missing_total_area",
@@ -410,12 +423,19 @@ class TestValidation:
             "subsection_without_crop", "undefined_herbicide",
             "herbicide_not_a_herbicide", "no_straw_price",
             "land_class_list", "land_class_member_name", "land_class_number",
-            "seed_source_bool"])
+            "seed_source_bool", "gas_fertilizer", "gas_herbicide",
+            "gas_seed_flow", "misspelled_price", "price_without_shape"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))
         assert [(d.where, d.message) for d in err.value.report.errors] \
             == [(where, message)]
+
+    def test_price_for_a_crop_the_farm_lacks_is_accepted(self):
+        text = VALID.replace("straw = 40 EUR/Mg", "straw = 40 EUR/Mg\n"
+                             "oats_grain = 200 EUR/Mg\noats_straw = 50 EUR/Mg")
+        assert _report_of(text).diagnostics == []
+        assert parse_farm_document(text) == parse_farm_document(VALID)
 
     def test_unknown_crop_in_pair(self):
         # the pair's second crop is then unpaired: a second error, at it

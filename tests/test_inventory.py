@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cropgate.factors import DEFAULT_EXHAUST
+from cropgate import GASES
+from cropgate.factors import DEFAULT_EXHAUST, DEFAULT_GAS_GWP, ExhaustFactors
 from cropgate.farmspec import Timing, parse_farm_document
-from cropgate.inventory import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, Flow,
-                                Inventory, InventoryError, Phase,
+from cropgate.fieldemit import ExhaustGases
+from cropgate.inventory import (GAS_FLOWS, MACHINERY_FLOWS, SEED_CHAIN_FLOWS,
+                                Flow, Inventory, InventoryError, Phase,
                                 SeedRecursionError, _cultivation_flows,
                                 annualize_schedule, build_lci, seed_inventory)
 from cropgate.units import Quantity, UnitError, parse_quantity
@@ -258,6 +260,28 @@ class TestSeedChain:
                 if f.phase is Phase.SEED and f.flow_id == "npk_8_24_8"]
         assert seed == [pytest.approx(
             (0.20 + 0.15) / 1.50 / (1 - 0.15 / 1.50) * 0.15)]
+
+
+class TestReservedFlows:
+    """Each reserved flow id has one spelling: the gases in ``GASES``, the
+    machinery flows in ``farmspec.MACHINERY_FLOWS``."""
+
+    def test_exhaust_fields_follow_the_gas_order(self):
+        # the inventory zips GASES with ExhaustGases, and the factor reader
+        # fills ExhaustFactors from the GASES keys, field by field
+        for fields in (ExhaustFactors._fields, ExhaustGases._fields):
+            assert tuple(field.split("_")[0] for field in fields) == GASES
+        assert GAS_FLOWS is GASES and tuple(DEFAULT_GAS_GWP) == GASES
+
+    @pytest.mark.parametrize("key", list(MACHINERY_FLOWS))
+    def test_each_machinery_key_is_one_field_works_flow(self, key,
+                                                         factor_db):
+        model = parse_farm_document(seed_farm(0.1, 1.5).replace(
+            "diesel = 2 L/ha\ntractor = 0.002 Mg/ha", f"{key} = 0.003 Mg/ha"))
+        lci = build_lci(model.crop("a"), model, factor_db)
+        assert [(flow.flow_id, flow.amount.to("Mg"))
+                for flow in lci.by_phase(Phase.FIELD_WORKS)] \
+            == [(MACHINERY_FLOWS[key], 0.003)]
 
 
 class TestBuildLci:

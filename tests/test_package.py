@@ -6,6 +6,7 @@ import enum
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -296,3 +297,71 @@ def test_enum_members_are_not_read_per_record(name):
     module = importlib.import_module(name)
     assert issubclass(module.Phase, enum.Enum)  # a class the walk checks
     assert _enum_reads_per_record(module) == []
+
+
+def _module_level(body):
+    """The statements run at import: ``body`` and the branches of its ``if``
+    and ``try`` statements, not the bodies of functions or classes."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for branch in ("body", "orelse", "finalbody"):
+                yield from _module_level(getattr(node, branch, ()))
+            for handler in getattr(node, "handlers", ()):
+                yield from _module_level(handler.body)
+
+
+def test_every_module_level_import_is_used():
+    """A name imported at module level is read in its module or exported
+    through ``__all__``: an import a refactor left behind fails here."""
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        used = {node.id for node in ast.walk(tree)
+                if type(node) is ast.Name} | set(module.__all__)
+        for node in _module_level(tree.body):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in used]
+    assert unused == []
+
+
+def test_every_key_a_reader_takes_is_documented(monkeypatch, farm_path,
+                                                factors_path):
+    """Each key a section reader looks up, present in the file or not, is
+    named in backticks in docs/formats.md. Price keys are named by their
+    shape: ``<crop>_grain`` and ``<crop>_straw``."""
+    from cropgate.factors import load_factor_db
+    from cropgate.farmspec import parse_farm_document
+    from cropgate.sections import SectionReader
+
+    taken = set()
+    take = SectionReader._take
+
+    def spy(self, key, *args):
+        taken.add("<crop>" + key[key.rindex("_"):]
+                  if self.section.name == "prices" and key != "straw"
+                  else key)
+        return take(self, key, *args)
+
+    monkeypatch.setattr(SectionReader, "_take", spy)
+    with open(farm_path, encoding="utf-8") as handle:
+        farm = handle.read()
+    with open(factors_path, encoding="utf-8") as handle:
+        load_factor_db(handle.read())
+    parse_farm_document(farm)
+    # biomass_yield is read only where straw_yield is absent
+    parse_farm_document(farm.replace("straw_yield =", "biomass_yield =", 1))
+    docs = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                        "formats.md")
+    with open(docs, encoding="utf-8") as handle:
+        text = handle.read()
+    assert "biomass_yield" in taken and "<crop>_grain" in taken
+    assert sorted(key for key in taken if f"`{key}`" not in text) == []
