@@ -38,7 +38,7 @@ class InputError(CropgateError):
 
 
 # the flows characterized through the IPCC 2013 GWP100 table, not through
-# [flow.*] records, in the field order of fieldemit.ExhaustGases
+# [flow.*] records, in the field order of factors.ExhaustFactors
 GASES = ("co2", "ch4", "n2o")
 
 # an amortization horizon longer than this is a typo, not a question about
@@ -73,13 +73,13 @@ _EXPORTS = {
                "characterize_gwp", "phase_shares"),
     "inventory": ("Flow", "Inventory", "InventoryError", "Phase",
                   "SeedRecursionError", "annualize_schedule", "build_lci",
-                  "seed_inventory"),
+                  "seed_inventory", "soc_annual_change", "soc_co2_credit",
+                  "soc_stock"),
     "sections": ("SectionSyntaxError", "parse_document", "serialize_document"),
     "units": ("Quantity", "Unit", "UnitError", "parse_quantity", "parse_unit"),
-    "soc": ("soc_annual_change", "soc_co2_credit", "soc_stock"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {"cli", "fieldemit", "reports", *_EXPORTS}
+_SUBMODULES = {"cli", "reports", *_EXPORTS}
 
 __all__ = ["__version__", "CropgateError", "InputError", "GASES",
            "MAX_HORIZON_YEARS", "horizon_problem", "assess", *_HOME]

@@ -32,7 +32,8 @@ from .sections import (Diagnostic, Document, Section, SectionReader,
 from .units import Quantity, parse_unit
 
 __all__ = [
-    "LandClass", "Timing", "SeedSource", "MACHINERY_FLOWS", "Composition",
+    "LandClass", "Timing", "SeedSource", "MACHINERY_FLOWS",
+    "SEED_CHAIN_FLOWS", "Composition",
     "ProductSpec", "FertilizerApplication",
     "HerbicideApplication", "FieldOperation", "CostBlock", "CropPlan",
     "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
@@ -85,6 +86,19 @@ MACHINERY_FLOWS = {
     "harvester": "machinery_harvester",
     "tillage": "machinery_tillage",
     "implements": "machinery_implement",
+}
+# flow ids added per Mg of farm-multiplied seed (see docs/formats.md)
+SEED_CHAIN_FLOWS = ("seed_processing", "seed_transport", "seed_biomass_energy")
+
+# the flow ids the inventory makes itself -> the error for a product or
+# seed_flow that takes one, whose amounts would be mixed with its own
+_RESERVED_FLOWS = {
+    **{gas: f"names a gas: the flow {gas} is characterized by [gas.{gas}]"
+       for gas in GASES},
+    **{flow_id: f"names a reserved flow: the inventory makes the flow "
+                f"{flow_id} itself"
+       for flow_id in ("diesel", *MACHINERY_FLOWS.values(),
+                       *SEED_CHAIN_FLOWS)},
 }
 
 
@@ -230,14 +244,11 @@ def parse_product_label(label: str) -> Composition:
 # ---------------------------------------------------------------------- #
 
 _FRACTION_KEYS = ("n_fraction", "p_fraction", "k_fraction")
-# a product or seed_flow id is a flow id: a gas's would be characterized
-# through the GWP table, not through its [flow.*] record
-_GAS_ID = "names a gas: the flow {0} is characterized by [gas.{0}]"
 
 
 def _read_product(section: Section, report: ValidationReport) -> ProductSpec | None:
-    if section.path[1] in GASES:
-        report.error(section.name, _GAS_ID.format(section.path[1]))
+    if reserved := _RESERVED_FLOWS.get(section.path[1]):
+        report.error(section.name, reserved)
     reader = SectionReader(section, report)
     reader.require("kind")
     kind = reader.text("kind")
@@ -326,8 +337,8 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         "seed_source", SeedSource,
         SeedSource.OWN if sowing_dose else SeedSource.NONE)
     seed_flow = reader.text("seed_flow")
-    if seed_flow in GASES:
-        reader.error("seed_flow", _GAS_ID.format(seed_flow))
+    if reserved := _RESERVED_FLOWS.get(seed_flow):
+        reader.error("seed_flow", reserved)
     seed_yield = reader.non_negative("seed_yield", "Mg/ha")
 
     fertilizations = []

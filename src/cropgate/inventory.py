@@ -22,6 +22,12 @@ transport, and intrinsic calorific content flows. With r = dose / seed_yield
 the solution is x = (c / seed_yield + p) / (1 - r), the one-product case of
 the (I - A)^-1 matrix inversion of Heijungs & Suh (2002). It exists exactly
 when r < 1.
+
+Two field sub-models make the rest of the flows. Nitrogen applied to the
+soil drives N2O release and diesel engines emit combustion gases; the two
+belong to different phases. A soil organic carbon stock that rises between
+two analyses becomes an annual fixation rate and, times 44/12, a CO2
+removal.
 """
 
 from __future__ import annotations
@@ -34,18 +40,17 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
-from .farmspec import (MACHINERY_FLOWS, CropPlan, FarmModel, SeedSource,
-                       Timing)
-from .fieldemit import exhaust_emissions, n2o_field_emissions
-from .soc import soc_annual_change, soc_co2_credit, soc_stock
+from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB, N2OParams
+from .farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, CropPlan, FarmModel,
+                       SeedSource, SoilSample, Timing)
 from .units import Quantity, UnitError, parse_unit
 
 __all__ = [
     "Phase", "PHASES", "PHASE_NAMES", "Flow", "Inventory", "AnnualizedPlan",
     "InventoryError", "SeedRecursionError", "annualize_schedule",
     "seed_inventory", "build_lci", "GAS_FLOWS", "MACHINERY_FLOWS",
-    "SEED_CHAIN_FLOWS",
+    "SEED_CHAIN_FLOWS", "CO2_PER_C", "soc_stock", "soc_annual_change",
+    "soc_co2_credit", "n2o_field_emissions", "exhaust_emissions",
 ]
 
 
@@ -83,8 +88,10 @@ PHASE_NAMES = {phase: phase.value for phase in PHASES}
 GAS_FLOWS = GASES
 _CO2, _, _N2O = GASES  # the soil-carbon and field-emission flows
 
-# reserved flow ids added per Mg of farm-multiplied seed (see docs/formats.md)
-SEED_CHAIN_FLOWS = ("seed_processing", "seed_transport", "seed_biomass_energy")
+CO2_PER_C = 44.0 / 12.0  # molar mass ratio, exact by definition
+# molar mass ratio N2O / N2: converts kg of N2O-N into kg of N2O
+_N2O_PER_N = 44.0 / 28.0
+_M2_PER_HA = 10000.0
 
 _MG, _L, _HA = (parse_unit(text)[0] for text in ("Mg", "L", "ha"))
 _L_PER_HA, _MG_PER_HA = _L / _HA, _MG / _HA
@@ -167,6 +174,36 @@ def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
         return dose.value / _KG_VALUE * active_fraction
     raise UnitError(f"herbicide dose must be volume or mass per ha, got "
                     f"{dose.unit}")
+
+
+def n2o_field_emissions(n_applied_kg_ha: float, params: N2OParams) -> float:
+    """Annual field N2O in Mg per hectare.
+
+    A measured override wins outright. Otherwise the direct emission factor
+    applies to applied plus residue nitrogen, and the indirect factor to the
+    ammonia-volatilized share of applied nitrogen:
+
+        N2O = 44/28 * [ef_direct * (N_applied + N_residue)
+                       + ef_indirect_nh3 * nh3_loss_fraction * N_applied]
+
+    Args:
+        n_applied_kg_ha: mineral nitrogen reaching the field, kg N/ha.
+        params: per-crop parameters or measured override.
+    """
+    if params.override_mg_ha is not None:
+        return params.override_mg_ha
+    if n_applied_kg_ha < 0:
+        raise ValueError("applied nitrogen cannot be negative")
+    n2o_n = (params.ef_direct * (n_applied_kg_ha + params.residue_n_kg_ha)
+             + params.ef_indirect_nh3 * params.nh3_loss_fraction * n_applied_kg_ha)
+    return _N2O_PER_N * n2o_n / 1000.0  # kg -> Mg
+
+
+def exhaust_emissions(diesel_l: float,
+                      factors: ExhaustFactors) -> tuple[float, ...]:
+    """Exhaust gas masses in kg for a diesel amount in litres, in ``GASES``
+    order."""
+    return tuple(diesel_l * kg_l for kg_l in factors)
 
 
 def _production_flows(model: FarmModel, ann: AnnualizedPlan,
@@ -255,6 +292,33 @@ def seed_inventory(crop: CropPlan, model: FarmModel,
     ann = annualize_schedule(crop, model.amortization_horizon_years)
     cultivation = _cultivation_flows(crop, model, ann, exhaust)
     return _seed_vector(crop, ann, cultivation, one_level)
+
+
+def soc_stock(sample: SoilSample) -> float:
+    """Organic carbon stock of the sampled layer in Mg C/ha, on the
+    fine-earth mass: the coarse fragment share is excluded first.
+
+    stock = depth * bulk density * 10000 m2/ha * (1 - coarse share) * OC
+    """
+    mass_fine_earth = (sample.depth_m * sample.bulk_density_mg_m3 * _M2_PER_HA
+                       * (1.0 - sample.coarse_fraction))
+    return mass_fine_earth * sample.organic_carbon
+
+
+def soc_annual_change(before: float, after: float, years: float) -> float:
+    """Annual stock change in Mg C/ha/y between two stocks in Mg C/ha."""
+    if years <= 0:
+        raise ValueError("the period between analyses must be positive")
+    return (after - before) / years
+
+
+def soc_co2_credit(delta_c_mg_ha: float) -> float:
+    """CO2 equivalent of an annual carbon stock change, in Mg CO2/ha/y.
+
+    Positive input (carbon gained) gives a positive credit; the inventory
+    turns a credit into a negative CO2 flow.
+    """
+    return delta_c_mg_ha * CO2_PER_C
 
 
 def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None]:

@@ -17,13 +17,13 @@ from cropgate.economics import crop_balance, farm_income
 from cropgate.factors import DEFAULT_EXHAUST, load_factor_db
 from cropgate.farmspec import Timing, parse_farm_document
 from cropgate.impact import characterize_energy, characterize_gwp
-from cropgate.inventory import (SEED_CHAIN_FLOWS, Phase, annualize_schedule,
-                                build_lci, seed_inventory,
+from cropgate.inventory import (CO2_PER_C, SEED_CHAIN_FLOWS, Phase,
+                                annualize_schedule, build_lci, seed_inventory,
+                                soc_annual_change, soc_co2_credit, soc_stock,
                                 _cultivation_flows)
 from cropgate.reports import build_manifest, write_assessment
 from cropgate.sections import (Document, Entry, Section, parse_document,
                                serialize_document)
-from cropgate.soc import CO2_PER_C, soc_annual_change, soc_co2_credit, soc_stock
 from cropgate.units import parse_quantity
 
 # annual per-ha reference figures for the holding's seven crops:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cropgate import CropgateError
 from cropgate.economics import crop_balance, farm_income, marginal_share_sweep
-from cropgate.farmspec import LandClass
+from cropgate.farmspec import LandClass, parse_farm_document
 
 money = st.floats(0, 1e6, allow_nan=False)
 
@@ -220,6 +220,28 @@ class TestExactMoney:
                     crop, aid, horizon).items():
                 error = abs(Fraction(getattr(bal, field)) - exact)
                 assert error <= gamma(n) * magnitude, (crop.name, field)
+
+    @pytest.mark.parametrize("horizon", [1, 3, 7, 1000])
+    def test_establishment_costs_within_their_rounding_bound(self, farm_path,
+                                                             horizon):
+        # the bundled farm has no establishment cost: add all four to one
+        # crop, so each component divides by the horizon
+        with open(farm_path, encoding="utf-8") as handle:
+            text = handle.read().replace(
+                "machinery_labor = 131.85 EUR/ha",
+                "machinery_labor = 131.85 EUR/ha\n"
+                "seed_establishment = 412.37 EUR/ha\n"
+                "herbicide_establishment = 19.99 EUR/ha\n"
+                "fertilizer_establishment = 250.13 EUR/ha\n"
+                "machinery_labor_establishment = 78.61 EUR/ha", 1)
+        model = parse_farm_document(text)
+        crop = model.crop("tall_wheatgrass")
+        assert all(crop.costs._asdict().values())
+        bal = crop_balance(crop, model.cap_aid_eur_ha, horizon)
+        for field, (exact, magnitude, n) in exact_balance(
+                crop, model.cap_aid_eur_ha, horizon).items():
+            error = abs(Fraction(getattr(bal, field)) - exact)
+            assert error <= gamma(n) * magnitude, field
 
     def test_pair_farm_incomes_within_their_rounding_bound(self, farm_model):
         aid = farm_model.cap_aid_eur_ha

@@ -392,6 +392,22 @@ class TestValidation:
          "names a gas: the flow ch4 is characterized by [gas.ch4]"),
         ("seed_flow = seed_grass", "seed_flow = n2o", "crop.grass.seed_flow",
          "names a gas: the flow n2o is characterized by [gas.n2o]"),
+        # one named after a flow the inventory makes itself used to be
+        # merged with it: diesel, machine wear or the seed chain
+        ("npk", "diesel", "product.diesel",
+         "names a reserved flow: the inventory makes the flow diesel itself"),
+        ("npk", "seed_processing", "product.seed_processing",
+         "names a reserved flow: the inventory makes the flow "
+         "seed_processing itself"),
+        ("weedkiller", "machinery_tractor", "product.machinery_tractor",
+         "names a reserved flow: the inventory makes the flow "
+         "machinery_tractor itself"),
+        ("seed_flow = seed_grass", "seed_flow = seed_transport",
+         "crop.grass.seed_flow", "names a reserved flow: the inventory "
+         "makes the flow seed_transport itself"),
+        ("seed_flow = seed_grass", "seed_flow = machinery_implement",
+         "crop.grass.seed_flow", "names a reserved flow: the inventory "
+         "makes the flow machinery_implement itself"),
         # a misspelled price key used to be read and never applied
         ("straw = 40 EUR/Mg", "straw = 40 EUR/Mg\ncereal_straww = 30 EUR/Mg",
          "prices.cereal_straww", "unknown key"),
@@ -424,7 +440,10 @@ class TestValidation:
             "herbicide_not_a_herbicide", "no_straw_price",
             "land_class_list", "land_class_member_name", "land_class_number",
             "seed_source_bool", "gas_fertilizer", "gas_herbicide",
-            "gas_seed_flow", "misspelled_price", "price_without_shape"])
+            "gas_seed_flow", "diesel_fertilizer", "seed_chain_fertilizer",
+            "machinery_herbicide", "seed_chain_seed_flow",
+            "machinery_seed_flow", "misspelled_price",
+            "price_without_shape"])
     def test_malformed_values_rejected(self, old, new, where, message):
         with pytest.raises(FarmValidationError) as err:
             parse_farm_document(VALID.replace(old, new))

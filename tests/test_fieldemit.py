@@ -3,7 +3,7 @@
 import pytest
 
 from cropgate.factors import ExhaustFactors, N2OParams
-from cropgate.fieldemit import exhaust_emissions, n2o_field_emissions
+from cropgate.inventory import exhaust_emissions, n2o_field_emissions
 
 
 class TestN2O:
@@ -38,13 +38,13 @@ class TestExhaust:
     def test_componentwise(self):
         factors = ExhaustFactors(co2_kg_l=2.64, ch4_kg_l=0.001,
                                  n2o_kg_l=0.0001)
-        gases = exhaust_emissions(10.0, factors)
-        assert gases.co2_kg == pytest.approx(26.4)
-        assert gases.ch4_kg == pytest.approx(0.01)
-        assert gases.n2o_kg == pytest.approx(0.001)
+        co2_kg, ch4_kg, n2o_kg = exhaust_emissions(10.0, factors)
+        assert co2_kg == pytest.approx(26.4)
+        assert ch4_kg == pytest.approx(0.01)
+        assert n2o_kg == pytest.approx(0.001)
 
     def test_defaults_are_co2_only(self):
-        gases = exhaust_emissions(55.39, ExhaustFactors())
-        assert gases.co2_kg == pytest.approx(55.39 * 2.64)
-        assert gases.ch4_kg == 0.0
-        assert gases.n2o_kg == 0.0
+        co2_kg, ch4_kg, n2o_kg = exhaust_emissions(55.39, ExhaustFactors())
+        assert co2_kg == pytest.approx(55.39 * 2.64)
+        assert ch4_kg == 0.0
+        assert n2o_kg == 0.0

@@ -101,8 +101,7 @@ _FARM_READER = {"cropgate", "cropgate.cli", "cropgate.farmspec",
                 "cropgate.sections", "cropgate.units"}
 _EVERY_MODULE = _FARM_READER | {
     "cropgate.assess", "cropgate.economics", "cropgate.factors",
-    "cropgate.fieldemit", "cropgate.impact", "cropgate.inventory",
-    "cropgate.reports", "cropgate.soc"}
+    "cropgate.impact", "cropgate.inventory", "cropgate.reports"}
 
 
 @pytest.mark.parametrize("command,expected", [
