@@ -69,13 +69,11 @@ _EXPORTS = {
     "farmspec": ("CropPlan", "FarmModel", "FarmFileError",
                  "FarmValidationError", "LandClass", "SeedSource", "Timing",
                  "ValidationReport", "parse_farm_document", "validate_model"),
-    "impact": ("EnergyBreakdown", "GwpBreakdown", "characterize_energy",
-               "characterize_gwp", "phase_shares"),
+    "impact": ("EnergyBreakdown", "GwpBreakdown", "phase_shares"),
     "inventory": ("Flow", "Inventory", "InventoryError", "Phase",
                   "SeedRecursionError", "annualize_schedule", "build_lci",
-                  "seed_inventory", "soc_annual_change", "soc_co2_credit",
-                  "soc_stock"),
-    "sections": ("SectionSyntaxError", "parse_document", "serialize_document"),
+                  "soc_annual_change", "soc_co2_credit", "soc_stock"),
+    "sections": ("SectionSyntaxError", "parse_document"),
     "units": ("Quantity", "Unit", "UnitError", "parse_quantity", "parse_unit"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

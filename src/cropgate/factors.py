@@ -17,8 +17,9 @@ Sections:
 * ``[emissions.<crop>]`` -- field N2O parameters or a measured override.
 * ``[emissions.exhaust]`` -- per-litre exhaust factors for diesel engines.
 
-Lookups are strict: a flow without a record raises. The cut-off mode used by
-the command line resolves missing flows to zero and reports them instead.
+Characterization is strict: a flow without a record raises
+``MissingFlowError``. The cut-off mode used by the command line resolves
+missing flows to zero and reports them instead.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ class FactorDB:
         self.gases = {**DEFAULT_GAS_GWP, **(gases or {})}  # kg CO2e per kg
         self.emissions = {} if emissions is None else emissions
         self.exhaust = exhaust
-
-    def lookup(self, flow_id: str) -> FactorRecord:
-        try:
-            return self.records[flow_id]
-        except KeyError:
-            raise MissingFlowError(flow_id) from None
 
     def gas_gwp(self, gas: str) -> float:
         return self.gases[gas]

@@ -24,8 +24,7 @@ from operator import add
 from .factors import FactorDB, MissingFlowError
 from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
 
-__all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize",
-           "characterize_gwp", "characterize_energy", "phase_shares",
+__all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize", "phase_shares",
            "POSITIVE_PHASES"]
 
 POSITIVE_PHASES = (Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE,
@@ -100,18 +99,6 @@ def characterize(inventory: Inventory, db: FactorDB,
             EnergyBreakdown(inventory.crop_name, dict(zip(PHASES, ren)),
                             dict(zip(PHASES, non)), ren_total, non_total,
                             ren_total + non_total, cut))
-
-
-def characterize_gwp(inventory: Inventory, db: FactorDB,
-                     cutoff_missing: bool = False) -> GwpBreakdown:
-    """The GWP half of :func:`characterize`."""
-    return characterize(inventory, db, cutoff_missing)[0]
-
-
-def characterize_energy(inventory: Inventory, db: FactorDB,
-                        cutoff_missing: bool = False) -> EnergyBreakdown:
-    """The primary energy half of :func:`characterize`."""
-    return characterize(inventory, db, cutoff_missing)[1]
 
 
 def phase_shares(breakdown: GwpBreakdown | EnergyBreakdown,

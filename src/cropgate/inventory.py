@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB, N2OParams
+from .factors import ExhaustFactors, FactorDB, N2OParams
 from .farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, CropPlan, FarmModel,
                        SeedSource, SoilSample, Timing)
 from .units import Quantity, UnitError, parse_unit
@@ -48,7 +48,7 @@ from .units import Quantity, UnitError, parse_unit
 __all__ = [
     "Phase", "PHASES", "PHASE_NAMES", "Flow", "Inventory", "AnnualizedPlan",
     "InventoryError", "SeedRecursionError", "annualize_schedule",
-    "seed_inventory", "build_lci", "GAS_FLOWS", "MACHINERY_FLOWS",
+    "build_lci", "GAS_FLOWS", "MACHINERY_FLOWS",
     "SEED_CHAIN_FLOWS", "CO2_PER_C", "soc_stock", "soc_annual_change",
     "soc_co2_credit", "n2o_field_emissions", "exhaust_emissions",
 ]
@@ -108,16 +108,6 @@ class Inventory(NamedTuple):
     crop_name: str
     flows: tuple[Flow, ...]
     notes: tuple[str, ...] = ()
-
-    def by_phase(self, phase: Phase) -> list[Flow]:
-        return [f for f in self.flows if f.phase is phase]
-
-    def amount(self, flow_id: str, phase: Phase | None = None) -> Quantity | None:
-        total = None
-        for flow in self.flows:
-            if flow.flow_id == flow_id and phase in (None, flow.phase):
-                total = flow.amount if total is None else total + flow.amount
-        return total
 
 
 class AnnualizedPlan(NamedTuple):
@@ -242,12 +232,6 @@ def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
     return totals
 
 
-def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
-                       exhaust: ExhaustFactors) -> dict[str, Quantity]:
-    """The seed chain's cultivation vector c: production flows by flow id."""
-    return _by_flow_id(_production_flows(model, ann, exhaust))
-
-
 def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
                  cultivation: dict[str, Quantity], one_level: bool,
                  seed_mg: float = 1.0) -> dict[str, Quantity]:
@@ -270,28 +254,6 @@ def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
     one_minus_r = 1.0 if one_level else 1.0 - dose / yield_mg
     return {flow_id: Quantity(value / one_minus_r * seed_mg, unit)
             for flow_id, (value, unit) in vector.items()}
-
-
-def seed_inventory(crop: CropPlan, model: FarmModel,
-                   exhaust: ExhaustFactors = DEFAULT_EXHAUST,
-                   one_level: bool = False) -> dict[str, Quantity]:
-    """Flow vector behind 1 Mg of farm-multiplied seed.
-
-    Solves the self-referential seed demand in closed form: with ratio
-    r = sowing dose / seed yield, x = (c/Y + p) / (1 - r), the sum of the
-    geometric series of seed used to grow seed. The series converges, and
-    the solution exists, exactly when r < 1.
-
-    Args:
-        one_level: truncate after the first level instead, x = c/Y + p (the
-            seed used to grow seed is left out), for sensitivity runs.
-
-    Raises:
-        SeedRecursionError: no seed yield, or r >= 1 (the series diverges).
-    """
-    ann = annualize_schedule(crop, model.amortization_horizon_years)
-    cultivation = _cultivation_flows(crop, model, ann, exhaust)
-    return _seed_vector(crop, ann, cultivation, one_level)
 
 
 def soc_stock(sample: SoilSample) -> float:

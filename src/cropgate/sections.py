@@ -25,11 +25,11 @@ import re
 from typing import NamedTuple
 
 from . import InputError
-from .units import (DIMENSIONLESS, Quantity, UnitError, format_quantity,
-                    parse_quantity, parse_unit)
+from .units import (DIMENSIONLESS, Quantity, UnitError, parse_quantity,
+                    parse_unit)
 
 __all__ = ["SectionSyntaxError", "Entry", "Section", "Document",
-           "read_text", "parse_document", "serialize_document", "Diagnostic",
+           "read_text", "parse_document", "Diagnostic",
            "ValidationReport", "SectionReader"]
 
 Scalar = Quantity | str | bool
@@ -210,36 +210,6 @@ def parse_document(text: str) -> Document:
         # Entry(...) less the Python-level __new__ of a NamedTuple
         current.entries[key] = tuple.__new__(Entry, (key, value, lineno))
     return doc
-
-
-def _serialize_scalar(value: Scalar) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Quantity):
-        return format_quantity(value)
-    # plain text: emit bare identifiers unquoted so they read back identically
-    if value.isidentifier() and value.isascii() and value not in ("true", "false"):
-        return value
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def serialize_document(doc: Document) -> str:
-    """Render a document back to text; parsing the result gives equal values.
-    A line break in a text value has no syntax and raises ValueError."""
-    lines: list[str] = []
-    for section in doc.sections:
-        lines.append(f"[{section.name}]")
-        for entry in section.entries.values():
-            if isinstance(entry.value, list):
-                rendered = ", ".join(_serialize_scalar(v) for v in entry.value)
-            else:
-                rendered = _serialize_scalar(entry.value)
-            if "\n" in rendered or "\r" in rendered:  # only text can hold one
-                raise ValueError(f"[{section.name}].{entry.key}: text with a "
-                                 "line break cannot be written")
-            lines.append(f"{entry.key} = {rendered}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------- #

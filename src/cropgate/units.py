@@ -1,8 +1,13 @@
 """Unit-bearing quantities for farm data files.
 
-Every numeric value read from a farm or factor file carries a unit, and all
-engine arithmetic happens on :class:`Quantity` objects so that a dose in
-``Mg/ha`` can never be added to a diesel volume in ``L/ha`` by accident.
+Every numeric value read from a farm or factor file carries a unit, and the
+file readers check it against the dimension its key expects, so that a dose
+in ``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
+readers the engine computes on floats in canonical units: the farm model
+keeps a :class:`Quantity` only for a herbicide dose (a volume or a mass per
+hectare), and each inventory flow carries one that characterization converts
+once to its factor record's basis unit. The seed chain, the exhaust gases
+and the characterization sums are float arithmetic.
 
 The unit system is deliberately small. Seven physical dimensions cover the
 whole domain (mass, volume, area, length, time, energy, currency) and each
@@ -28,8 +33,7 @@ hectare and year.
 
 Parsing rescales the value to canonical units immediately ("2 kg/ha" becomes
 0.002 Mg/ha), which makes two quantities equal exactly when they describe the
-same amount. ``format_quantity(parse_quantity(s))`` always reparses to an
-equal quantity.
+same amount.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "Quantity",
     "parse_quantity",
     "parse_unit",
-    "format_quantity",
     "DIMENSIONLESS",
 ]
 
@@ -275,9 +278,3 @@ def parse_quantity(text: str) -> Quantity:
     quantity.unit_written = True
     return quantity
 
-
-def format_quantity(q: Quantity) -> str:
-    """Shortest round-trip text for a quantity, in canonical units."""
-    if q.unit.dimensionless:
-        return repr(q.value)
-    return f"{q.value!r} {q.unit}"

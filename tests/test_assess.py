@@ -10,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+from oracles import amount
 from cropgate import CropgateError
 from cropgate.assess import (assess_crop, bundled_data_path, compare_pair,
                              load_factors, load_farm, resolve_factors_path,
@@ -132,7 +133,7 @@ class TestAssessCrop:
             farm_model._replace(amortization_horizon_years=8), factor_db,
             "tall_wheatgrass")
         assert spread.gwp.positive_total < base.gwp.positive_total
-        assert spread.inventory.amount("seed_tall_wheatgrass").to("Mg") \
+        assert amount(spread.inventory, "seed_tall_wheatgrass").to("Mg") \
             == pytest.approx(0.02 / 8)
 
     @pytest.mark.parametrize("call", [assess_crop, compare_pair])
@@ -351,7 +352,7 @@ class TestInputResolution:
         farm = load_farm(bundled_data_path("farm_soria.cg"))
         assert farm.total_area_ha == 302.0
         db = load_factors(bundled_data_path("factors_calibrated.cg"))
-        assert db.lookup("diesel").unit == "L"
+        assert db.records["diesel"].unit == "L"
 
     @pytest.mark.parametrize("name", ["farm_soria.cg", "factors_calibrated.cg",
                                       "not_shipped.cg"])

@@ -1,10 +1,9 @@
-"""Factor database loading, defaults, and strict lookups."""
+"""Factor database loading and defaults."""
 
 import pytest
 
 from cropgate.factors import (DEFAULT_EXHAUST, DEFAULT_GAS_GWP, FactorDB,
-                              FactorFileError, MissingFlowError,
-                              load_factor_db)
+                              FactorFileError, load_factor_db)
 
 
 SAMPLE = """
@@ -40,12 +39,12 @@ ef_indirect_nh3 = 0.01
 class TestLoading:
     def test_records(self):
         db = load_factor_db(SAMPLE)
-        diesel = db.lookup("diesel")
+        diesel = db.records["diesel"]
         assert diesel.unit == "L"
         assert diesel.gwp100 == 0.6
         assert diesel.pe_renewable == 0.75
         assert diesel.note == "supply chain only"
-        assert db.lookup("npk").pe_renewable == 0.0  # defaults to zero
+        assert db.records["npk"].pe_renewable == 0.0  # defaults to zero
 
     def test_gas_defaults_and_overrides(self):
         db = load_factor_db(SAMPLE)
@@ -75,14 +74,6 @@ class TestLoading:
         assert cereal.residue_n_kg_ha == 12.0
         unknown = db.n2o_params("nothing")
         assert unknown.ef_direct == 0.01  # tier-1 style default
-
-
-class TestLookups:
-    def test_strict_lookup_raises(self):
-        db = load_factor_db(SAMPLE)
-        with pytest.raises(MissingFlowError) as err:
-            db.lookup("unobtainium")
-        assert "unobtainium" in str(err.value)
 
 
 class TestProblems:
@@ -157,7 +148,7 @@ class TestProblems:
     def test_mass_and_volume_bases_load(self):
         for unit in ("Mg", "kg", "g", "L", "m3"):
             db = load_factor_db(f"[flow.x]\nunit = {unit}")
-            assert db.lookup("x").unit == unit
+            assert db.records["x"].unit == unit
 
     def test_all_problems_listed_together(self):
         with pytest.raises(FactorFileError) as err:
@@ -173,7 +164,7 @@ class TestShippedFactors:
                         "machinery_implement", "d24_acid", "seed_processing",
                         "seed_transport", "seed_biomass_energy",
                         "seed_tall_wheatgrass"):
-            record = factor_db.lookup(flow_id)
+            record = factor_db.records[flow_id]
             assert "calibrated" in record.note
 
     def test_gwp100_gas_set(self, factor_db):

@@ -4,10 +4,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import characterize_energy, characterize_gwp
 from cropgate import units
 from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
-                             characterize_energy, characterize_gwp,
                              phase_shares)
 from cropgate.inventory import GAS_FLOWS, Flow, Inventory, Phase, build_lci
 from cropgate.units import parse_quantity
@@ -259,7 +259,7 @@ def plain_characterize(inventory, db, cutoff_missing):
                                * db.gas_gwp(flow.flow_id))
             continue
         record = (db.records.get(flow.flow_id) if cutoff_missing
-                  else db.lookup(flow.flow_id))
+                  else db.records[flow.flow_id])
         if record is None:
             missing.add(flow.flow_id)
             continue

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import _cultivation_flows, amount, by_phase, seed_inventory
 from cropgate import GASES
 from cropgate.factors import DEFAULT_EXHAUST, DEFAULT_GAS_GWP, ExhaustFactors
 from cropgate.farmspec import Timing, parse_farm_document
 from cropgate.inventory import (GAS_FLOWS, MACHINERY_FLOWS, SEED_CHAIN_FLOWS,
                                 Flow, Inventory, InventoryError, Phase,
-                                SeedRecursionError, _cultivation_flows,
-                                annualize_schedule, build_lci, seed_inventory)
+                                SeedRecursionError, annualize_schedule,
+                                build_lci)
 from cropgate.units import Quantity, UnitError, parse_quantity
 
 
@@ -280,7 +281,7 @@ class TestReservedFlows:
             "diesel = 2 L/ha\ntractor = 0.002 Mg/ha", f"{key} = 0.003 Mg/ha"))
         lci = build_lci(model.crop("a"), model, factor_db)
         assert [(flow.flow_id, flow.amount.to("Mg"))
-                for flow in lci.by_phase(Phase.FIELD_WORKS)] \
+                for flow in by_phase(lci, Phase.FIELD_WORKS)] \
             == [(MACHINERY_FLOWS[key], 0.003)]
 
 
@@ -288,44 +289,44 @@ class TestBuildLci:
     def test_tall_wheatgrass_flows(self, farm_model, factor_db):
         lci = build_lci(farm_model.crop("tall_wheatgrass"), farm_model,
                         factor_db)
-        assert lci.amount("seed_tall_wheatgrass", Phase.SEED).to("Mg") \
+        assert amount(lci, "seed_tall_wheatgrass", Phase.SEED).to("Mg") \
             == pytest.approx(0.02 / 4)
-        assert lci.amount("npk_8_24_8", Phase.FERTILIZER).to("Mg") \
+        assert amount(lci, "npk_8_24_8", Phase.FERTILIZER).to("Mg") \
             == pytest.approx(0.075)
-        assert lci.amount("can_27", Phase.FERTILIZER).to("Mg") \
+        assert amount(lci, "can_27", Phase.FERTILIZER).to("Mg") \
             == pytest.approx(0.15)
         # 1 L/ha over 4 years at 60% a.i.
-        assert lci.amount("d24_acid", Phase.PESTICIDE).to("kg") \
+        assert amount(lci, "d24_acid", Phase.PESTICIDE).to("kg") \
             == pytest.approx(0.15)
-        assert lci.amount("diesel", Phase.FIELD_WORKS).to("L") \
+        assert amount(lci, "diesel", Phase.FIELD_WORKS).to("L") \
             == pytest.approx(31.95)
         # tailpipe CO2 rides with field works, not field emissions
-        assert lci.amount("co2", Phase.FIELD_WORKS).to("kg") \
+        assert amount(lci, "co2", Phase.FIELD_WORKS).to("kg") \
             == pytest.approx(31.95 * 2.64)
-        assert lci.amount("n2o", Phase.FIELD_EMISSIONS).to("Mg") \
+        assert amount(lci, "n2o", Phase.FIELD_EMISSIONS).to("Mg") \
             == pytest.approx(0.000817)
-        soc = lci.amount("co2", Phase.SOC)
+        soc = amount(lci, "co2", Phase.SOC)
         assert soc.to("Mg") == pytest.approx(-2.805, abs=1e-9)
 
     def test_rye_flows(self, farm_model, factor_db):
         lci = build_lci(farm_model.crop("rye"), farm_model, factor_db)
-        seed_flows = {f.flow_id for f in lci.by_phase(Phase.SEED)}
+        seed_flows = {f.flow_id for f in by_phase(lci, Phase.SEED)}
         for flow_id in SEED_CHAIN_FLOWS:
             assert flow_id in seed_flows  # own seed brings its chain along
         assert "npk_8_24_8" in seed_flows and "diesel" in seed_flows
-        assert lci.by_phase(Phase.SOC) == []  # equilibrium crop
-        assert lci.amount("n2o", Phase.FIELD_EMISSIONS).to("Mg") \
+        assert by_phase(lci, Phase.SOC) == []  # equilibrium crop
+        assert amount(lci, "n2o", Phase.FIELD_EMISSIONS).to("Mg") \
             == pytest.approx(0.001757)
         for machine_flow in ("machinery_tractor", "machinery_harvester",
                              "machinery_tillage", "machinery_implement"):
-            assert lci.amount(machine_flow, Phase.FIELD_WORKS) is not None
+            assert amount(lci, machine_flow, Phase.FIELD_WORKS) is not None
 
     def test_own_seed_scales_with_dose(self, farm_model, factor_db):
         rye = farm_model.crop("rye")
         lci = build_lci(rye, farm_model, factor_db)
         vector = seed_inventory(rye, farm_model, factor_db.exhaust)
         per_mg = vector["seed_processing"].value
-        assert lci.amount("seed_processing", Phase.SEED).to("Mg") \
+        assert amount(lci, "seed_processing", Phase.SEED).to("Mg") \
             == pytest.approx(per_mg * 0.15)
 
     def test_horizon_override_rescales_establishment(self, farm_model,
@@ -333,7 +334,7 @@ class TestBuildLci:
         twg = farm_model.crop("tall_wheatgrass")
         lci8 = build_lci(twg, farm_model._replace(
             amortization_horizon_years=8), factor_db)
-        assert lci8.amount("seed_tall_wheatgrass", Phase.SEED).to("Mg") \
+        assert amount(lci8, "seed_tall_wheatgrass", Phase.SEED).to("Mg") \
             == pytest.approx(0.02 / 8)
 
     def test_fractional_horizon_reaches_the_seed_chain(self, factor_db):
@@ -354,7 +355,7 @@ class TestBuildLci:
                     for flow_id, value in per_mg.items()}
 
         expected = seed_flows(2.5)
-        got = {f.flow_id: f.amount.value for f in lci.by_phase(Phase.SEED)}
+        got = {f.flow_id: f.amount.value for f in by_phase(lci, Phase.SEED)}
         assert set(got) == set(expected)
         for flow_id, value in expected.items():
             assert got[flow_id] == pytest.approx(value, rel=1e-12), flow_id
@@ -366,13 +367,13 @@ class TestBuildLci:
         twg = farm_model.crop("tall_wheatgrass")._replace(
             soc_fixation_mg_c_ha=None)
         lci = build_lci(twg, farm_model, factor_db)
-        credit = -lci.amount("co2", Phase.SOC).to("Mg")
+        credit = -amount(lci, "co2", Phase.SOC).to("Mg")
         assert credit == pytest.approx(0.7718 * 44.0 / 12.0, abs=1e-3)
 
     def test_missing_soil_series_noted(self, farm_model, factor_db):
         fallow = farm_model.crop("fallow")._replace(soc_equilibrium=False)
         lci = build_lci(fallow, farm_model, factor_db)
-        assert lci.by_phase(Phase.SOC) == []
+        assert by_phase(lci, Phase.SOC) == []
         assert any("no soil analysis pair" in note for note in lci.notes)
 
     def test_negative_amount_guard(self, farm_model, factor_db):
@@ -392,9 +393,9 @@ class TestBuildLci:
 
     def test_inventory_amount_sums_across_phases(self, farm_model, factor_db):
         lci = build_lci(farm_model.crop("rye"), farm_model, factor_db)
-        total = lci.amount("diesel")
-        field_only = lci.amount("diesel", Phase.FIELD_WORKS)
-        seed_only = lci.amount("diesel", Phase.SEED)
+        total = amount(lci, "diesel")
+        field_only = amount(lci, "diesel", Phase.FIELD_WORKS)
+        seed_only = amount(lci, "diesel", Phase.SEED)
         assert total.value == pytest.approx(field_only.value + seed_only.value)
 
 

@@ -332,6 +332,53 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def _names_read(path: str) -> set[str]:
+    """The names a file reads, imports or takes as attributes. A name read
+    inside its own definition does not count: a recursive call does not
+    keep a function in use, nor its own methods a class."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            name = None
+        if name is not None and name not in defining:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_exported_name_is_run_by_the_package_or_a_demo():
+    """Each name in an ``__all__`` is read by some module of the package or
+    by a demo, outside its own definition: the public surface is what the
+    commands and the demos run. The ``__all__`` lists and the package's
+    table of lazy exports are strings, which do not count. Reference code
+    that only tests use lives in ``tests/oracles.py``."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    demos = os.path.join(root, "demos")
+    paths = [importlib.import_module(name).__file__ for name in MODULES]
+    paths += [os.path.join(demos, name) for name in sorted(os.listdir(demos))
+              if name.endswith(".py")]
+    read = set().union(*map(_names_read, paths))
+    unused = [f"{name}.{attr}" for name in MODULES
+              for attr in importlib.import_module(name).__all__
+              if attr not in read]
+    assert unused == []
+
+
 def test_every_key_a_reader_takes_is_documented(monkeypatch, farm_path,
                                                 factors_path):
     """Each key a section reader looks up, present in the file or not, is

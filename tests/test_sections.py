@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import documents
+from oracles import serialize_document
 from cropgate.sections import (Document, Section, SectionSyntaxError,
-                               parse_document, read_text, serialize_document)
+                               parse_document, read_text)
 from cropgate.units import Quantity
 
 

@@ -1,4 +1,4 @@
-"""One-at-a-time sensitivity of the bundled pair's profit verdict.
+"""One-at-a-time sensitivity of the bundled pair's verdicts.
 
 Tall wheatgrass beats rye on margin by 11.05 EUR/ha of about 150, so the
 profit verdict is the paper's most fragile conclusion (ISO 14044 §4.5.3.3
@@ -7,13 +7,20 @@ price, yield and cost, so the margin difference D(k) with one farm input
 scaled by k is D(1) + (k - 1) * (D(2) - D(1)), and the verdict flips at
 k = 1 - D(1) / (D(2) - D(1)). The inputs are scaled in the farm text, so
 the multipliers hold for the file as read, not for a model built in code.
+
+The impact verdicts are far from a flip: no single factor scaled by 0.5, 2
+or 10, and no single farm input of the pair halved or doubled, flips the
+GWP or the primary energy verdict. The variant that comes nearest to
+flipping each is pinned with its figure.
 """
 
 import re
 
 import pytest
 
+from cropgate import CropgateError
 from cropgate.assess import compare_pair
+from cropgate.factors import FactorDB
 from cropgate.farmspec import parse_farm_document
 
 PAIR = ("tall_wheatgrass", "rye")
@@ -129,3 +136,104 @@ def test_verdict_flips_at_the_break_even(name, break_evens, farm_text,
     kept, flipped = (above, below) if k < 1.0 else (below, above)
     assert kept[1] == "tall_wheatgrass" and kept[0] > 0.0
     assert flipped[1] == "rye" and flipped[0] < 0.0
+
+
+# ----------------------------------------------------------------------- #
+#  the impact verdicts
+# ----------------------------------------------------------------------- #
+
+PAIR_WINS = {"profit_margin": "tall_wheatgrass",
+             "net_gwp": "tall_wheatgrass",
+             "primary_energy": "tall_wheatgrass"}
+_RECORD_FIELDS = ("gwp100", "pe_renewable", "pe_nonrenewable")
+
+
+def _impact(pair) -> tuple[float, float]:
+    """How far the pair is from flipping each impact verdict: rye's net GWP
+    less tall wheatgrass's (Mg CO2e/ha*y), and tall wheatgrass's primary
+    energy as a share of rye's."""
+    first, second = pair.first, pair.second
+    return (second.gwp.net_total - first.gwp.net_total,
+            first.energy.total / second.energy.total)
+
+
+def _nearest(found: dict) -> tuple:
+    """The variants nearest to flipping the GWP and the energy verdict."""
+    return (min(found, key=lambda variant: found[variant][0]),
+            max(found, key=lambda variant: found[variant][1]))
+
+
+def _factor_variants(db: FactorDB):
+    """(name, k, database) with one record field or one gas GWP times k."""
+    for flow_id, record in db.records.items():
+        for field in _RECORD_FIELDS:
+            for k in (0.5, 2.0, 10.0):
+                scaled = record._replace(**{field: getattr(record, field) * k})
+                yield (f"{flow_id}.{field}", k,
+                       FactorDB({**db.records, flow_id: scaled}, db.gases,
+                                db.emissions, db.exhaust))
+    for gas, gwp in db.gases.items():
+        for k in (0.5, 2.0, 10.0):
+            yield (f"gas.{gas}", k, FactorDB(db.records, {**db.gases,
+                                                          gas: gwp * k},
+                                             db.emissions, db.exhaust))
+
+
+def test_no_factor_or_gas_gwp_scaled_alone_flips_a_verdict(farm_model,
+                                                           factor_db):
+    found = {}
+    for name, k, db in _factor_variants(factor_db):
+        pair = compare_pair(farm_model, db)
+        assert pair.verdicts == PAIR_WINS, (name, k)
+        found[name, k] = _impact(pair)
+    assert len(found) == 19 * 3 * 3 + 3 * 3
+    # nearest to a flip: halving the base fertilizer's GWP helps rye most,
+    # and ten times the top dressing's energy leaves the grass at 59.8%
+    nearest_gwp, nearest_energy = _nearest(found)
+    assert (nearest_gwp, nearest_energy) \
+        == (("npk_8_24_8.gwp100", 0.5), ("can_27.pe_nonrenewable", 10.0))
+    assert found[nearest_gwp][0] == pytest.approx(3.5373, abs=1e-4)
+    assert found[nearest_energy][1] == pytest.approx(0.5977, abs=1e-4)
+
+
+def test_no_farm_input_of_the_pair_scaled_alone_flips_an_impact_verdict(
+        farm_text, farm_model, factor_db):
+    """Every number of [farm], of the pair's crop sections and of the
+    products the pair applies, halved and doubled, where the farm still
+    validates."""
+    products = {f"product.{entry.product_id}" for name in PAIR
+                for entry in (*farm_model.crop(name).fertilizations,
+                              *farm_model.crop(name).herbicides)}
+    inputs = [(name, match.group(1)) for name, lines in _sections(farm_text)
+              if name == "farm" or name in products
+              or any(name == f"crop.{crop}" or name.startswith(f"crop.{crop}.")
+                     for crop in PAIR)
+              for match in map(_NUMBER_LINE.match, lines) if match]
+    found, invalid = {}, []
+    for section, key in inputs:
+        for k in (0.5, 2.0):
+            try:
+                model = parse_farm_document(_scaled(farm_text, section, key,
+                                                    k))
+            except CropgateError:
+                invalid.append((section, key, k))
+                continue
+            pair = compare_pair(model, factor_db)
+            for metric in ("net_gwp", "primary_energy"):
+                assert pair.verdicts[metric] == PAIR_WINS[metric], \
+                    (section, key, k)
+            found[section, key, k] = _impact(pair)
+    # the areas no longer add up, or the active fraction passes 100%
+    assert invalid == [("farm", "total_area", 0.5), ("farm", "total_area", 2.0),
+                       ("farm", "marginal_area", 0.5),
+                       ("farm", "marginal_area", 2.0),
+                       ("product.d24_acid", "active_fraction", 2.0)]
+    assert len(inputs) == 37 and len(found) == 69
+    # nearest to a flip: half the soil carbon credit, and half the horizon
+    # over which the grass's establishment inputs are spread
+    nearest_gwp, nearest_energy = _nearest(found)
+    assert (nearest_gwp, nearest_energy) \
+        == (("crop.tall_wheatgrass", "soc_fixation", 0.5),
+            ("farm", "amortization_horizon", 0.5))
+    assert found[nearest_gwp][0] == pytest.approx(2.4735, abs=1e-4)
+    assert found[nearest_energy][1] == pytest.approx(0.5693, abs=1e-4)

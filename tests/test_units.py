@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 
 from conftest import quantities
+from oracles import format_quantity
 from cropgate import units
 from cropgate.units import (DIMENSIONLESS, Quantity, UnitError,
-                            format_quantity, parse_quantity, parse_unit)
+                            parse_quantity, parse_unit)
 
 
 class TestParseUnit:
