@@ -57,9 +57,9 @@ def assess_crop(model: FarmModel, db: FactorDB, crop_name: str, *,
                              model.amortization_horizon_years)
     inventory = build_lci(crop, model, db)
     gwp, energy = characterize(inventory, db, cutoff_missing=cutoff_missing)
-    notes = inventory.notes + tuple(
+    notes = inventory.notes + tuple([
         f"flow {flow_id!r} has no factor record; cut off at zero burden"
-        for flow_id in gwp.missing)
+        for flow_id in gwp.missing])
     return CropAssessment(
         crop_name=crop_name, economics=economics, inventory=inventory,
         gwp=gwp, energy=energy,

@@ -88,6 +88,7 @@ class ExhaustFactors(NamedTuple):
 
 
 DEFAULT_EXHAUST = ExhaustFactors()
+_DEFAULT_N2O = N2OParams()  # the Tier 1 default of a crop without its own
 
 
 class FactorDB:
@@ -104,7 +105,7 @@ class FactorDB:
         return self.gases[gas]
 
     def n2o_params(self, crop_name: str) -> N2OParams:
-        return self.emissions.get(crop_name, N2OParams())
+        return self.emissions.get(crop_name, _DEFAULT_N2O)
 
 
 def _read_flow(reader: SectionReader) -> FactorRecord:

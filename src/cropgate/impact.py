@@ -3,9 +3,10 @@
 Both are linear maps over the same inventory, so one pass over its flows
 gives both. The soil-carbon CO2 flow enters GWP unchanged (it is already a
 CO2 mass), gas flows go through the gas table, and every other flow resolves
-its factor record once and is converted once, by ``Quantity.to``, from its
-canonical Mg or L into the record's basis unit; that amount feeds the kg
-CO2e, renewable MJ and non-renewable MJ sums, kept per phase by index.
+its factor record once and is divided once into the record's basis unit by
+the scale ``parse_unit`` memoized for that unit, after ``Quantity.to``'s
+unit check; the result feeds the kg CO2e, renewable MJ and non-renewable MJ
+sums, kept per phase by index.
 
 Conventions carried through all reporting:
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
+from . import units
 from .factors import FactorDB, MissingFlowError
 from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
 
@@ -65,11 +67,14 @@ def characterize(inventory: Inventory, db: FactorDB,
     a factor record raises, or in cut-off mode adds zero burden and is named
     in the ``missing`` tuple that both breakdowns share.
     """
-    kg, ren, non = ([0.0] * len(PHASES) for _ in range(3))
+    kg = [0.0] * len(PHASES)
+    ren, non = kg[:], kg[:]
     soc_mg = 0.0
     missing: set[str] = set()
     # on Python 3.10-3.11 each Phase.SOC read runs EnumType.__getattr__
     soc, resolve = Phase.SOC, db.records.get
+    # parse_unit's memo, which a record's unit enters when its file loads
+    memo = units._UNIT_CACHE.get
     for flow_id, amount, phase in inventory.flows:
         if phase is soc:
             soc_mg += amount.to("Mg")
@@ -84,14 +89,19 @@ def characterize(inventory: Inventory, db: FactorDB,
                 raise MissingFlowError(flow_id)
             missing.add(flow_id)
             continue
-        basis = amount.to(record.unit)
+        # Quantity.to inline: its unit check, its error text, its division
+        unit, scale = memo(record.unit) or units.parse_unit(record.unit)
+        if amount.unit is not unit and amount.unit != unit:
+            raise units.UnitError(
+                f"cannot express {amount.unit} in {record.unit!r}")
+        basis = amount.value / scale
         kg[i] += basis * record.gwp100
         ren[i] += basis * record.pe_renewable / 1000.0
         non[i] += basis * record.pe_nonrenewable / 1000.0
     by_phase = {phase: total / 1000.0 for phase, total in zip(PHASES, kg)}
     by_phase[soc] = soc_mg
     # plain left folds: sum() of floats is compensated since Python 3.12
-    positive = reduce(add, (by_phase[phase] for phase in POSITIVE_PHASES), 0.0)
+    positive = reduce(add, [by_phase[phase] for phase in POSITIVE_PHASES], 0.0)
     ren_total, non_total = reduce(add, ren, 0.0), reduce(add, non, 0.0)
     cut = tuple(sorted(missing))
     return (GwpBreakdown(inventory.crop_name, by_phase, positive,

@@ -5,8 +5,8 @@ inputs of perennial crops are spread over the amortization horizon first,
 then every input becomes a flow tagged with the life-cycle phase it belongs
 to. Flow amounts are quantities in canonical Mg or L, understood per
 hectare and year; characterization converts each to the basis unit of its
-factor record. The seed chain below runs on plain floats and makes one
-quantity per seed flow at the end.
+factor record. The seed chain below sums the production flows by flow id in
+one pass of plain floats and makes one quantity per seed flow at the end.
 
 Seed is special. Farm-multiplied seed ("own") is produced with the same
 cultivation inputs as the crop itself plus processing and transport, which
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from functools import reduce
-from operator import add
+from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -80,6 +79,7 @@ _SEED, _FERTILIZER, _PESTICIDE, _FIELD_WORKS, _FIELD_EMISSIONS, _SOC = (
     Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE, Phase.FIELD_WORKS,
     Phase.FIELD_EMISSIONS, Phase.SOC)
 _ESTABLISHMENT = Timing.ESTABLISHMENT
+_OWN, _EXTERNAL = SeedSource.OWN, SeedSource.EXTERNAL
 # report names, read once: Enum's .value is a Python-level descriptor
 PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
@@ -102,6 +102,11 @@ class Flow(NamedTuple):
     flow_id: str
     amount: Quantity  # per ha and year; negative only in the SOC phase
     phase: Phase
+
+
+# the tuples of the engine path skip the Python-level __new__ of a NamedTuple,
+# as sections builds an Entry; for flows that is one C call per flow
+_flow = partial(tuple.__new__, Flow)
 
 
 class Inventory(NamedTuple):
@@ -139,17 +144,13 @@ def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
         for key, mass in op.machinery_mg_ha.items():
             machinery[key] = machinery.get(key, 0.0) + _spread(
                 mass, op.timing, horizon_years)
-    return AnnualizedPlan(
-        sowing_dose_mg_ha=_spread(crop.sowing_dose_mg_ha, crop.sowing_timing,
-                                  horizon_years),
-        fertilizations=tuple(
-            (f.product_id, _spread(f.dose_mg_ha, f.timing, horizon_years))
-            for f in crop.fertilizations),
-        herbicides=tuple(
-            (h.product_id, _spread(h.dose, h.timing, horizon_years))
-            for h in crop.herbicides),
-        diesel_l_ha=diesel,
-        machinery_mg_ha=machinery)
+    return tuple.__new__(AnnualizedPlan, (
+        _spread(crop.sowing_dose_mg_ha, crop.sowing_timing, horizon_years),
+        tuple([(f.product_id, _spread(f.dose_mg_ha, f.timing, horizon_years))
+               for f in crop.fertilizations]),
+        tuple([(h.product_id, _spread(h.dose, h.timing, horizon_years))
+               for h in crop.herbicides]),
+        diesel, machinery))
 
 
 def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
@@ -193,7 +194,7 @@ def exhaust_emissions(diesel_l: float,
                       factors: ExhaustFactors) -> tuple[float, ...]:
     """Exhaust gas masses in kg for a diesel amount in litres, in ``GASES``
     order."""
-    return tuple(diesel_l * kg_l for kg_l in factors)
+    return tuple([diesel_l * kg_l for kg_l in factors])
 
 
 def _production_flows(model: FarmModel, ann: AnnualizedPlan,
@@ -202,38 +203,29 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
 
     The order fixes the order of the per-phase float sums downstream.
     """
-    flows = [Flow(product_id, Quantity(dose, _MG), _FERTILIZER)
+    flows = [_flow((product_id, Quantity(dose, _MG), _FERTILIZER))
              for product_id, dose in ann.fertilizations]
     for product_id, dose in ann.herbicides:
         product = model.products[product_id]
         ai_kg = _active_ingredient_kg(dose, product.active_fraction)
-        flows.append(Flow(product_id, Quantity(ai_kg * _KG_VALUE, _MG),
-                          _PESTICIDE))
+        flows.append(_flow((product_id, Quantity(ai_kg * _KG_VALUE, _MG),
+                            _PESTICIDE)))
     if ann.diesel_l_ha:
-        flows.append(Flow("diesel", Quantity(ann.diesel_l_ha, _L),
-                          _FIELD_WORKS))
+        flows.append(_flow(("diesel", Quantity(ann.diesel_l_ha, _L),
+                            _FIELD_WORKS)))
         for gas, kg in zip(GASES, exhaust_emissions(ann.diesel_l_ha, exhaust)):
             if kg:
-                flows.append(Flow(gas, Quantity(kg * _KG_VALUE, _MG),
-                                  _FIELD_WORKS))
+                flows.append(_flow((gas, Quantity(kg * _KG_VALUE, _MG),
+                                    _FIELD_WORKS)))
     for key, flow_id in MACHINERY_FLOWS.items():
         mass = ann.machinery_mg_ha.get(key)
         if mass:
-            flows.append(Flow(flow_id, Quantity(mass, _MG), _FIELD_WORKS))
+            flows.append(_flow((flow_id, Quantity(mass, _MG), _FIELD_WORKS)))
     return flows
 
 
-def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
-    totals: dict[str, Quantity] = {}
-    for flow in flows:
-        previous = totals.get(flow.flow_id)
-        totals[flow.flow_id] = (flow.amount if previous is None
-                                else previous + flow.amount)
-    return totals
-
-
 def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
-                 cultivation: dict[str, Quantity], one_level: bool,
+                 production: list[Flow], one_level: bool,
                  seed_mg: float = 1.0) -> dict[str, Quantity]:
     """x = (c/Y + p) / (1 - r) * seed_mg per flow id, summed in floats in
     that order; one quantity per flow. The seed-chain flows p are masses:
@@ -246,14 +238,25 @@ def _seed_vector(crop: CropPlan, ann: AnnualizedPlan,
         raise SeedRecursionError(
             f"seed dose {dose!r} Mg/ha meets or exceeds seed yield "
             f"{yield_mg!r} Mg/ha; the seed chain diverges")
-    vector = {flow_id: (amount.value / yield_mg, amount.unit)
-              for flow_id, amount in cultivation.items()}
-    for flow_id in SEED_CHAIN_FLOWS:
-        value, unit = vector.get(flow_id, (0.0, _MG))
-        vector[flow_id] = (value + 1.0, unit)
+    totals, units = {}, {}  # flow id -> c in floats, and its unit
+    for flow_id, amount, _ in production:
+        total = totals.get(flow_id)
+        if total is None:
+            totals[flow_id], units[flow_id] = amount.value, amount.unit
+        elif amount.unit != units[flow_id]:
+            raise UnitError(f"cannot add {units[flow_id]} and {amount.unit}")
+        else:
+            totals[flow_id] = total + amount.value
     one_minus_r = 1.0 if one_level else 1.0 - dose / yield_mg
-    return {flow_id: Quantity(value / one_minus_r * seed_mg, unit)
-            for flow_id, (value, unit) in vector.items()}
+    seed = {flow_id: Quantity(total / yield_mg / one_minus_r * seed_mg,
+                              units[flow_id])
+            for flow_id, total in totals.items()}
+    for flow_id in SEED_CHAIN_FLOWS:  # + p, after c/Y where an id has both
+        total = totals.get(flow_id)
+        per_mg = 1.0 if total is None else total / yield_mg + 1.0
+        seed[flow_id] = Quantity(per_mg / one_minus_r * seed_mg,
+                                 units.get(flow_id, _MG))
+    return seed
 
 
 def soc_stock(sample: SoilSample) -> float:
@@ -288,7 +291,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
         return None, None
     if crop.soc_fixation_mg_c_ha is not None:
         credit = soc_co2_credit(crop.soc_fixation_mg_c_ha)
-        return Flow(_CO2, Quantity(-credit, _MG), _SOC), None
+        return _flow((_CO2, Quantity(-credit, _MG), _SOC)), None
     series = model.soil_series(crop.land_class)
     if len(series) < 2:
         return None, (f"no soil analysis pair for {crop.land_class.value} "
@@ -296,7 +299,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
     first, last = series[0], series[-1]
     years = last.year - first.year
     change = soc_annual_change(soc_stock(first), soc_stock(last), years)
-    return Flow(_CO2, Quantity(-soc_co2_credit(change), _MG), _SOC), None
+    return _flow((_CO2, Quantity(-soc_co2_credit(change), _MG), _SOC)), None
 
 
 def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
@@ -306,33 +309,32 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
     production = _production_flows(model, ann, db.exhaust)
     flows: list[Flow] = []
 
-    if ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.OWN:
-        vector = _seed_vector(crop, ann, _by_flow_id(production),
-                              seed_one_level, ann.sowing_dose_mg_ha)
-        for flow_id in sorted(vector):
-            flows.append(Flow(flow_id, vector[flow_id], _SEED))
-    elif ann.sowing_dose_mg_ha and crop.seed_source is SeedSource.EXTERNAL:
-        flows.append(Flow(crop.seed_flow, Quantity(ann.sowing_dose_mg_ha, _MG),
-                          _SEED))
+    if ann.sowing_dose_mg_ha and crop.seed_source is _OWN:
+        vector = _seed_vector(crop, ann, production, seed_one_level,
+                              ann.sowing_dose_mg_ha)
+        flows = [_flow((flow_id, vector[flow_id], _SEED))
+                 for flow_id in sorted(vector)]
+    elif ann.sowing_dose_mg_ha and crop.seed_source is _EXTERNAL:
+        flows.append(_flow((crop.seed_flow,
+                            Quantity(ann.sowing_dose_mg_ha, _MG), _SEED)))
     flows.extend(production)
 
-    # a left fold, as in impact.characterize
-    n_applied_kg = reduce(add, (
-        dose * model.products[product_id].composition.n * 1000.0
-        for product_id, dose in ann.fertilizations
-        if product_id in model.products), 0.0)
+    n_applied_kg = 0.0  # a left fold, as in impact.characterize
+    for product_id, dose in ann.fertilizations:
+        if product_id in model.products:
+            n_applied_kg += (dose * model.products[product_id].composition.n
+                             * 1000.0)
     n2o_mg = n2o_field_emissions(n_applied_kg, db.n2o_params(crop.name))
     if n2o_mg:
-        flows.append(Flow(_N2O, Quantity(n2o_mg, _MG), _FIELD_EMISSIONS))
+        flows.append(_flow((_N2O, Quantity(n2o_mg, _MG), _FIELD_EMISSIONS)))
 
     soc_flow, note = _soc_flow(crop, model)
     if soc_flow is not None:
         flows.append(soc_flow)
 
-    for flow in flows:
-        if flow.amount.value < 0 and flow.phase is not _SOC:
-            raise InventoryError(
-                f"negative amount for flow {flow.flow_id!r} in phase "
-                f"{flow.phase.value}")
-    return Inventory(crop_name=crop.name, flows=tuple(flows),
-                     notes=(note,) if note else ())
+    for flow_id, amount, phase in flows:
+        if amount.value < 0 and phase is not _SOC:
+            raise InventoryError(f"negative amount for flow {flow_id!r} in "
+                                 f"phase {phase.value}")
+    return tuple.__new__(Inventory, (crop.name, tuple(flows),
+                                     (note,) if note else ()))

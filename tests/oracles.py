@@ -13,7 +13,7 @@ from cropgate.factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from cropgate.farmspec import CropPlan, FarmModel
 from cropgate.impact import EnergyBreakdown, GwpBreakdown, characterize
 from cropgate.inventory import (AnnualizedPlan, Flow, Inventory, Phase,
-                                _by_flow_id, _production_flows, _seed_vector,
+                                _production_flows, _seed_vector,
                                 annualize_schedule)
 from cropgate.sections import Document, Scalar
 from cropgate.units import Quantity
@@ -22,6 +22,15 @@ from cropgate.units import Quantity
 # ---------------------------------------------------------------------- #
 #  inventory
 # ---------------------------------------------------------------------- #
+
+def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
+    totals: dict[str, Quantity] = {}
+    for flow in flows:
+        previous = totals.get(flow.flow_id)
+        totals[flow.flow_id] = (flow.amount if previous is None
+                                else previous + flow.amount)
+    return totals
+
 
 def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
                        exhaust: ExhaustFactors) -> dict[str, Quantity]:
@@ -47,8 +56,8 @@ def seed_inventory(crop: CropPlan, model: FarmModel,
         SeedRecursionError: no seed yield, or r >= 1 (the series diverges).
     """
     ann = annualize_schedule(crop, model.amortization_horizon_years)
-    cultivation = _cultivation_flows(crop, model, ann, exhaust)
-    return _seed_vector(crop, ann, cultivation, one_level)
+    return _seed_vector(crop, ann, _production_flows(model, ann, exhaust),
+                        one_level)
 
 
 def by_phase(inventory: Inventory, phase: Phase) -> list[Flow]:

@@ -10,7 +10,7 @@ from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
                              phase_shares)
 from cropgate.inventory import GAS_FLOWS, Flow, Inventory, Phase, build_lci
-from cropgate.units import parse_quantity
+from cropgate.units import UnitError, parse_quantity
 
 
 def sample_factors(scale: float = 1.0) -> str:
@@ -135,6 +135,19 @@ class TestEnergy:
         assert set(shares) == set(ENERGY_PHASES)
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
         assert shares[Phase.FERTILIZER] == pytest.approx(0.5 / 0.935 * 100)
+
+
+def test_a_flow_its_record_cannot_express_raises(farm_model, factor_db):
+    """A record whose basis is a volume meets a fertilizer mass: the error
+    of Quantity.to, with the record's unit text."""
+    record = factor_db.records["npk_8_24_8"]
+    db = FactorDB({**factor_db.records,
+                   "npk_8_24_8": record._replace(unit="L")},
+                  factor_db.gases, factor_db.emissions, factor_db.exhaust)
+    lci = build_lci(farm_model.crop("tall_wheatgrass"), farm_model, db)
+    with pytest.raises(UnitError) as err:
+        characterize(lci, db)
+    assert str(err.value) == "cannot express Mg in 'L'"
 
 
 class TestMissingFlows:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from oracles import _cultivation_flows, amount, by_phase, seed_inventory
 from cropgate import GASES
 from cropgate.factors import DEFAULT_EXHAUST, DEFAULT_GAS_GWP, ExhaustFactors
-from cropgate.farmspec import Timing, parse_farm_document
+from cropgate.farmspec import ProductSpec, Timing, parse_farm_document
 from cropgate.inventory import (GAS_FLOWS, MACHINERY_FLOWS, SEED_CHAIN_FLOWS,
                                 Flow, Inventory, InventoryError, Phase,
                                 SeedRecursionError, annualize_schedule,
@@ -427,3 +427,33 @@ def test_float_seed_chain_matches_quantity_arithmetic(farm_model, factor_db,
         assert repr(seed) == repr([
             Flow(flow_id, expected[flow_id] * ann.sowing_dose_mg_ha,
                  Phase.SEED) for flow_id in sorted(expected)])
+
+
+@pytest.mark.parametrize("one_level", [False, True])
+def test_every_flow_is_a_three_field_flow(farm_model, factor_db, one_level):
+    """Flows are built with tuple.__new__, which skips the arity check of
+    Flow(...): each one still has its three fields and their types."""
+    for crop in farm_model.crops.values():
+        for flow in build_lci(crop, farm_model, factor_db,
+                              seed_one_level=one_level).flows:
+            assert type(flow) is Flow and len(flow) == 3, flow
+            assert type(flow.flow_id) is str, flow
+            assert type(flow.amount) is Quantity, flow
+            assert type(flow.phase) is Phase, flow
+
+
+def test_seed_vector_adds_only_flows_of_one_unit(farm_model, factor_db):
+    """A model built in code, where farm files reject it: own-seed rye
+    sprays a herbicide named diesel, whose mass meets the diesel volume in
+    the seed vector."""
+    rye = farm_model.crop("rye")
+    herbicide = rye.herbicides[0]
+    share = farm_model.products[herbicide.product_id].active_fraction
+    model = farm_model._replace(
+        products={**farm_model.products, "diesel": ProductSpec(
+            "diesel", "herbicide", active_fraction=share)},
+        crops={**farm_model.crops, "rye": rye._replace(
+            herbicides=(herbicide._replace(product_id="diesel"),))})
+    with pytest.raises(UnitError) as err:
+        build_lci(model.crop("rye"), model, factor_db)
+    assert str(err.value) == "cannot add Mg and L"

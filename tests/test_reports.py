@@ -604,3 +604,15 @@ def test_report_bytes_are_pinned(farm_path, tmp_path, monkeypatch):
             digests[f"{name}/{path.name}"] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     assert digests == PINNED_SHA256
+
+
+def test_engine_reprs_are_pinned():
+    """Every assess_crop and compare_pair repr of the bundled farm and of
+    the generated holdings hashes to the digest in
+    .github/engine-reprs.sha256, which CI also diffs on every Python."""
+    import engine_digest
+    pinned = os.path.join(engine_digest.ROOT, ".github", "engine-reprs.sha256")
+    with open(pinned, encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    assert [f"{engine_digest.digest(model, db)}  {name}"
+            for name, model, db in engine_digest.holdings()] == expected
