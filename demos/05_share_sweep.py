@@ -8,7 +8,8 @@ farm the marginal share is small, so the choice barely moves the total;
 the sweep shows how the stakes rise with the share.
 """
 
-from cropgate.assess import bundled_data_path, load_farm, sweep_shares
+from cropgate.assess import bundled_data_path, load_farm
+from cropgate.economics import marginal_share_sweep
 
 
 def main():
@@ -17,7 +18,7 @@ def main():
     own_share = model.marginal_area_ha / model.total_area_ha
 
     shares = sorted({round(0.1 * k, 1) for k in range(1, 10)} | {own_share})
-    points = sweep_shares(model, shares)
+    points = marginal_share_sweep(model, shares)
 
     print(f"farm income by marginal share, {first} minus {second}")
     print(f"  {'share':>8}{first:>17}{second:>17}{'diff EUR':>12}"

@@ -7,17 +7,18 @@ inputs embody, split renewable against non-renewable. Farm data and
 characterization factors come from two plain-text files; results come back
 as plain objects or deterministic CSV/JSON reports.
 
-Importing the package loads none of its modules. An exported name or a
-submodule loads on first access, so a command compiles and runs only the
-modules it uses.
+Importing the package loads none of its modules. A submodule loads on
+first access, so a command compiles and runs only the modules it uses; each
+public name is imported from the module that defines it.
 
 Typical use::
 
-    from cropgate import assess, bundled_data_path
+    from cropgate.assess import (assess_crop, bundled_data_path,
+                                 load_factors, load_farm)
 
-    model = assess.load_farm(bundled_data_path("farm_soria.cg"))
-    db = assess.load_factors(bundled_data_path("factors_calibrated.cg"))
-    result = assess.assess_crop(model, db, "tall_wheatgrass")
+    model = load_farm(bundled_data_path("farm_soria.cg"))
+    db = load_factors(bundled_data_path("factors_calibrated.cg"))
+    result = assess_crop(model, db, "tall_wheatgrass")
     print(result.gwp.net_total)
 """
 
@@ -57,38 +58,17 @@ def horizon_problem(years: float) -> str | None:
     return None
 
 
-# exported name -> its module, resolved on first access (PEP 562)
-_EXPORTS = {
-    "assess": ("CropAssessment", "PairComparison", "assess_crop",
-               "compare_pair", "sweep_shares", "load_farm", "load_factors",
-               "resolve_factors_path", "bundled_data_path"),
-    "economics": ("EconomicBalance", "FarmIncome", "SweepPoint",
-                  "crop_balance", "farm_income", "marginal_share_sweep"),
-    "factors": ("FactorDB", "FactorFileError", "FactorRecord",
-                "MissingFlowError", "load_factor_db"),
-    "farmspec": ("CropPlan", "FarmModel", "FarmFileError",
-                 "FarmValidationError", "LandClass", "SeedSource", "Timing",
-                 "ValidationReport", "parse_farm_document", "validate_model"),
-    "impact": ("EnergyBreakdown", "GwpBreakdown", "phase_shares"),
-    "inventory": ("Flow", "Inventory", "InventoryError", "Phase",
-                  "SeedRecursionError", "annualize_schedule", "build_lci",
-                  "soc_annual_change", "soc_co2_credit", "soc_stock"),
-    "sections": ("SectionSyntaxError", "parse_document"),
-    "units": ("Quantity", "Unit", "UnitError", "parse_quantity", "parse_unit"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {"cli", "reports", *_EXPORTS}
+# loaded on first access (PEP 562), so a command compiles only what it uses
+_SUBMODULES = {"assess", "cli", "economics", "factors", "farmspec", "impact",
+               "inventory", "reports", "sections", "units"}
 
 __all__ = ["__version__", "CropgateError", "InputError", "GASES",
-           "MAX_HORIZON_YEARS", "horizon_problem", "assess", *_HOME]
+           "MAX_HORIZON_YEARS", "horizon_problem", "assess"]
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        # __import__, unlike importlib.import_module, is logged by -X importtime
-        __import__(f"{__name__}.{name}")
-        return globals()[name]
-    if name not in _HOME:
+    if name not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
-    return value
+    # __import__, unlike importlib.import_module, is logged by -X importtime
+    __import__(f"{__name__}.{name}")
+    return globals()[name]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import CropgateError
 from .economics import (EconomicBalance, FarmIncome, crop_balance,
-                        farm_incomes, marginal_share_sweep)
+                        farm_incomes)
 from .factors import FactorDB, load_factor_db
 from .farmspec import FarmModel, parse_farm_document
 from .impact import (EnergyBreakdown, GwpBreakdown, characterize,
@@ -23,8 +23,7 @@ from .sections import read_text
 
 __all__ = [
     "CropAssessment", "PairComparison", "assess_crop", "compare_pair",
-    "sweep_shares", "read_text", "load_farm", "load_factors",
-    "resolve_factors_path", "bundled_data_path",
+    "load_farm", "load_factors", "resolve_factors_path", "bundled_data_path",
 ]
 
 @dataclass(frozen=True)
@@ -106,9 +105,6 @@ def compare_pair(model: FarmModel, db: FactorDB,
         margin_difference_eur_ha=(first.economics.balance_with_cap
                                   - second.economics.balance_with_cap),
         verdicts=_verdicts(first, second))
-
-
-sweep_shares = marginal_share_sweep
 
 
 # ---------------------------------------------------------------------- #

@@ -101,9 +101,6 @@ class FactorDB:
         self.emissions = {} if emissions is None else emissions
         self.exhaust = exhaust
 
-    def gas_gwp(self, gas: str) -> float:
-        return self.gases[gas]
-
     def n2o_params(self, crop_name: str) -> N2OParams:
         return self.emissions.get(crop_name, _DEFAULT_N2O)
 

@@ -27,8 +27,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .sections import (Diagnostic, Document, Section, SectionReader,
-                       ValidationReport, parse_document)
+from .sections import (Document, Section, SectionReader, ValidationReport,
+                       parse_document)
 from .units import Quantity, parse_unit
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "SEED_CHAIN_FLOWS", "Composition",
     "ProductSpec", "FertilizerApplication",
     "HerbicideApplication", "FieldOperation", "CostBlock", "CropPlan",
-    "SoilSample", "FarmModel", "Diagnostic", "ValidationReport",
+    "SoilSample", "FarmModel",
     "FarmFileError", "FarmValidationError", "UnknownCropError",
     "parse_product_label", "parse_farm_document", "build_farm_model",
     "validate_model",

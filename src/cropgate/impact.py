@@ -1,12 +1,14 @@
 """Impact characterization: GWP100 and cumulative primary energy.
 
 Both are linear maps over the same inventory, so one pass over its flows
-gives both. The soil-carbon CO2 flow enters GWP unchanged (it is already a
-CO2 mass), gas flows go through the gas table, and every other flow resolves
-its factor record once and is divided once into the record's basis unit by
-the scale ``parse_unit`` memoized for that unit, after ``Quantity.to``'s
-unit check; the result feeds the kg CO2e, renewable MJ and non-renewable MJ
-sums, kept per phase by index.
+gives both (g = QBs of Heijungs & Suh, 2002, one product at a time). Every
+flow takes one unit step: it is divided into its basis unit by the scale
+``parse_unit`` memoized for that unit text, after ``Quantity.to``'s unit
+check and with its error text. The basis is Mg for the soil-carbon CO2 flow,
+which enters GWP as it is; kg for a gas flow, weighed by its GWP in
+``FactorDB.gases``; and the record's unit for every other flow, which
+resolves its factor record once and feeds the kg CO2e, renewable MJ and
+non-renewable MJ sums, kept per phase by index.
 
 Conventions carried through all reporting:
 
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from . import units
+from . import GASES, units
 from .factors import FactorDB, MissingFlowError
-from .inventory import GAS_FLOWS, PHASES, Inventory, Phase
+from .inventory import PHASES, Inventory, Phase
 
 __all__ = ["GwpBreakdown", "EnergyBreakdown", "characterize", "phase_shares",
            "POSITIVE_PHASES"]
@@ -72,32 +74,38 @@ def characterize(inventory: Inventory, db: FactorDB,
     soc_mg = 0.0
     missing: set[str] = set()
     # on Python 3.10-3.11 each Phase.SOC read runs EnumType.__getattr__
-    soc, resolve = Phase.SOC, db.records.get
-    # parse_unit's memo, which a record's unit enters when its file loads
+    soc, resolve, gwp = Phase.SOC, db.records.get, db.gases
+    # parse_unit's memo: a record's unit enters it when its file loads, and
+    # the Mg and kg of the soil-carbon and gas flows on their first parse
     memo = units._UNIT_CACHE.get
     for flow_id, amount, phase in inventory.flows:
+        record = None
         if phase is soc:
-            soc_mg += amount.to("Mg")
-            continue
-        i = _INDEX[phase]
-        if flow_id in GAS_FLOWS:
-            kg[i] += amount.to("kg") * db.gas_gwp(flow_id)
-            continue
-        record = resolve(flow_id)
-        if record is None:
-            if not cutoff_missing:
-                raise MissingFlowError(flow_id)
-            missing.add(flow_id)
-            continue
+            text = "Mg"
+        elif flow_id in GASES:
+            text = "kg"
+        else:
+            record = resolve(flow_id)
+            if record is None:
+                if not cutoff_missing:
+                    raise MissingFlowError(flow_id)
+                missing.add(flow_id)
+                continue
+            text = record.unit
         # Quantity.to inline: its unit check, its error text, its division
-        unit, scale = memo(record.unit) or units.parse_unit(record.unit)
+        unit, scale = memo(text) or units.parse_unit(text)
         if amount.unit is not unit and amount.unit != unit:
-            raise units.UnitError(
-                f"cannot express {amount.unit} in {record.unit!r}")
+            raise units.UnitError(f"cannot express {amount.unit} in {text!r}")
         basis = amount.value / scale
-        kg[i] += basis * record.gwp100
-        ren[i] += basis * record.pe_renewable / 1000.0
-        non[i] += basis * record.pe_nonrenewable / 1000.0
+        if record is not None:
+            i = _INDEX[phase]
+            kg[i] += basis * record.gwp100
+            ren[i] += basis * record.pe_renewable / 1000.0
+            non[i] += basis * record.pe_nonrenewable / 1000.0
+        elif phase is soc:
+            soc_mg += basis
+        else:
+            kg[_INDEX[phase]] += basis * gwp[flow_id]
     by_phase = {phase: total / 1000.0 for phase, total in zip(PHASES, kg)}
     by_phase[soc] = soc_mg
     # plain left folds: sum() of floats is compensated since Python 3.12

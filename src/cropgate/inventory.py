@@ -47,8 +47,7 @@ from .units import Quantity, UnitError, parse_unit
 __all__ = [
     "Phase", "PHASES", "PHASE_NAMES", "Flow", "Inventory", "AnnualizedPlan",
     "InventoryError", "SeedRecursionError", "annualize_schedule",
-    "build_lci", "GAS_FLOWS", "MACHINERY_FLOWS",
-    "SEED_CHAIN_FLOWS", "CO2_PER_C", "soc_stock", "soc_annual_change",
+    "build_lci", "CO2_PER_C", "soc_stock", "soc_annual_change",
     "soc_co2_credit", "n2o_field_emissions", "exhaust_emissions",
 ]
 
@@ -84,8 +83,6 @@ _OWN, _EXTERNAL = SeedSource.OWN, SeedSource.EXTERNAL
 PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
 
-# flows characterized through gas GWPs rather than factor records
-GAS_FLOWS = GASES
 _CO2, _, _N2O = GASES  # the soil-carbon and field-emission flows
 
 CO2_PER_C = 44.0 / 12.0  # molar mass ratio, exact by definition

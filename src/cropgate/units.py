@@ -6,7 +6,7 @@ in ``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
 readers the engine computes on floats in canonical units: the farm model
 keeps a :class:`Quantity` only for a herbicide dose (a volume or a mass per
 hectare), and each inventory flow carries one, which characterization divides
-by its record's basis-unit scale from the :func:`parse_unit` memo. The seed
+by its basis unit's scale from the :func:`parse_unit` memo. The seed
 chain, the exhaust gases and the characterization sums are float arithmetic.
 
 The unit system is deliberately small. Seven physical dimensions cover the

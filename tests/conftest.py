@@ -7,8 +7,9 @@ import string
 import pytest
 from hypothesis import strategies as st
 
-from cropgate import (FactorDB, FarmModel, bundled_data_path, load_factors,
-                      load_farm)
+from cropgate.assess import bundled_data_path, load_factors, load_farm
+from cropgate.factors import FactorDB
+from cropgate.farmspec import FarmModel
 from cropgate.units import DIMENSIONLESS, Quantity, parse_unit
 
 SHIPPED_FARM = bundled_data_path("farm_soria.cg")

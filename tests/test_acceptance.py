@@ -14,13 +14,13 @@ from oracles import (_cultivation_flows, amount, characterize_energy,
                      characterize_gwp, seed_inventory, serialize_document)
 from test_inventory import seed_farm
 
-from cropgate.assess import assess_crop, sweep_shares
-from cropgate.economics import crop_balance, farm_income
+from cropgate.assess import assess_crop
+from cropgate.economics import crop_balance, farm_income, marginal_share_sweep
 from cropgate.factors import DEFAULT_EXHAUST, load_factor_db
-from cropgate.farmspec import Timing, parse_farm_document
-from cropgate.inventory import (CO2_PER_C, SEED_CHAIN_FLOWS, Phase,
-                                annualize_schedule, build_lci,
-                                soc_annual_change, soc_co2_credit, soc_stock)
+from cropgate.farmspec import SEED_CHAIN_FLOWS, Timing, parse_farm_document
+from cropgate.inventory import (CO2_PER_C, Phase, annualize_schedule,
+                                build_lci, soc_annual_change, soc_co2_credit,
+                                soc_stock)
 from cropgate.reports import build_manifest, write_assessment
 from cropgate.sections import Document, Entry, Section, parse_document
 from cropgate.units import parse_quantity
@@ -68,7 +68,7 @@ def test_criterion_2_farm_income(farm_model):
 
 
 def test_criterion_3_marginal_share_sweep(farm_model):
-    current, half = sweep_shares(farm_model, [40.0 / 302.0, 0.5])
+    current, half = marginal_share_sweep(farm_model, [40.0 / 302.0, 0.5])
     assert current.relative_difference * 100.0 == pytest.approx(0.5, abs=0.1)
     assert half.relative_difference * 100.0 == pytest.approx(2.3, abs=0.1)
     print(f"criterion 3: PASS income difference "

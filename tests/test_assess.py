@@ -13,10 +13,9 @@ import pytest
 from oracles import amount
 from cropgate import CropgateError
 from cropgate.assess import (assess_crop, bundled_data_path, compare_pair,
-                             load_factors, load_farm, resolve_factors_path,
-                             sweep_shares)
+                             load_factors, load_farm, resolve_factors_path)
 from cropgate.cli import main
-from cropgate.economics import farm_income
+from cropgate.economics import farm_income, marginal_share_sweep
 from cropgate.factors import MissingFlowError, load_factor_db
 from cropgate.farmspec import parse_farm_document
 from cropgate.impact import ENERGY_PHASES, POSITIVE_PHASES
@@ -339,12 +338,12 @@ class TestLocality:
 
 class TestSweepShares:
     def test_passthrough(self, farm_model):
-        points = sweep_shares(farm_model, [0.25, 0.5])
+        points = marginal_share_sweep(farm_model, [0.25, 0.5])
         assert [p.share for p in points] == [0.25, 0.5]
 
     def test_empty_rejected(self, farm_model):
         with pytest.raises(ValueError):
-            sweep_shares(farm_model, [])
+            marginal_share_sweep(farm_model, [])
 
 
 class TestInputResolution:
@@ -446,7 +445,7 @@ class TestSectionOrder:
         # for byte, the manifest included
         paths = write_comparison(compare_pair(model, db), manifest, out_dir,
                                  "json")
-        paths += write_sweep(sweep_shares(model, self.SHARES),
+        paths += write_sweep(marginal_share_sweep(model, self.SHARES),
                              model.marginal_pair, manifest, out_dir, "json")
         payloads = {}
         for path in paths:

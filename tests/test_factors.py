@@ -48,14 +48,14 @@ class TestLoading:
 
     def test_gas_defaults_and_overrides(self):
         db = load_factor_db(SAMPLE)
-        assert db.gas_gwp("co2") == 1.0
-        assert db.gas_gwp("ch4") == 30.5
-        assert db.gas_gwp("n2o") == 298.0  # file overrides the default
+        assert db.gases["co2"] == 1.0
+        assert db.gases["ch4"] == 30.5
+        assert db.gases["n2o"] == 298.0  # file overrides the default
 
     def test_fresh_db_has_all_default_gases(self):
         db = FactorDB()
         for gas, gwp in DEFAULT_GAS_GWP.items():
-            assert db.gas_gwp(gas) == gwp
+            assert db.gases[gas] == gwp
 
     def test_exhaust_factors(self):
         db = load_factor_db(SAMPLE)
@@ -168,9 +168,9 @@ class TestShippedFactors:
             assert "calibrated" in record.note
 
     def test_gwp100_gas_set(self, factor_db):
-        assert factor_db.gas_gwp("co2") == 1.0
-        assert factor_db.gas_gwp("ch4") == 30.5
-        assert factor_db.gas_gwp("n2o") == 265.0
+        assert factor_db.gases["co2"] == 1.0
+        assert factor_db.gases["ch4"] == 30.5
+        assert factor_db.gases["n2o"] == 265.0
 
     def test_measured_field_overrides(self, factor_db):
         assert factor_db.n2o_params("tall_wheatgrass").override_mg_ha \

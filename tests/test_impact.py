@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import characterize_energy, characterize_gwp
-from cropgate import units
+from cropgate import GASES, units
 from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
                              phase_shares)
-from cropgate.inventory import GAS_FLOWS, Flow, Inventory, Phase, build_lci
+from cropgate.inventory import Flow, Inventory, Phase, build_lci
 from cropgate.units import UnitError, parse_quantity
 
 
@@ -150,6 +150,19 @@ def test_a_flow_its_record_cannot_express_raises(farm_model, factor_db):
     assert str(err.value) == "cannot express Mg in 'L'"
 
 
+@pytest.mark.parametrize("litres,message", [
+    (flow("n2o", "2 L", Phase.FIELD_EMISSIONS), "cannot express L in 'kg'"),
+    (flow("co2", "2 L", Phase.SOC), "cannot express L in 'Mg'"),
+], ids=["gas", "soil_carbon"])
+def test_a_gas_or_soil_carbon_flow_in_litres_raises(litres, message,
+                                                    sample_db):
+    """A gas converts to kg and the soil-carbon flow to Mg, with the unit
+    check and the error text of Quantity.to."""
+    with pytest.raises(UnitError) as err:
+        characterize(Inventory("s", (litres,)), sample_db)
+    assert str(err.value) == message
+
+
 class TestMissingFlows:
     def test_strict_lookup_raises_with_flow_name(self, sample_db):
         inv = Inventory("s", (flow("mystery_input", "1 Mg", Phase.SEED),))
@@ -267,9 +280,9 @@ def plain_characterize(inventory, db, cutoff_missing):
         if flow.phase is Phase.SOC:
             soc_mg += flow.amount.to("Mg")
             continue
-        if flow.flow_id in GAS_FLOWS:
+        if flow.flow_id in GASES:
             kg[flow.phase] += (flow.amount.to("kg")
-                               * db.gas_gwp(flow.flow_id))
+                               * db.gases[flow.flow_id])
             continue
         record = (db.records.get(flow.flow_id) if cutoff_missing
                   else db.records[flow.flow_id])

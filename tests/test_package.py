@@ -10,11 +10,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import cropgate
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 MODULES = ["cropgate"] + [f"cropgate.{info.name}"
                           for info in pkgutil.iter_modules(cropgate.__path__)]
 
@@ -35,18 +37,34 @@ def test_every_exported_error_derives_from_the_package_base(name):
     assert all(issubclass(error, cropgate.CropgateError) for error in errors)
 
 
+def test_no_object_is_exported_under_two_names():
+    """Each public object is listed once, by the module that defines it, and
+    is imported from there. Strings and numbers are exempt: equal constants
+    may be one interned object."""
+    names = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            value = getattr(module, attr)
+            if not isinstance(value, (str, int, float)):  # bool is an int
+                names.setdefault(id(value), []).append(f"{name}.{attr}")
+    assert [listed for listed in names.values() if len(listed) > 1] == []
+
+
 def test_error_classes_carry_the_exit_policy():
-    from cropgate.farmspec import UnknownCropError
+    from cropgate.factors import FactorFileError, MissingFlowError
+    from cropgate.farmspec import FarmValidationError, UnknownCropError
+    from cropgate.sections import SectionSyntaxError
     assert issubclass(cropgate.CropgateError, ValueError)
     assert (cropgate.CropgateError.exit_code, cropgate.InputError.exit_code) \
         == (1, 2)
-    syntax = cropgate.SectionSyntaxError("bad", 3, 4)
+    syntax = SectionSyntaxError("bad", 3, 4)
     assert (syntax.exit_code, syntax.prefix) == (2, "syntax error: ")
-    assert cropgate.FactorFileError.prefix == ""
-    assert cropgate.FarmValidationError.prefix == ""
+    assert FactorFileError.prefix == ""
+    assert FarmValidationError.prefix == ""
     # both KeyError kinds print their message as it is, without quotes
-    assert isinstance(cropgate.MissingFlowError("x"), KeyError)
-    assert str(cropgate.MissingFlowError("x")) \
+    assert isinstance(MissingFlowError("x"), KeyError)
+    assert str(MissingFlowError("x")) \
         == "no factor record for flow 'x'"
     assert isinstance(UnknownCropError("no crop"), KeyError)
     assert str(UnknownCropError("no crop")) == "no crop"
@@ -81,13 +99,49 @@ def test_bare_import_loads_no_submodule():
     assert _cropgate_modules_after("import cropgate") == {"cropgate"}
 
 
-def test_submodules_and_names_resolve_on_first_use():
+def test_submodules_resolve_on_first_use():
     loaded = _cropgate_modules_after(
         "import cropgate\n"
         "assert cropgate.reports.__name__ == 'cropgate.reports'\n"
-        "assert cropgate.Quantity.__module__ == 'cropgate.units'\n"
+        "assert cropgate.units.__name__ == 'cropgate.units'\n"
         "assert not hasattr(cropgate, 'no_such_name')")
     assert {"cropgate.reports", "cropgate.units"} <= loaded
+
+
+def test_the_package_reexports_no_name_of_a_module():
+    loaded = _cropgate_modules_after(
+        "import sys, cropgate\n"
+        "assert not hasattr(cropgate, 'FarmModel')\n"
+        "assert 'cropgate.farmspec' not in sys.modules\n"
+        "assert cropgate.farmspec.FarmModel.__module__ == 'cropgate.farmspec'")
+    assert "cropgate.farmspec" in loaded
+
+
+def _readme_library_block() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _docstring_block() -> str:
+    lines = cropgate.__doc__.split("Typical use::\n", 1)[1].splitlines()
+    block = []
+    for line in lines:
+        if line and not line.startswith("    "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+@pytest.mark.parametrize("block,printed", [
+    (_readme_library_block, 3), (_docstring_block, 1),
+], ids=["readme", "docstring"])
+def test_documented_library_snippets_run_as_written(block, printed):
+    proc = subprocess.run([sys.executable, "-c", block()], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len([float(line) for line in proc.stdout.split()]) == printed
 
 
 def test_importtime_lists_lazily_loaded_submodules():
@@ -240,7 +294,7 @@ KEPT_DATACLASSES = {
 @pytest.mark.parametrize("name", sorted(NAMEDTUPLES))
 def test_replace_method_works_on_the_namedtuples(name, farm_model,
                                                  factor_db):
-    pair = cropgate.compare_pair(farm_model, factor_db)
+    pair = cropgate.assess.compare_pair(farm_model, factor_db)
     value = NAMEDTUPLES[name](farm_model, pair)
     assert type(value).__name__ == name
     assert not dataclasses.is_dataclass(value)
@@ -254,7 +308,7 @@ def test_replace_method_works_on_the_namedtuples(name, farm_model,
 
 @pytest.mark.parametrize("name", sorted(KEPT_DATACLASSES))
 def test_replace_works_on_the_kept_dataclasses(name, farm_model, factor_db):
-    pair = cropgate.compare_pair(farm_model, factor_db)
+    pair = cropgate.assess.compare_pair(farm_model, factor_db)
     value = KEPT_DATACLASSES[name](farm_model, pair)
     assert type(value).__name__ == name
     first = dataclasses.fields(value)[0].name
@@ -364,11 +418,10 @@ def _names_read(path: str) -> set[str]:
 def test_every_exported_name_is_run_by_the_package_or_a_demo():
     """Each name in an ``__all__`` is read by some module of the package or
     by a demo, outside its own definition: the public surface is what the
-    commands and the demos run. The ``__all__`` lists and the package's
-    table of lazy exports are strings, which do not count. Reference code
-    that only tests use lives in ``tests/oracles.py``."""
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    demos = os.path.join(root, "demos")
+    commands and the demos run. The ``__all__`` lists are strings, which do
+    not count. Reference code that only tests use lives in
+    ``tests/oracles.py``."""
+    demos = os.path.join(ROOT, "demos")
     paths = [importlib.import_module(name).__file__ for name in MODULES]
     paths += [os.path.join(demos, name) for name in sorted(os.listdir(demos))
               if name.endswith(".py")]

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cropgate import CropgateError, reports
-from cropgate.assess import assess_crop, compare_pair, sweep_shares
+from cropgate.assess import assess_crop, compare_pair
 from cropgate.cli import main
+from cropgate.economics import marginal_share_sweep
 from cropgate.reports import (build_manifest, fmt_eur, fmt_gj, fmt_mg_co2e,
                               fmt_share, write_assessment, write_comparison,
                               write_sweep)
@@ -379,7 +380,7 @@ class TestComparisonFiles:
 
 class TestSweepFiles:
     def test_csv_layout(self, farm_model, manifest, tmp_path):
-        points = sweep_shares(farm_model, [40.0 / 302.0, 0.5])
+        points = marginal_share_sweep(farm_model, [40.0 / 302.0, 0.5])
         write_sweep(points, farm_model.marginal_pair, manifest, str(tmp_path))
         lines = read(tmp_path / "sweep.csv").splitlines()
         assert lines[1] == ("share,income_tall_wheatgrass,income_rye,"
@@ -390,7 +391,7 @@ class TestSweepFiles:
         assert lines[3].endswith(",2.3")
 
     def test_json_payload(self, farm_model, manifest, tmp_path):
-        points = sweep_shares(farm_model, [0.25])
+        points = marginal_share_sweep(farm_model, [0.25])
         write_sweep(points, farm_model.marginal_pair, manifest, str(tmp_path))
         payload = json.loads(read(tmp_path / "sweep.json"))
         point = payload["points"][0]
@@ -480,7 +481,7 @@ class TestCsvCellsFormatJsonValues:
 
     def test_sweep(self, farm_model, manifest, tmp_path):
         first, second = farm_model.marginal_pair
-        write_sweep(sweep_shares(farm_model, [i / 10 for i in range(11)]),
+        write_sweep(marginal_share_sweep(farm_model, [i / 10 for i in range(11)]),
                     farm_model.marginal_pair, manifest, str(tmp_path))
         payload = json.loads(read(tmp_path / "sweep.json"))
         assert _table(tmp_path / "sweep.csv") == {
