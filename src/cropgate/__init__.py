@@ -63,7 +63,7 @@ _SUBMODULES = {"assess", "cli", "economics", "factors", "farmspec", "impact",
                "inventory", "reports", "sections", "units"}
 
 __all__ = ["__version__", "CropgateError", "InputError", "GASES",
-           "MAX_HORIZON_YEARS", "horizon_problem", "assess"]
+           "MAX_HORIZON_YEARS", "horizon_problem"]
 
 
 def __getattr__(name: str):

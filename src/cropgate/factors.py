@@ -106,7 +106,7 @@ class FactorDB:
 
 
 def _read_flow(reader: SectionReader) -> FactorRecord:
-    if "unit" not in reader.section:
+    if "unit" not in reader.entries:
         reader.error("unit", "flow needs a unit basis")
     unit = reader.text("unit")
     if unit is not None:
@@ -117,7 +117,7 @@ def _read_flow(reader: SectionReader) -> FactorRecord:
         except UnitError:
             reader.error("unit", f"unknown unit basis {unit!r}")
     return FactorRecord(
-        flow_id=reader.section.path[1], unit=unit,
+        flow_id=reader.path[1], unit=unit,
         gwp100=reader.number("gwp100", 0.0),
         pe_renewable=reader.non_negative("pe_renewable", None, 0.0),
         pe_nonrenewable=reader.non_negative("pe_nonrenewable", None, 0.0),
@@ -146,25 +146,24 @@ def load_factor_db(text: str) -> FactorDB:
         SectionSyntaxError: grammar problems (duplicate sections included).
         FactorFileError: malformed records, all problems listed together.
     """
-    doc = parse_document(text)
     report = ValidationReport()
     db = FactorDB()
-    for section in doc.sections:
-        kind, name = section.path[0], section.path[-1]
-        if len(section.path) != 2 or kind not in ("flow", "gas", "emissions"):
-            report.error(section.name, "unknown section")
+    for path, entries in parse_document(text).items():
+        reader = SectionReader(path, entries, report)
+        kind, name = path[0], path[-1]
+        if len(path) != 2 or kind not in ("flow", "gas", "emissions"):
+            report.error(reader.name, "unknown section")
             continue
-        reader = SectionReader(section, report)
         if kind == "flow":
             if name in GASES:
-                report.error(section.name, "never applies: the flow is a gas, "
+                report.error(reader.name, "never applies: the flow is a gas, "
                              f"characterized by [gas.{name}]")
             db.records[name] = _read_flow(reader)
         elif kind == "gas":
             if name not in GASES:
-                report.error(section.name, "never applies: the inventory "
+                report.error(reader.name, "never applies: the inventory "
                              "emits co2, ch4 and n2o only")
-            if "gwp100" not in section:
+            if "gwp100" not in entries:
                 reader.error("gwp100", "gas needs a finite gwp100")
             db.gases[name] = reader.number("gwp100")
         elif name == "exhaust":

@@ -27,8 +27,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .sections import (Document, Section, SectionReader, ValidationReport,
-                       parse_document)
+from .sections import Document, SectionReader, ValidationReport, parse_document
 from .units import Quantity, parse_unit
 
 __all__ = [
@@ -246,10 +245,10 @@ def parse_product_label(label: str) -> Composition:
 _FRACTION_KEYS = ("n_fraction", "p_fraction", "k_fraction")
 
 
-def _read_product(section: Section, report: ValidationReport) -> ProductSpec | None:
-    if reserved := _RESERVED_FLOWS.get(section.path[1]):
-        report.error(section.name, reserved)
-    reader = SectionReader(section, report)
+def _read_product(reader: SectionReader) -> ProductSpec | None:
+    entries, report = reader.entries, reader.report
+    if reserved := _RESERVED_FLOWS.get(reader.path[1]):
+        report.error(reader.name, reserved)
     reader.require("kind")
     kind = reader.text("kind")
     label = reader.text("label")
@@ -261,36 +260,36 @@ def _read_product(section: Section, report: ValidationReport) -> ProductSpec | N
     active = 0.0
     if kind == "fertilizer":
         fractions = [reader.fraction(key) for key in _FRACTION_KEYS]
-        if any(key in section for key in _FRACTION_KEYS):
+        if any(key in entries for key in _FRACTION_KEYS):
             composition = Composition(*(f or 0.0 for f in fractions))
-        elif "label" not in section:
-            report.error(section.name,
+        elif "label" not in entries:
+            report.error(reader.name,
                          "fertilizer needs a label or explicit fractions")
         elif label is not None:
             try:
                 composition = parse_product_label(label)
             except FarmFileError as exc:
-                report.error(section.name, str(exc))
+                report.error(reader.name, str(exc))
     elif kind == "herbicide":
         reader.require("active_fraction")
         active = reader.fraction("active_fraction", 0.0)
     reader.finish()
-    return ProductSpec(product_id=section.path[1], kind=kind, label=label or "",
+    return ProductSpec(product_id=reader.path[1], kind=kind, label=label or "",
                        composition=composition, active_fraction=active)
 
 
-def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
+def _read_soil(reader: SectionReader) -> SoilSample | None:
     try:
-        land_class = LandClass(section.path[1])
+        land_class = LandClass(reader.path[1])
     except ValueError:
-        report.error(section.name, f"unknown land class {section.path[1]!r}")
+        reader.report.error(reader.name, f"unknown land class {reader.path[1]!r}")
         return None
     try:
-        year = int(section.path[2])
+        year = int(reader.path[2])
     except ValueError:
-        report.error(section.name, "soil section needs a numeric year segment")
+        reader.report.error(reader.name,
+                            "soil section needs a numeric year segment")
         return None
-    reader = SectionReader(section, report)
     depth = reader.quantity("depth", "m")
     if depth is not None and depth <= 0:
         reader.error("depth", "must be above 0 m")
@@ -312,12 +311,10 @@ def _read_soil(section: Section, report: ValidationReport) -> SoilSample | None:
 _PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
 
 
-def _read_crop(section: Section, sub: dict[str, list[Section]],
-               prices: dict[str, float], marginal_area: float,
-               report: ValidationReport) -> CropPlan:
-    name = section.path[1]
-    reader = SectionReader(section, report)
-    where = section.name
+def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
+               prices: dict[str, float], marginal_area: float) -> CropPlan:
+    name = reader.path[1]
+    entries, report = reader.entries, reader.report
 
     land_class = reader.choice("land_class", LandClass)
     reader.require("land_class")
@@ -346,8 +343,9 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
         product = reader.text(f"{role}_product")
         dose = reader.non_negative(f"{role}_dose", "Mg/ha")
         timing = reader.choice(f"{role}_timing", Timing, Timing.RECURRENT)
-        if (f"{role}_product" in section) != (f"{role}_dose" in section):
-            report.error(where, f"{role} fertilization needs both product and dose")
+        if (f"{role}_product" in entries) != (f"{role}_dose" in entries):
+            report.error(reader.name,
+                         f"{role} fertilization needs both product and dose")
         if product is not None and dose is not None:
             fertilizations.append(FertilizerApplication(
                 product_id=product, dose_mg_ha=dose, timing=timing, role=role))
@@ -362,8 +360,7 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
     reader.finish()
 
     herbicides = []
-    for hsec in sub.get("herbicide", []):
-        hreader = SectionReader(hsec, report)
+    for hreader in sub.get("herbicide", []):
         dose = hreader.raw_quantity("dose")
         timing = hreader.choice("timing", Timing, Timing.RECURRENT)
         hreader.finish()
@@ -376,11 +373,10 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
             hreader.error("dose", "cannot be negative")
         else:
             herbicides.append(HerbicideApplication(
-                product_id=hsec.path[3], dose=dose, timing=timing))
+                product_id=hreader.path[3], dose=dose, timing=timing))
 
     operations = []
-    for osec in sub.get("op", []):
-        oreader = SectionReader(osec, report)
+    for oreader in sub.get("op", []):
         timing = oreader.choice("timing", Timing, Timing.RECURRENT)
         diesel = oreader.non_negative("diesel", "L/ha", 0.0)
         machinery = {}
@@ -389,15 +385,14 @@ def _read_crop(section: Section, sub: dict[str, list[Section]],
             if mass is not None:
                 machinery[key] = mass
         oreader.finish()
-        operations.append(FieldOperation(name=osec.path[3], timing=timing,
+        operations.append(FieldOperation(name=oreader.path[3], timing=timing,
                                          diesel_l_ha=diesel,
                                          machinery_mg_ha=machinery))
 
     costs = CostBlock()
-    cost_secs = sub.get("costs", [])
-    if cost_secs:
+    if "costs" in sub:
         # the keys are the CostBlock field names
-        creader = SectionReader(cost_secs[0], report)
+        creader = sub["costs"][0]
         costs = CostBlock._make(creader.quantity(part, "EUR/ha", 0.0)
                                 for part in CostBlock._fields)
         creader.finish()
@@ -426,12 +421,14 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
     :func:`validate_model` runs only if reading found no error; a model
     returned with errors holds defaults in place of the rejected keys."""
     report = ValidationReport()
+    # path order: section order changes no crop, total or diagnostic
+    readers = {path: SectionReader(path, doc[path], report)
+               for path in sorted(doc)}
 
-    farm_sec = doc.section("farm")
-    if farm_sec is None:
+    freader = readers.get(("farm",))
+    if freader is None:
         report.error("farm", "document has no [farm] section")
         return None, report
-    freader = SectionReader(farm_sec, report)
     name = freader.text("name", "")
     total_area = freader.non_negative("total_area", "ha")
     cap_aid = freader.non_negative("cap_aid", "EUR/ha", 0.0)
@@ -449,78 +446,76 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
                       "exactly one comparison pair of two crops is required")
 
     prices: dict[str, float] = {}
-    price_sec = doc.section("prices")
-    if price_sec is not None:
-        preader = SectionReader(price_sec, report)
-        for key in price_sec.entries:  # a crop the farm lacks is no error
+    preader = readers.get(("prices",))
+    if preader is not None:
+        for key in preader.entries:  # a crop the farm lacks is no error
             if key == "straw" or key.endswith(("_grain", "_straw")):
                 value = preader.quantity(key, "EUR/Mg")
                 if value is not None:
                     prices[key] = value
         preader.finish()
 
-    # path order: section order changes no crop, total or diagnostic
-    sections = sorted(doc.sections, key=lambda sec: sec.path)
-    kinds: dict[str, list[Section]] = {}  # sections by their first segment
-    for sec in sections:
-        kinds.setdefault(sec.path[0], []).append(sec)
+    kinds: dict[str, list[SectionReader]] = {}  # by the first path segment
+    for reader in readers.values():
+        kinds.setdefault(reader.path[0], []).append(reader)
     products: dict[str, ProductSpec] = {}
-    for psec in kinds.get("product", ()):
-        if len(psec.path) != 2:
-            report.error(psec.name, "product sections are [product.<id>]")
+    for reader in kinds.get("product", ()):
+        if len(reader.path) != 2:
+            report.error(reader.name, "product sections are [product.<id>]")
             continue
-        spec = _read_product(psec, report)
+        spec = _read_product(reader)
         if spec is not None:
             products[spec.product_id] = spec
 
     samples: list[SoilSample] = []
     first_analysis: dict[tuple[LandClass, int], str] = {}
-    for ssec in kinds.get("soil", ()):
-        if len(ssec.path) != 3:
-            report.error(ssec.name, "soil sections are [soil.<class>.<year>]")
+    for reader in kinds.get("soil", ()):
+        if len(reader.path) != 3:
+            report.error(reader.name, "soil sections are [soil.<class>.<year>]")
             continue
-        sample = _read_soil(ssec, report)
+        sample = _read_soil(reader)
         if sample is None:
             continue
         # "2013", "02013" and "2_013" are distinct paths but one year
         land_year = (sample.land_class, sample.year)
         if land_year in first_analysis:
-            report.error(ssec.name, f"two analyses of {sample.land_class.value} "
-                         f"land in {sample.year}: this one and "
-                         f"[{first_analysis[land_year]}]")
+            report.error(reader.name, f"two analyses of "
+                         f"{sample.land_class.value} land in {sample.year}: "
+                         f"this one and [{first_analysis[land_year]}]")
             continue
-        first_analysis[land_year] = ssec.name
+        first_analysis[land_year] = reader.name
         samples.append(sample)
 
-    crop_secs = kinds.get("crop", ())
-    crop_subsections: dict[str, dict[str, list[Section]]] = {}
-    for csec in crop_secs:
-        if len(csec.path) in (3, 4):
-            kind = csec.path[2]
+    crop_readers = kinds.get("crop", ())
+    crop_subsections: dict[str, dict[str, list[SectionReader]]] = {}
+    for reader in crop_readers:
+        if len(reader.path) in (3, 4):
+            kind = reader.path[2]
             if kind not in ("herbicide", "op", "costs"):
-                report.error(csec.name, f"unknown crop subsection {kind!r}")
+                report.error(reader.name, f"unknown crop subsection {kind!r}")
                 continue
-            if (kind in ("herbicide", "op")) != (len(csec.path) == 4):
-                report.error(csec.name, "malformed crop subsection path")
+            if (kind in ("herbicide", "op")) != (len(reader.path) == 4):
+                report.error(reader.name, "malformed crop subsection path")
                 continue
-            crop_subsections.setdefault(csec.path[1], {}).setdefault(
-                kind, []).append(csec)
-        elif len(csec.path) != 2:
-            report.error(csec.name, "malformed crop section path")
+            crop_subsections.setdefault(reader.path[1], {}).setdefault(
+                kind, []).append(reader)
+        elif len(reader.path) != 2:
+            report.error(reader.name, "malformed crop section path")
     crops = {
-        csec.path[1]: _read_crop(csec, crop_subsections.get(csec.path[1], {}),
-                                 prices, marginal_area, report)
-        for csec in crop_secs if len(csec.path) == 2}
+        reader.path[1]: _read_crop(
+            reader, crop_subsections.get(reader.path[1], {}), prices,
+            marginal_area)
+        for reader in crop_readers if len(reader.path) == 2}
     for crop_name in crop_subsections:
         if crop_name not in crops:
             report.error(f"crop.{crop_name}",
                          "subsections without a [crop.{}] section".format(crop_name))
 
-    for top in sections:
-        if top.path[0] not in ("farm", "prices", "product", "soil", "crop"):
-            report.error(top.name, "unknown section")
-        elif top.path[0] in ("farm", "prices") and len(top.path) != 1:
-            report.error(top.name, "unknown section")
+    for reader in readers.values():
+        if reader.path[0] not in ("farm", "prices", "product", "soil", "crop"):
+            report.error(reader.name, "unknown section")
+        elif reader.path[0] in ("farm", "prices") and len(reader.path) != 1:
+            report.error(reader.name, "unknown section")
 
     model = FarmModel(
         name=name, total_area_ha=total_area, cap_aid_eur_ha=cap_aid,

@@ -101,8 +101,8 @@ class Flow(NamedTuple):
     phase: Phase
 
 
-# the tuples of the engine path skip the Python-level __new__ of a NamedTuple,
-# as sections builds an Entry; for flows that is one C call per flow
+# the tuples of the engine path skip the Python-level __new__ of a NamedTuple:
+# for flows that is one C call per flow
 _flow = partial(tuple.__new__, Flow)
 
 

@@ -2,7 +2,7 @@
 
 Grammar (see docs/formats.md for the full description):
 
-* UTF-8 text, LF or CRLF line endings, ``#`` starts a comment.
+* UTF-8 text, LF, CRLF or CR line endings, ``#`` starts a comment.
 * ``[path.of.segments]`` opens a section; segment characters: ``A-Za-z0-9_``.
 * Entries are ``key = value``; keys are unique within their section and
   section paths are unique within the document. Order carries no meaning.
@@ -10,7 +10,8 @@ Grammar (see docs/formats.md for the full description):
   quantity literals ("0.15 Mg/ha"), quoted text, bare identifiers, or the
   booleans ``true``/``false``.
 
-Farm and factor files read their sections through one :class:`SectionReader`,
+A parsed document is plain data: ``{path: {key: value}}`` in file order.
+Farm and factor files read each section through a :class:`SectionReader`,
 which converts each key to the type the file kind expects and collects every
 problem in a :class:`ValidationReport` instead of raising at the first one.
 """
@@ -28,12 +29,13 @@ from . import InputError
 from .units import (DIMENSIONLESS, Quantity, UnitError, parse_quantity,
                     parse_unit)
 
-__all__ = ["SectionSyntaxError", "Entry", "Section", "Document",
-           "read_text", "parse_document", "Diagnostic",
-           "ValidationReport", "SectionReader"]
+__all__ = ["SectionSyntaxError", "Document", "read_text", "parse_document",
+           "Diagnostic", "ValidationReport", "SectionReader"]
 
 Scalar = Quantity | str | bool
 Value = Scalar | list
+# section path -> key -> value, sections and keys in file order
+Document = dict[tuple[str, ...], dict[str, Value]]
 
 
 class SectionSyntaxError(InputError):
@@ -50,46 +52,6 @@ _HEADER_RE = re.compile(r"\[([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)\]\s*$")
 _STRING_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"\s*')
 # value -> member, per enum class read by SectionReader.choice
 _CHOICES: dict[type[enum.Enum], dict[str, enum.Enum]] = {}
-
-
-class Entry(NamedTuple):
-    key: str
-    value: Value
-    line: int
-
-
-class Section:
-    __slots__ = ("path", "entries", "line")
-
-    def __init__(self, path: tuple[str, ...],
-                 entries: dict[str, Entry] | None = None, line: int = 0):
-        self.path = path
-        self.entries = {} if entries is None else entries
-        self.line = line
-
-    @property
-    def name(self) -> str:
-        return ".".join(self.path)
-
-    def get(self, key: str, default=None) -> Value:
-        entry = self.entries.get(key)
-        return entry.value if entry is not None else default
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
-
-class Document:
-    __slots__ = ("sections",)
-
-    def __init__(self, sections: list[Section] | None = None):
-        self.sections = [] if sections is None else sections
-
-    def section(self, *path: str) -> Section | None:
-        for s in self.sections:
-            if s.path == path:
-                return s
-        return None
 
 
 def _scan(line: str) -> tuple[str, list[int], bool]:
@@ -138,31 +100,33 @@ def _parse_scalar(raw: str, line: int, col: int) -> Scalar:
 
 
 def read_text(path: str | os.PathLike, inputs: dict | None = None) -> str:
-    """UTF-8 text of an input file, newlines as ``open`` reads them and one
-    leading byte order mark dropped; other bytes are an OSError naming the
-    file and the offset in it. ``inputs`` keeps the bytes read by path."""
+    """UTF-8 text of an input file, one leading byte order mark dropped;
+    other bytes are an OSError naming the file and the offset in it.
+    ``inputs`` keeps the bytes read by path. Line endings are left to
+    :func:`parse_document`."""
     with open(path, "rb") as handle:
         data = handle.read()
     if inputs is not None:
         inputs[path] = data
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at "
                       f"byte {exc.start})", os.fspath(path)) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_document(text: str) -> Document:
-    """Parse a sectioned key-value document.
+    """Parse a sectioned key-value document into ``{path: {key: value}}``,
+    with LF, CRLF and CR each ending a line.
 
     Raises:
         SectionSyntaxError: on any grammar violation, with line and column.
     """
-    doc = Document()
-    current: Section | None = None
-    seen_paths: set[tuple[str, ...]] = set()
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+    doc: Document = {}
+    entries: dict[str, Value] | None = None
+    name = ""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if '"' in line or "#" in line or "," in line:  # else nothing to scan
             line, commas, open_quote = _scan(line)
         else:
@@ -175,40 +139,37 @@ def parse_document(text: str) -> Document:
             if not m:
                 raise SectionSyntaxError("malformed section header", lineno,
                                          line.index("[") + 1)
-            path = tuple(m.group(1).split("."))
-            if path in seen_paths:
-                raise SectionSyntaxError(f"duplicate section [{m.group(1)}]",
+            name = m.group(1)
+            path = tuple(name.split("."))
+            if path in doc:
+                raise SectionSyntaxError(f"duplicate section [{name}]",
                                          lineno, line.index("[") + 1)
-            seen_paths.add(path)
-            current = Section(path=path, line=lineno)
-            doc.sections.append(current)
+            entries = doc[path] = {}
             continue
         key_part, equals, value_part = line.partition("=")
         if not equals:
             raise SectionSyntaxError("expected 'key = value' or section header",
                                      lineno, len(line) - len(line.lstrip()) + 1)
-        if current is None:
+        if entries is None:
             raise SectionSyntaxError("entry before any section header", lineno, 1)
         key = key_part.strip()
         if not (key.isidentifier() and key.isascii()):
             raise SectionSyntaxError(f"invalid key {key!r}", lineno,
                                      len(key_part) - len(key_part.lstrip()) + 1)
-        if key in current.entries:
+        if key in entries:
             raise SectionSyntaxError(
-                f"duplicate key {key!r} in section [{current.name}]", lineno, 1)
+                f"duplicate key {key!r} in section [{name}]", lineno, 1)
         # a valid key holds no quote or comma: both lie in the value
         start = len(key_part) + 1
         if open_quote:  # the string opens in the last element
             raise SectionSyntaxError("unterminated string", lineno,
                                      (commas[-1] + 1 if commas else start) + 1)
         if commas:
-            value: Value = [
+            entries[key] = [
                 _parse_scalar(line[a + 1:b], lineno, a + 1)
                 for a, b in zip([start - 1, *commas], [*commas, len(line)])]
         else:
-            value = _parse_scalar(value_part, lineno, start)
-        # Entry(...) less the Python-level __new__ of a NamedTuple
-        current.entries[key] = tuple.__new__(Entry, (key, value, lineno))
+            entries[key] = _parse_scalar(value_part, lineno, start)
     return doc
 
 
@@ -263,24 +224,26 @@ class SectionReader:
     the default, so one pass over a file reports all of its mistakes.
     """
 
-    def __init__(self, section: Section, report: ValidationReport):
-        self.section = section
+    def __init__(self, path: tuple[str, ...], entries: dict[str, Value],
+                 report: ValidationReport):
+        self.path = path
+        self.entries = entries
+        self.name = ".".join(path)
         self.report = report
         self._consumed: set[str] = set()
 
     def _take(self, key: str, kind: type = object, expected="", default=None):
-        entry = self.section.entries.get(key)
-        if entry is None:
+        value = self.entries.get(key)  # a parsed value is never None
+        if value is None:
             return default
         self._consumed.add(key)
-        value = entry.value
         if not isinstance(value, kind):
             self.error(key, f"expected {expected}")
             return default
         return value
 
     def error(self, key: str, message: str) -> None:
-        self.report.error(f"{self.section.name}.{key}", message)
+        self.report.error(f"{self.name}.{key}", message)
 
     def quantity(self, key: str, unit_text: str, default: float | None = None,
                  ) -> float | None:
@@ -392,11 +355,11 @@ class SectionReader:
     def require(self, *keys: str) -> None:
         """Report each of ``keys`` the section lacks as ``<key> is required``."""
         for key in keys:
-            if key not in self.section:
+            if key not in self.entries:
                 self.error(key, f"{key} is required")
 
     def finish(self) -> None:
         """Report every key of the section that no typed read consumed."""
-        for key in self.section.entries:
+        for key in self.entries:
             if key not in self._consumed:
                 self.error(key, "unknown key")

@@ -115,16 +115,17 @@ def serialize_document(doc: Document) -> str:
     """Render a document back to text; parsing the result gives equal values.
     A line break in a text value has no syntax and raises ValueError."""
     lines: list[str] = []
-    for section in doc.sections:
-        lines.append(f"[{section.name}]")
-        for entry in section.entries.values():
-            if isinstance(entry.value, list):
-                rendered = ", ".join(_serialize_scalar(v) for v in entry.value)
+    for path, entries in doc.items():
+        name = ".".join(path)
+        lines.append(f"[{name}]")
+        for key, value in entries.items():
+            if isinstance(value, list):
+                rendered = ", ".join(_serialize_scalar(v) for v in value)
             else:
-                rendered = _serialize_scalar(entry.value)
+                rendered = _serialize_scalar(value)
             if "\n" in rendered or "\r" in rendered:  # only text can hold one
-                raise ValueError(f"[{section.name}].{entry.key}: text with a "
+                raise ValueError(f"[{name}].{key}: text with a "
                                  "line break cannot be written")
-            lines.append(f"{entry.key} = {rendered}")
+            lines.append(f"{key} = {rendered}")
         lines.append("")
     return "\n".join(lines)

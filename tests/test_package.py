@@ -99,6 +99,20 @@ def test_bare_import_loads_no_submodule():
     assert _cropgate_modules_after("import cropgate") == {"cropgate"}
 
 
+def test_star_import_binds_the_package_names_and_loads_no_submodule():
+    probe = ("import sys\nnames = {}\nexec('from cropgate import *', names)\n"
+             "print(*sorted(names.keys() - {'__builtins__'}))\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('cropgate')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    names, modules = proc.stdout.splitlines()
+    assert names.split() == ["CropgateError", "GASES", "InputError",
+                             "MAX_HORIZON_YEARS", "__version__",
+                             "horizon_problem"]
+    assert modules.split() == ["cropgate"]
+
+
 def test_submodules_resolve_on_first_use():
     loaded = _cropgate_modules_after(
         "import cropgate\n"
@@ -446,7 +460,7 @@ def test_every_key_a_reader_takes_is_documented(monkeypatch, farm_path,
 
     def spy(self, key, *args):
         taken.add("<crop>" + key[key.rindex("_"):]
-                  if self.section.name == "prices" and key != "straw"
+                  if self.name == "prices" and key != "straw"
                   else key)
         return take(self, key, *args)
 

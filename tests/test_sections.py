@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 from conftest import documents
 from oracles import serialize_document
-from cropgate.sections import (Document, Section, SectionSyntaxError,
-                               parse_document, read_text)
+from cropgate.factors import load_factor_db
+from cropgate.farmspec import parse_farm_document
+from cropgate.sections import SectionSyntaxError, parse_document, read_text
 from cropgate.units import Quantity
 
 
@@ -25,14 +26,14 @@ flag = true
 
 def test_basic_document():
     doc = parse_document(SAMPLE)
-    assert [s.name for s in doc.sections] == ["farm", "crop.rye.costs"]
-    farm = doc.section("farm")
-    assert farm.get("name") == "Soria cereal holding"
-    assert farm.get("total_area").to("ha") == 302.0
-    assert farm.get("marginal_pair") == ["tall_wheatgrass", "rye"]
-    costs = doc.section("crop", "rye", "costs")
-    assert costs.get("flag") is True
-    assert costs.get("seed").to("EUR/ha") == 31.0
+    assert list(doc) == [("farm",), ("crop", "rye", "costs")]
+    farm = doc["farm",]
+    assert farm["name"] == "Soria cereal holding"
+    assert farm["total_area"].to("ha") == 302.0
+    assert farm["marginal_pair"] == ["tall_wheatgrass", "rye"]
+    costs = doc["crop", "rye", "costs"]
+    assert costs["flag"] is True
+    assert costs["seed"].to("EUR/ha") == 31.0
 
 
 def test_crlf_and_order_independence():
@@ -42,24 +43,22 @@ def test_crlf_and_order_independence():
 
 
 def test_comment_inside_string_is_kept():
-    doc = parse_document('[s]\nk = "a # b"\n')
-    assert doc.section("s").get("k") == "a # b"
+    assert parse_document('[s]\nk = "a # b"\n') == {("s",): {"k": "a # b"}}
 
 
 def test_comment_after_a_string_with_hash_and_escaped_quote():
     doc = parse_document('[s]\nk = "x \\"#\\" y" # note\nj = 1\n')
-    assert doc.section("s").get("k") == 'x "#" y'
-    assert doc.section("s").get("j").value == 1.0
+    assert doc["s",]["k"] == 'x "#" y'
+    assert doc["s",]["j"].value == 1.0
 
 
 def test_comma_inside_string_is_one_scalar():
-    doc = parse_document('[s]\nk = "a, b"\n')
-    assert doc.section("s").get("k") == "a, b"
+    assert parse_document('[s]\nk = "a, b"\n') == {("s",): {"k": "a, b"}}
 
 
 def test_escapes_in_strings():
     doc = parse_document('[s]\nk = "say \\"hi\\" \\\\ there"\n')
-    assert doc.section("s").get("k") == 'say "hi" \\ there'
+    assert doc["s",]["k"] == 'say "hi" \\ there'
 
 
 # grammar errors: text, line, column, a fragment of the message
@@ -106,7 +105,7 @@ ESCAPE_VALUES = [
 @pytest.mark.parametrize("line,value", ESCAPE_VALUES,
                          ids=[line for line, _ in ESCAPE_VALUES])
 def test_escape_rule_at_its_edges(line, value):
-    assert parse_document("[s]\n" + line).section("s").get("k") == value
+    assert parse_document("[s]\n" + line) == {("s",): {"k": value}}
 
 
 class TestErrors:
@@ -129,7 +128,7 @@ class TestErrors:
 def test_no_break_spaces_around_a_plain_entry():
     # str.strip takes U+00A0 as whitespace, as the grammar does
     doc = parse_document("[s]\n\u00a0k\u00a0=\u00a01\u00a0ha\u00a0")
-    value = doc.section("s").get("k")
+    value = doc["s",]["k"]
     assert value.to("ha") == 1.0
     assert value.unit_written
 
@@ -152,11 +151,23 @@ class TestReadText:
         assert err.value.strerror == (
             "not UTF-8 text (invalid start byte at byte 5)")
 
-    def test_newlines_read_as_open_reads_them(self, tmp_path):
+    def test_every_line_ending_parses_as_lf(self, tmp_path):
         path = tmp_path / "f.cg"
         path.write_bytes(b"[s]\r\nk = 1\rj = 2\n\r\n")
-        with open(path, encoding="utf-8") as handle:
-            assert read_text(path) == handle.read()
+        assert parse_document(read_text(path)) \
+            == parse_document("[s]\nk = 1\nj = 2\n\n")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_bundled_files_given_as_text_read_as_from_their_path(
+            self, ending, farm_path, factors_path):
+        """CRLF and CR-only copies of the bundled files, passed as strings,
+        give the farm model and the factor records of the LF text."""
+        farm, factors = read_text(farm_path), read_text(factors_path)
+        assert parse_farm_document(farm.replace("\n", ending)) \
+            == parse_farm_document(farm)
+        db = load_factor_db(factors.replace("\n", ending))
+        assert vars(db) == vars(load_factor_db(factors))
+        assert len(db.records) == 19
 
     def test_bytes_read_are_kept_by_path(self, tmp_path):
         path = str(tmp_path / "f.cg")
@@ -167,53 +178,29 @@ class TestReadText:
         assert inputs == {path: b"\xef\xbb\xbf[s]\r\n"}
 
 
-def _as_plain(doc: Document) -> dict:
-    return {section.path: {key: entry.value
-                           for key, entry in section.entries.items()}
-            for section in doc.sections}
-
-
-def _build_document(mapping: dict) -> Document:
-    from cropgate.sections import Entry
-    doc = Document()
-    for path, entries in mapping.items():
-        section = Section(path=path)
-        for key, value in entries.items():
-            section.entries[key] = Entry(key=key, value=value, line=0)
-        doc.sections.append(section)
-    return doc
-
-
 @given(documents())
 @settings(max_examples=1000, deadline=None)
 def test_round_trip_property(mapping):
     """serialize -> parse gives back exactly the same values."""
-    doc = _build_document(mapping)
-    again = parse_document(serialize_document(doc))
-    assert _as_plain(again) == mapping
+    assert parse_document(serialize_document(mapping)) == mapping
 
 
 def test_round_trip_shipped_files(farm_path, factors_path):
     for path in (farm_path, factors_path):
         with open(path, encoding="utf-8") as handle:
             doc = parse_document(handle.read())
-        assert _as_plain(parse_document(serialize_document(doc))) \
-            == _as_plain(doc)
+        assert parse_document(serialize_document(doc)) == doc
 
 
 def test_comments_are_inert_in_shipped_files(farm_path, factors_path):
     """A quote, a backslash and a comma at the end of every comment leave
-    each section's values and entry lines as they were."""
+    the document as it was."""
     for path in (farm_path, factors_path):
         text = read_text(path)
         lines = text.split("\n")
         damaged = [line + ' "\\,' if "#" in line else line for line in lines]
         assert damaged != lines
-        sections = [(s.path, s.line, s.entries)
-                    for s in parse_document(text).sections]
-        assert [(s.path, s.line, s.entries)
-                for s in parse_document("\n".join(damaged)).sections] \
-            == sections
+        assert parse_document("\n".join(damaged)) == parse_document(text)
 
 
 @pytest.mark.parametrize("text", ["abc\n", "a\r\nb", "\r"], ids=repr)
@@ -222,7 +209,7 @@ def test_text_with_a_line_break_is_not_written(text, as_list):
     """The grammar has no escape for a line break: the serializer refuses
     the value instead of writing text that does not parse back."""
     value = ["plain", text] if as_list else text
-    doc = _build_document({("crop", "rye"): {"ok": "x", "name": value}})
+    doc = {("crop", "rye"): {"ok": "x", "name": value}}
     with pytest.raises(ValueError, match=r"^\[crop\.rye\]\.name: "):
         serialize_document(doc)
 
@@ -233,8 +220,8 @@ def test_text_with_a_line_break_is_not_written(text, as_list):
 def test_other_control_characters_round_trip(char, form, tmp_path):
     text = form.format(char)
     mapping = {("s",): {"text": text, "items": ["a", text]}}
-    written = serialize_document(_build_document(mapping))
-    assert _as_plain(parse_document(written)) == mapping
+    written = serialize_document(mapping)
+    assert parse_document(written) == mapping
     path = tmp_path / "doc.cg"
     path.write_bytes(written.encode("utf-8"))
-    assert _as_plain(parse_document(read_text(path))) == mapping
+    assert parse_document(read_text(path)) == mapping
