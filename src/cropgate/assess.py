@@ -5,8 +5,6 @@ to. It loads the two input files, wires the farm model to the factor
 database, and bundles everything a report needs into plain result objects.
 """
 
-from __future__ import annotations
-
 import os
 from dataclasses import dataclass
 from typing import NamedTuple

@@ -1,16 +1,21 @@
 """Command line: validate farm files, assess crops, compare the pair,
 sweep the marginal share.
 
+``cropgate [--version] COMMAND FLAG...``; ``-h`` prints the usage of every
+command, or after a command of that one. A flag takes its value as the next
+word or after '=', may be cut to a unique prefix and, but for ``--crop``,
+keeps its last value; a word led by '-' is a value only as a negative number.
+
 Exit codes: 0 on success, otherwise the class of the error decides: 1 for
 a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
-2 for its subclass ``InputError`` (bad flags, grammar) and unreadable files.
+2 for its subclass ``InputError`` (usage errors, grammar) and unreadable
+files. Either prints one line, a usage error ``error: ...``.
 """
 
-from __future__ import annotations
-
-import argparse
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 from . import (MAX_HORIZON_YEARS, CropgateError, InputError, __version__,
                horizon_problem)
@@ -118,12 +123,12 @@ def _write(args, factors_path, flags: dict, write, *subject) -> int:
 
 
 def _cmd_assess(args) -> int:
-    model, factors_path, db = _load(args)
-    from .assess import assess_crop
-    from .reports import write_assessment
     crops = args.crop or []
     if len(crops) != 1:
         raise InputError("assess needs exactly one --crop")
+    model, factors_path, db = _load(args)
+    from .assess import assess_crop
+    from .reports import write_assessment
     result = assess_crop(model, db, crops[0],
                          cutoff_missing=args.cutoff_missing)
     code = _write(args, factors_path, _flags(args, crop=crops[0]),
@@ -134,12 +139,12 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    model, factors_path, db = _load(args)
-    from .assess import compare_pair
-    from .reports import write_comparison
     crops = args.crop or []
     if len(crops) not in (0, 2):
         raise InputError("compare takes no --crop (the farm's pair) or two")
+    model, factors_path, db = _load(args)
+    from .assess import compare_pair
+    from .reports import write_comparison
     comparison = compare_pair(model, db, *crops,
                               cutoff_missing=args.cutoff_missing)
     pair = f"{comparison.first.crop_name},{comparison.second.crop_name}"
@@ -152,8 +157,8 @@ def _cmd_sweep(args) -> int:
     from .farmspec import parse_farm_document
     from .reports import write_sweep
     from .sections import read_text
-    model = parse_farm_document(read_text(args.farm, args.inputs))
     shares = _sweep_points(args)
+    model = parse_farm_document(read_text(args.farm, args.inputs))
     points = marginal_share_sweep(model, shares)
     flags = _flags(args, shares=",".join(f"{share:.6f}" for share in shares))
     return _write(args, None, flags, write_sweep, points, model.marginal_pair)
@@ -163,70 +168,122 @@ def _cmd_sweep(args) -> int:
 #  argument parsing and dispatch
 # ---------------------------------------------------------------------- #
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cropgate",
-        description="Cradle-to-farm-gate economics, carbon footprint and "
-                    "primary energy accounting for crop alternatives.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(cmd, factors=True):
-        cmd.add_argument("--farm", required=True, help="farm description file")
-        if factors:
-            cmd.add_argument("--factors",
-                             help="characterization factor file (default: the "
-                                  "farm's own 'factors' reference)")
-            cmd.add_argument("--crop", action="append",
-                             help="crop name (repeatable where two are valid)")
-            cmd.add_argument("--cutoff-missing", action="store_true",
-                             dest="cutoff_missing",
-                             help="missing factor records count zero instead "
-                                  "of failing")
-            cmd.add_argument("--horizon", type=int,
-                             help="amortization horizon in whole years, at "
-                                  f"most {MAX_HORIZON_YEARS}")
-        cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="csv writes tables plus JSON; json only JSON")
-
-    validate = sub.add_parser("validate", help="parse and validate a farm file")
-    validate.add_argument("--farm", required=True)
-
-    assess = sub.add_parser("assess", help="full report for one crop")
-    common(assess)
-
-    compare = sub.add_parser("compare",
-                             help="side-by-side report for two crops")
-    common(compare)
-
-    sweep = sub.add_parser("sweep",
-                           help="farm income difference vs marginal share")
-    sweep_shares_group = sweep.add_mutually_exclusive_group(required=True)
-    sweep_shares_group.add_argument("--shares",
-                                    help="comma-separated marginal shares "
-                                         "(plain numbers or a/b fractions)")
-    sweep_shares_group.add_argument("--range",
-                                    help="start:stop:step share range")
-    common(sweep, factors=False)
-
-    return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "assess": _cmd_assess,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
+# each command: its handler, what it does, and its flags with the metavar
+# of their value (None for a switch); a flag's field is its name
+_FARM = {"--farm": "FILE"}
+_OUTPUT = {"--out": "DIR", "--format": "csv|json"}
+_ENGINE = {**_FARM, "--factors": "FILE", "--crop": "NAME",
+           "--cutoff-missing": None, "--horizon": f"1..{MAX_HORIZON_YEARS}",
+           **_OUTPUT}
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate a farm file", _FARM),
+    "assess": (_cmd_assess, "full report for one --crop", _ENGINE),
+    "compare": (_cmd_compare, "two crops side by side", _ENGINE),
+    "sweep": (_cmd_sweep, "income difference by marginal share, over "
+              "--shares or a --range", {**_FARM, "--shares": "A,B/C",
+                                        "--range": "START:STOP:STEP",
+                                        **_OUTPUT}),
 }
+_PROGRAM = dict.fromkeys(("-h", "--help", "--version"))
+_DEFAULTS = {"--out": ".", "--format": "csv", "--cutoff-missing": False}
+
+
+def _flag(token: str, flags: dict) -> tuple[list[str], str | None] | None:
+    """The flags ``token`` may name and the value after its '=' (or -h), or
+    None for a word (a command or a value), read as argparse reads it: not
+    led by '-', '-' alone, a negative number, or spaced and naming no flag."""
+    if (token[:1] != "-" or token == "-"
+            or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+        return None
+    long = token[1] == "-"
+    typed = token.partition("=")[0] if long else token[:2]
+    matched = [typed] if typed in flags else [
+        flag for flag in flags if long and flag.startswith(typed)]
+    if " " in token and not matched:
+        return None
+    return matched, token[len(typed) + 1:] if token != typed else None
+
+
+def _value(args, flag: str, text):
+    if flag == "--crop":
+        return (args.crop or []) + [text]
+    if flag == "--format" and text not in ("csv", "json"):
+        raise InputError(f"--format is csv or json, not {text!r}")
+    if flag in ("--shares", "--range") and (
+            args.range if flag == "--shares" else args.shares) is not None:
+        raise InputError("sweep takes --shares or --range, not both")
+    try:
+        return int(text) if flag == "--horizon" else text
+    except ValueError:
+        raise InputError(f"--horizon {text!r} is no whole years") from None
+
+
+def _usage(commands) -> str:
+    """The usage of each of ``commands``; --farm is the required flag."""
+    lines = []
+    for command in commands:
+        _, about, flags = _COMMANDS[command]
+        words = [f"{flag} {metavar}" if metavar else flag
+                 for flag, metavar in flags.items()]
+        lines += [" ".join(["usage: cropgate", command, *(
+            word if word.startswith("--farm") else f"[{word}]"
+            for word in words)]), f"  {about}"]
+    return "\n".join(lines)
+
+
+def _parse_args(argv) -> SimpleNamespace | str:
+    """The fields of a command line, or the text that -h or --version asks
+    for at once; a stray word or an unknown or missing flag fails last."""
+    args, flags, unknown, tokens = None, _PROGRAM, [], iter(argv)
+    for token in tokens:
+        read = _flag(token, flags)
+        if read is None and args is None:  # the command
+            if token not in _COMMANDS:
+                raise InputError(f"unknown command {token!r}")
+            flags = {**_COMMANDS[token][2], "-h": None, "--help": None}
+            args = SimpleNamespace(command=token, **{
+                flag[2:].replace("-", "_"): _DEFAULTS.get(flag)
+                for flag in _COMMANDS[token][2]})
+            continue
+        matched, value = read or ([], None)
+        if len(matched) > 1:
+            raise InputError(f"{token.partition('=')[0]!r} is ambiguous: "
+                             f"{', '.join(matched)}")
+        if not matched:
+            unknown.append(token)
+            continue
+        flag, metavar = matched[0], flags[matched[0]]
+        if metavar is None and value is not None:
+            raise InputError(f"{flag} takes no value")
+        if flag in _PROGRAM:
+            return (f"cropgate {__version__}" if flag == "--version"
+                    else _usage([args.command] if args else _COMMANDS))
+        if metavar and value is None:
+            value = next(tokens, None)
+            if value is None or _flag(value, flags) is not None:
+                raise InputError(f"{flag} needs a value")
+        setattr(args, flag[2:].replace("-", "_"),
+                _value(args, flag, value) if metavar else True)
+    if args is None:
+        raise InputError(f"no command; use one of {', '.join(_COMMANDS)}")
+    if unknown:
+        raise InputError("unrecognized arguments: "
+                         + ", ".join(map(repr, unknown)))
+    if args.farm is None:
+        raise InputError(f"{args.command} needs --farm")
+    if args.command == "sweep" and args.shares is args.range is None:
+        raise InputError("sweep needs --shares or --range")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    args.inputs = {}  # bytes by path, each input read once to parse and to hash
     try:
-        return _HANDLERS[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h or --version
+            print(args)
+            return EXIT_OK
+        args.inputs = {}  # bytes by path, each read once to parse and to hash
+        return _COMMANDS[args.command][0](args)
     except CropgateError as exc:
         print(f"{exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code

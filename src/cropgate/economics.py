@@ -6,8 +6,6 @@ crop carries an invoice-averaged total (multi-year averages of separately
 rounded yields and prices do not multiply back to the invoiced turnover).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import reduce
 from operator import add

@@ -22,8 +22,6 @@ Characterization is strict: a flow without a record raises
 missing flows to zero and reports them instead.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import GASES, CropgateError

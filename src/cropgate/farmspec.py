@@ -15,8 +15,6 @@ a default they would judge too. A file with both kinds of mistake therefore
 shows its errors across keys on the run after its reading errors are fixed.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import re

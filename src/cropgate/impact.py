@@ -18,8 +18,6 @@ Conventions carried through all reporting:
 * Energy is reported in GJ, split renewable / non-renewable.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import reduce
 from operator import add

@@ -30,8 +30,6 @@ two analyses becomes an annual fixation rate and, times 44/12, a CO2
 removal.
 """
 
-from __future__ import annotations
-
 import enum
 from collections.abc import Mapping
 from functools import partial

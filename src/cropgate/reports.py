@@ -30,8 +30,6 @@ The output directory costs one ``stat`` when it exists (a symlink to one
 included) and is created, parents too, only when it is missing.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from dataclasses import fields
@@ -294,7 +292,7 @@ def _phase_table(header: tuple[str, ...], shares: dict[str, float],
             *[(*row, "") for row in rest]]
 
 
-def write_assessment(result: CropAssessment, manifest: RunManifest,
+def write_assessment(result: "CropAssessment", manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
     """Emit the report files for one crop; returns the paths written.
 
@@ -361,7 +359,7 @@ def write_assessment(result: CropAssessment, manifest: RunManifest,
 #  pair comparison
 # ---------------------------------------------------------------------- #
 
-def write_comparison(comparison: PairComparison, manifest: RunManifest,
+def write_comparison(comparison: "PairComparison", manifest: RunManifest,
                      out_dir: str, fmt: str = "csv") -> list[str]:
     first, second = comparison.first, comparison.second
     metrics = [

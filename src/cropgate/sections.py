@@ -16,8 +16,6 @@ which converts each key to the type the file kind expects and collects every
 problem in a :class:`ValidationReport` instead of raising at the first one.
 """
 
-from __future__ import annotations
-
 import enum
 import errno
 import math

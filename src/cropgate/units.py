@@ -36,8 +36,6 @@ Parsing rescales the value to canonical units immediately ("2 kg/ha" becomes
 same amount.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

@@ -2,13 +2,17 @@
 
 No command and no demo runs these, so they live here rather than in the
 package: the seed vector behind 1 Mg of own seed, inventory queries by flow
-and phase, the GWP and energy halves of ``impact.characterize``, and a
+and phase, the GWP and energy halves of ``impact.characterize``, a
 serializer for the section grammar, which is the oracle of the parser's
-round-trip property.
+round-trip property, and the ``argparse`` parser the command line used to
+build, which is the oracle of its flag grammar.
 """
 
 from __future__ import annotations
 
+import argparse
+
+from cropgate import MAX_HORIZON_YEARS, __version__
 from cropgate.factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
 from cropgate.farmspec import CropPlan, FarmModel
 from cropgate.impact import EnergyBreakdown, GwpBreakdown, characterize
@@ -129,3 +133,60 @@ def serialize_document(doc: Document) -> str:
             lines.append(f"{key} = {rendered}")
         lines.append("")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------- #
+#  command line
+# ---------------------------------------------------------------------- #
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line: the same grammar and the
+    same fields per command as ``cli._parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="cropgate",
+        description="Cradle-to-farm-gate economics, carbon footprint and "
+                    "primary energy accounting for crop alternatives.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(cmd, factors=True):
+        cmd.add_argument("--farm", required=True, help="farm description file")
+        if factors:
+            cmd.add_argument("--factors",
+                             help="characterization factor file (default: the "
+                                  "farm's own 'factors' reference)")
+            cmd.add_argument("--crop", action="append",
+                             help="crop name (repeatable where two are valid)")
+            cmd.add_argument("--cutoff-missing", action="store_true",
+                             dest="cutoff_missing",
+                             help="missing factor records count zero instead "
+                                  "of failing")
+            cmd.add_argument("--horizon", type=int,
+                             help="amortization horizon in whole years, at "
+                                  f"most {MAX_HORIZON_YEARS}")
+        cmd.add_argument("--out", default=".", help="output directory")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="csv writes tables plus JSON; json only JSON")
+
+    validate = sub.add_parser("validate", help="parse and validate a farm file")
+    validate.add_argument("--farm", required=True)
+
+    assess = sub.add_parser("assess", help="full report for one crop")
+    common(assess)
+
+    compare = sub.add_parser("compare",
+                             help="side-by-side report for two crops")
+    common(compare)
+
+    sweep = sub.add_parser("sweep",
+                           help="farm income difference vs marginal share")
+    sweep_shares_group = sweep.add_mutually_exclusive_group(required=True)
+    sweep_shares_group.add_argument("--shares",
+                                    help="comma-separated marginal shares "
+                                         "(plain numbers or a/b fractions)")
+    sweep_shares_group.add_argument("--range",
+                                    help="start:stop:step share range")
+    common(sweep, factors=False)
+
+    return parser

@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import typing
 
 import pytest
 
@@ -187,6 +188,32 @@ def test_each_command_loads_only_its_modules(farm_path, tmp_path, command,
         argv = command.format(out=tmp_path).split() + ["--farm", farm_path]
         code = f"from cropgate.cli import main\nassert main({argv!r}) == 0"
     assert _cropgate_modules_after(code) == expected
+
+
+@pytest.mark.parametrize("command", [
+    "validate", "assess --crop rye --out {out}", "compare --out {out}",
+    "sweep --range 0.1:0.9:0.1 --out {out}"], ids=lambda c: c.split()[0])
+def test_commands_load_no_argparse(farm_path, tmp_path, command):
+    """argparse, with gettext and locale, took about 7 ms of a command."""
+    argv = command.format(out=tmp_path).split() + ["--farm", farm_path]
+    code = f"from cropgate.cli import main\nassert main({argv!r}) == 0"
+    unwanted = {"argparse", "gettext", "locale"}
+    assert not unwanted & _modules_after(code)
+    assert not unwanted & set(_importtime_modules("-m", "cropgate.cli",
+                                                  *argv))
+
+
+def test_no_named_tuple_field_type_is_a_string():
+    """A string or ForwardRef annotation costs typing a compile each time
+    the class is made."""
+    strings = [f"{cls.__qualname__}.{field}"
+               for name in MODULES
+               for cls in vars(importlib.import_module(name)).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and hasattr(cls, "_fields") and cls.__module__ == name
+               for field, annotation in cls.__annotations__.items()
+               if isinstance(annotation, (str, typing.ForwardRef))]
+    assert strings == []
 
 
 def test_validate_loads_no_dataclasses(farm_path):
@@ -386,7 +413,14 @@ def test_every_module_level_import_is_used():
         module = importlib.import_module(name)
         with open(module.__file__, encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        used = {node.id for node in ast.walk(tree)
+        # a quoted annotation reads the names in it
+        quoted = [ast.parse(note.value, mode="eval")
+                  for node in ast.walk(tree)
+                  for note in (getattr(node, "annotation", None),
+                               getattr(node, "returns", None))
+                  if isinstance(note, ast.Constant)
+                  and isinstance(note.value, str)]
+        used = {node.id for part in (tree, *quoted) for node in ast.walk(part)
                 if type(node) is ast.Name} | set(module.__all__)
         for node in _module_level(tree.body):
             if isinstance(node, ast.ImportFrom) \
