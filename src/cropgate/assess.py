@@ -26,6 +26,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CropAssessment:
+    """Everything the reports of one crop need, with the engine's notes."""
     crop_name: str
     economics: EconomicBalance
     inventory: Inventory

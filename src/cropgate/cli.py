@@ -9,7 +9,8 @@ keeps its last value; a word led by '-' is a value only as a negative number.
 Exit codes: 0 on success, otherwise the class of the error decides: 1 for
 a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
 2 for its subclass ``InputError`` (usage errors, grammar) and unreadable
-files. Either prints one line, a usage error ``error: ...``.
+files. Either prints one line, a usage error ``error: ...``. The farm's
+warnings go to stderr, as ``validate`` prints them, and do not stop a command.
 """
 
 import math
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 from . import (MAX_HORIZON_YEARS, CropgateError, InputError, __version__,
                horizon_problem)
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = CropgateError.exit_code
@@ -73,11 +74,27 @@ def _sweep_points(args) -> list[float]:
 #  subcommands
 # ---------------------------------------------------------------------- #
 
-def _cmd_validate(args) -> int:
+def _read_farm(args):
+    """The farm's model and validation report; a grammar error raises."""
     from .farmspec import build_farm_model
     from .sections import parse_document, read_text
-    doc = parse_document(read_text(args.farm))  # SectionSyntaxError -> exit 2
-    model, report = build_farm_model(doc)
+    return build_farm_model(parse_document(read_text(args.farm, args.inputs)))
+
+
+def _valid_farm(args):
+    """The farm's model once it validates; each warning goes to stderr as
+    ``validate`` prints it, and the errors raise."""
+    from .farmspec import FarmValidationError
+    model, report = _read_farm(args)
+    if model is None or not report.ok:
+        raise FarmValidationError(report)
+    for warning in report.warnings:
+        print(warning.render(), file=sys.stderr)
+    return model
+
+
+def _cmd_validate(args) -> int:
+    model, report = _read_farm(args)
     for diagnostic in report.diagnostics:
         print(diagnostic.render())
     if model is None or not report.ok:
@@ -91,8 +108,8 @@ def _load(args):
     """Flags checked first, then the farm model, factor path and database."""
     if args.horizon is not None and (problem := horizon_problem(args.horizon)):
         raise InputError(f"--horizon {problem}")
-    from .assess import load_factors, load_farm, resolve_factors_path
-    model = load_farm(args.farm, args.inputs)
+    from .assess import load_factors, resolve_factors_path
+    model = _valid_farm(args)
     if args.horizon is not None:
         model = model._replace(amortization_horizon_years=args.horizon)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
@@ -154,11 +171,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .economics import marginal_share_sweep
-    from .farmspec import parse_farm_document
     from .reports import write_sweep
-    from .sections import read_text
     shares = _sweep_points(args)
-    model = parse_farm_document(read_text(args.farm, args.inputs))
+    model = _valid_farm(args)
     points = marginal_share_sweep(model, shares)
     flags = _flags(args, shares=",".join(f"{share:.6f}" for share in shares))
     return _write(args, None, flags, write_sweep, points, model.marginal_pair)
@@ -295,5 +310,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run():
+    """The process entry of ``cropgate`` and ``python -m cropgate.cli``:
+    exit with the code of :func:`main`. The heap is frozen first, so the
+    collections at interpreter exit skip every object that the command
+    made or imported; the process ends, and the OS takes the memory back."""
+    import gc
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -20,6 +20,7 @@ __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
 
 @dataclass(frozen=True)
 class EconomicBalance:
+    """Annual gross margin of one crop, every amount in EUR/ha."""
     crop_name: str
     seed_cost: float
     herbicide_cost: float

@@ -39,6 +39,8 @@ _INDEX = {phase: i for i, phase in enumerate(PHASES)}
 
 @dataclass(frozen=True)
 class GwpBreakdown:
+    """GWP100 of one crop in Mg CO2e per ha and year, by phase; ``missing``
+    names the flows that were cut off."""
     crop_name: str
     by_phase: dict[Phase, float]  # Mg CO2e per ha*y
     positive_total: float
@@ -48,6 +50,8 @@ class GwpBreakdown:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """Primary energy of one crop in GJ per ha and year, by phase and
+    origin; ``missing`` names the flows that were cut off."""
     crop_name: str
     renewable_by_phase: dict[Phase, float]  # GJ per ha*y
     nonrenewable_by_phase: dict[Phase, float]

@@ -3,6 +3,7 @@
 import builtins
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -603,6 +604,48 @@ class TestSweep:
         assert err.count("\n") == 1
 
 
+def rye_with_fixation(text: str) -> str:
+    """The farm with a soc_fixation on rye, which is an equilibrium crop."""
+    steady = ("soc_equilibrium = true    # conventional tillage, stocks "
+              "assumed steady")
+    assert text.count(steady) == 1
+    return text.replace(steady, steady + "\nsoc_fixation = 0.5 Mg/ha")
+
+
+class TestFarmWarnings:
+    """Each engine command prints the farm's warnings on stderr, as validate
+    prints them on stdout, and still runs."""
+
+    WARNING = ("warning: [crop.rye] soc_fixation is ignored for equilibrium "
+               "crops\n")
+
+    def test_validate_prints_the_warning(self, tmp_path, capsys):
+        farm = edited_copy(tmp_path, rye_with_fixation)
+        code, out, err = run(["validate", "--farm", farm], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(self.WARNING)
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--crop", "rye"], ["compare"],
+        ["sweep", "--range", "0.1:0.9:0.1"]], ids=lambda argv: argv[0])
+    def test_engine_commands_print_the_warning(self, tmp_path, capsys, argv):
+        farm = edited_copy(tmp_path, rye_with_fixation)
+        code, out, err = run(argv + ["--farm", farm, "--out",
+                                     str(tmp_path / "out")], capsys)
+        assert (code, err) == (EXIT_OK, self.WARNING)
+        assert out and "warning" not in out
+
+    def test_errors_still_raise_and_print_every_diagnostic(self, tmp_path,
+                                                           capsys):
+        farm = edited_copy(tmp_path, lambda text: rye_with_fixation(
+            text.replace("total_area = 302", "total_area = 303")))
+        code, out, err = run(["assess", "--crop", "rye", "--farm", farm,
+                              "--out", str(tmp_path / "out")], capsys)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("invalid farm description:\nerror: ")
+        assert err.count(self.WARNING) == 1
+
+
 class TestErrorPolicy:
     """Package errors choose the exit code; anything else is a bug."""
 
@@ -684,6 +727,85 @@ class TestParser:
              farm_path], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "ok: 7 crops" in proc.stdout
+
+
+# each command on the bundled farm, and an exit 1 and an exit 2 with the
+# lines they print; {out} is the report directory
+_RUNS = {
+    "validate": (["validate"], EXIT_OK),
+    "assess": (["assess", "--crop", "rye", "--out", "{out}"], EXIT_OK),
+    "compare": (["compare", "--out", "{out}"], EXIT_OK),
+    "sweep": (["sweep", "--range", "0.1:0.9:0.1", "--out", "{out}"], EXIT_OK),
+    "unknown_crop": (["assess", "--crop", "oats", "--out", "{out}"],
+                     EXIT_DOMAIN),
+    "usage": (["assess", "--crop", "rye", "--bogus"], EXIT_INPUT),
+}
+
+
+def _argv(name, farm_path, out) -> list[str]:
+    words, _ = _RUNS[name]
+    return [word.format(out=out) for word in words] + ["--farm", farm_path]
+
+
+class TestProcessExit:
+    """``main`` leaves gc alone; the process entry freezes the heap, so the
+    collections at interpreter exit skip it, and prints the same lines."""
+
+    @pytest.mark.parametrize("name", _RUNS)
+    def test_main_leaves_the_gc_state_alone(self, farm_path, tmp_path,
+                                            capsys, name):
+        before = gc.get_freeze_count(), gc.isenabled()
+        code, _, _ = run(_argv(name, farm_path, tmp_path), capsys)
+        assert code == _RUNS[name][1]
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("name,out,err", [
+        ("validate", "ok: 7 crops on 302 ha\n", ""),
+        ("unknown_crop", "", "error: farm has no crop named 'oats'\n"),
+        ("usage", "", "error: unrecognized arguments: '--bogus'\n"),
+    ])
+    def test_the_module_entry_freezes_before_exit(self, farm_path, tmp_path,
+                                                  name, out, err):
+        argv = _argv(name, farm_path, tmp_path)
+        plain = subprocess.run([sys.executable, "-m", "cropgate.cli", *argv],
+                               capture_output=True, text=True)
+        # -m as runpy does it, after an atexit hook that prints the count
+        probe = ("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: print("
+                 "f'frozen {gc.get_freeze_count()}', file=sys.stderr))\n"
+                 "runpy.run_module('cropgate.cli', run_name='__main__', "
+                 "alter_sys=True)")
+        probed = subprocess.run([sys.executable, "-c", probe, *argv],
+                                capture_output=True, text=True)
+        assert (plain.returncode, plain.stdout, plain.stderr) \
+            == (_RUNS[name][1], out, err)
+        *lines, frozen = probed.stderr.splitlines(keepends=True)
+        assert (probed.returncode, probed.stdout, "".join(lines)) \
+            == (_RUNS[name][1], out, err)
+        assert re.fullmatch(r"frozen [1-9]\d*\n", frozen), frozen
+
+    def test_the_console_script_is_the_process_entry(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "pyproject.toml"), encoding="utf-8") as handle:
+            scripts = re.findall(r'(?m)^cropgate = "(.+)"$', handle.read())
+        assert scripts == ["cropgate.cli:run"]
+
+    @pytest.mark.parametrize("name", ["validate", "assess", "compare",
+                                      "sweep"])
+    def test_no_command_leaves_work_for_the_exit_collection(
+            self, farm_path, tmp_path, capsys, name):
+        """Nothing a command leaves behind needs a collection to close: a
+        file left open would print ``unclosed file`` or ``Exception
+        ignored`` here."""
+        argv = _argv(name, farm_path, tmp_path)
+        _, out, _ = run(argv, capsys)
+        code = ("import gc, sys\nfrom cropgate.cli import main\n"
+                "code = main(sys.argv[1:])\ngc.collect()\nsys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", code, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (EXIT_OK, out, "")
 
 
 # The words the command lines below are drawn from. Left out, as argparse
