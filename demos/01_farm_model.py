@@ -8,7 +8,6 @@ marginal land, and the soil analyses behind the carbon credit.
 """
 
 from cropgate.assess import bundled_data_path, load_farm
-from cropgate.farmspec import LandClass
 
 
 def main():
@@ -29,7 +28,7 @@ def main():
     print(header)
     for name, crop in sorted(model.crops.items()):
         lives = f"{crop.life_span_years}y" if crop.perennial else "annual"
-        print(f"  {name:<16} {crop.land_class.value:<13} {crop.area_ha:8.1f} "
+        print(f"  {name:<16} {crop.land_class:<13} {crop.area_ha:8.1f} "
               f"{crop.grain_yield_mg_ha:12.2f} {crop.straw_yield_mg_ha:12.2f} "
               f"{lives:>6}")
     print()
@@ -39,10 +38,10 @@ def main():
         crop = model.crop(name)
         print(f"  {name}")
         print(f"    sowing dose   {crop.sowing_dose_mg_ha * 1000:.0f} kg/ha "
-              f"({crop.seed_source.value} seed)")
+              f"({crop.seed_source} seed)")
         for fert in crop.fertilizations:
             print(f"    fertilizer    {fert.product_id}  "
-                  f"{fert.dose_mg_ha * 1000:.0f} kg/ha ({fert.timing.value})")
+                  f"{fert.dose_mg_ha * 1000:.0f} kg/ha ({fert.timing})")
         for herb in crop.herbicides:
             print(f"    herbicide     {herb.product_id}  "
                   f"{herb.dose.value:g} {herb.dose.unit}")
@@ -53,7 +52,7 @@ def main():
     # the farm carries two analyses of the marginal soil three years apart;
     # the stock rise between them is what demo 03 turns into a CO2 credit
     print("soil analyses on marginal land")
-    for sample in model.soil_series(LandClass.MARGINAL):
+    for sample in model.soil_series("marginal"):
         print(f"  {sample.year}: {sample.depth_m:.2f} m at "
               f"{sample.bulk_density_mg_m3:.2f} Mg/m3, "
               f"{sample.coarse_fraction * 100:.1f}% coarse, "

@@ -10,7 +10,8 @@ Exit codes: 0 on success, otherwise the class of the error decides: 1 for
 a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
 2 for its subclass ``InputError`` (usage errors, grammar) and unreadable
 files. Either prints one line, a usage error ``error: ...``. The farm's
-warnings go to stderr, as ``validate`` prints them, and do not stop a command.
+warnings go to stderr, as ``validate`` prints them, and so does one for each
+``[emissions.<name>]`` that names no crop; neither stops a command.
 """
 
 import math
@@ -109,11 +110,18 @@ def _load(args):
     if args.horizon is not None and (problem := horizon_problem(args.horizon)):
         raise InputError(f"--horizon {problem}")
     from .assess import load_factors, resolve_factors_path
+    from .sections import Diagnostic
     model = _valid_farm(args)
     if args.horizon is not None:
         model = model._replace(amortization_horizon_years=args.horizon)
     factors_path = resolve_factors_path(args.farm, model, args.factors)
-    return model, factors_path, load_factors(factors_path, args.inputs)
+    db = load_factors(factors_path, args.inputs)
+    for name in db.emissions:  # one factor set may serve several farms
+        if name not in model.crops:
+            print(Diagnostic("warning", f"emissions.{name}",
+                             "names no crop of the farm").render(),
+                  file=sys.stderr)
+    return model, factors_path, db
 
 
 def _flags(args, **extra) -> dict:

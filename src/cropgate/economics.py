@@ -12,7 +12,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import CropgateError, horizon_problem
-from .farmspec import CropPlan, FarmModel, LandClass
+from .farmspec import CropPlan, FarmModel
 
 __all__ = ["EconomicBalance", "FarmIncome", "SweepPoint", "crop_balance",
            "farm_income", "farm_incomes", "marginal_share_sweep"]
@@ -86,8 +86,7 @@ def _covered(model: FarmModel, choices: tuple[str, ...] = (),
                 crop, model.cap_aid_eur_ha,
                 model.amortization_horizon_years).balance_with_cap)
             for crop in model.crops.values()
-            if crop.land_class is not LandClass.MARGINAL
-            or crop.name in choices}
+            if crop.land_class != "marginal" or crop.name in choices}
 
 
 def farm_incomes(model: FarmModel, choices: tuple[str, ...],
@@ -95,7 +94,7 @@ def farm_incomes(model: FarmModel, choices: tuple[str, ...],
     """Whole-farm income with the marginal land planted to each choice in
     turn, from one balance per crop."""
     for choice in choices:
-        if model.crop(choice).land_class is not LandClass.MARGINAL:
+        if model.crop(choice).land_class != "marginal":
             raise CropgateError(f"{choice!r} is not a marginal-land crop")
     covered = _covered(model, choices)
     incomes = []

@@ -15,7 +15,6 @@ a default they would judge too. A file with both kinds of mistake therefore
 shows its errors across keys on the run after its reading errors are fixed.
 """
 
-import enum
 import math
 import re
 from collections.abc import Mapping
@@ -29,7 +28,7 @@ from .sections import Document, SectionReader, ValidationReport, parse_document
 from .units import Quantity, parse_unit
 
 __all__ = [
-    "LandClass", "Timing", "SeedSource", "MACHINERY_FLOWS",
+    "LAND_CLASSES", "TIMINGS", "SEED_SOURCES", "MACHINERY_FLOWS",
     "SEED_CHAIN_FLOWS", "Composition",
     "ProductSpec", "FertilizerApplication",
     "HerbicideApplication", "FieldOperation", "CostBlock", "CropPlan",
@@ -59,21 +58,11 @@ class UnknownCropError(CropgateError, KeyError):
     __str__ = CropgateError.__str__  # KeyError's would quote the message
 
 
-class LandClass(enum.Enum):
-    MARGINAL = "marginal"
-    NON_MARGINAL = "non_marginal"
-    FALLOW = "fallow"
-
-
-class Timing(enum.Enum):
-    ESTABLISHMENT = "establishment"
-    RECURRENT = "recurrent"
-
-
-class SeedSource(enum.Enum):
-    OWN = "own"          # multiplied on the farm, modeled recursively
-    EXTERNAL = "external"  # bought in, resolved through a factor-file flow
-    NONE = "none"
+# the words of each closed choice; the model holds the word the file writes
+LAND_CLASSES = ("marginal", "non_marginal", "fallow")
+TIMINGS = ("establishment", "recurrent")  # establishment: spread over years
+# own: multiplied on the farm; external: bought in, through a factor flow
+SEED_SOURCES = ("own", "external", "none")
 
 
 # the machinery keys of a [crop.<name>.op.<label>] section -> the flow id
@@ -121,19 +110,19 @@ class ProductSpec(NamedTuple):
 class FertilizerApplication(NamedTuple):
     product_id: str
     dose_mg_ha: float
-    timing: Timing
+    timing: str  # one of TIMINGS
     role: str  # "base" | "top"
 
 
 class HerbicideApplication(NamedTuple):
     product_id: str
     dose: Quantity  # per-ha dose, volume or mass basis
-    timing: Timing
+    timing: str  # one of TIMINGS
 
 
 class FieldOperation(NamedTuple):
     name: str
-    timing: Timing
+    timing: str  # one of TIMINGS
     diesel_l_ha: float = 0.0
     machinery_mg_ha: Mapping[str, float] = MappingProxyType({})  # by key
 
@@ -152,13 +141,13 @@ class CostBlock(NamedTuple):
 
 class CropPlan(NamedTuple):
     name: str
-    land_class: LandClass
+    land_class: str  # one of LAND_CLASSES
     perennial: bool
     life_span_years: int
     area_ha: float
     sowing_dose_mg_ha: float
-    sowing_timing: Timing
-    seed_source: SeedSource
+    sowing_timing: str
+    seed_source: str  # one of SEED_SOURCES
     seed_flow: str | None
     seed_yield_mg_ha: float | None
     fertilizations: tuple[FertilizerApplication, ...]
@@ -175,7 +164,7 @@ class CropPlan(NamedTuple):
 
 
 class SoilSample(NamedTuple):
-    land_class: LandClass
+    land_class: str  # one of LAND_CLASSES
     year: int
     depth_m: float
     bulk_density_mg_m3: float
@@ -201,7 +190,7 @@ class FarmModel(NamedTuple):
             raise UnknownCropError(f"farm has no crop named {name!r}")
         return self.crops[name]
 
-    def soil_series(self, land_class: LandClass) -> list[SoilSample]:
+    def soil_series(self, land_class: str) -> list[SoilSample]:
         return sorted((s for s in self.soil_samples if s.land_class == land_class),
                       key=lambda s: s.year)
 
@@ -277,10 +266,9 @@ def _read_product(reader: SectionReader) -> ProductSpec | None:
 
 
 def _read_soil(reader: SectionReader) -> SoilSample | None:
-    try:
-        land_class = LandClass(reader.path[1])
-    except ValueError:
-        reader.report.error(reader.name, f"unknown land class {reader.path[1]!r}")
+    land_class = reader.path[1]
+    if land_class not in LAND_CLASSES:
+        reader.report.error(reader.name, f"unknown land class {land_class!r}")
         return None
     try:
         year = int(reader.path[2])
@@ -314,23 +302,22 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
     name = reader.path[1]
     entries, report = reader.entries, reader.report
 
-    land_class = reader.choice("land_class", LandClass)
+    land_class = reader.choice("land_class", LAND_CLASSES)
     reader.require("land_class")
 
     perennial = reader.boolean("perennial", False)
     life_span = reader.years("life_span", 1)
     area = reader.non_negative("area", "ha", 0.0)
-    if land_class is LandClass.MARGINAL:  # the alternatives share that land
+    if land_class == "marginal":  # the alternatives share that land
         if area:
             reader.error("area",
                          "marginal alternatives take the shared marginal_area")
         area = marginal_area
 
     sowing_dose = reader.non_negative("sowing_dose", "Mg/ha", 0.0)
-    sowing_timing = reader.choice("sowing_timing", Timing, Timing.RECURRENT)
-    seed_source = reader.choice(
-        "seed_source", SeedSource,
-        SeedSource.OWN if sowing_dose else SeedSource.NONE)
+    sowing_timing = reader.choice("sowing_timing", TIMINGS, "recurrent")
+    seed_source = reader.choice("seed_source", SEED_SOURCES,
+                                "own" if sowing_dose else "none")
     seed_flow = reader.text("seed_flow")
     if reserved := _RESERVED_FLOWS.get(seed_flow):
         reader.error("seed_flow", reserved)
@@ -340,7 +327,7 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
     for role in ("base", "top"):
         product = reader.text(f"{role}_product")
         dose = reader.non_negative(f"{role}_dose", "Mg/ha")
-        timing = reader.choice(f"{role}_timing", Timing, Timing.RECURRENT)
+        timing = reader.choice(f"{role}_timing", TIMINGS, "recurrent")
         if (f"{role}_product" in entries) != (f"{role}_dose" in entries):
             report.error(reader.name,
                          f"{role} fertilization needs both product and dose")
@@ -360,7 +347,7 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
     herbicides = []
     for hreader in sub.get("herbicide", []):
         dose = hreader.raw_quantity("dose")
-        timing = hreader.choice("timing", Timing, Timing.RECURRENT)
+        timing = hreader.choice("timing", TIMINGS, "recurrent")
         hreader.finish()
         hreader.require("dose")
         if dose is None:
@@ -375,7 +362,7 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
 
     operations = []
     for oreader in sub.get("op", []):
-        timing = oreader.choice("timing", Timing, Timing.RECURRENT)
+        timing = oreader.choice("timing", TIMINGS, "recurrent")
         diesel = oreader.non_negative("diesel", "L/ha", 0.0)
         machinery = {}
         for key in MACHINERY_FLOWS:
@@ -466,7 +453,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
             products[spec.product_id] = spec
 
     samples: list[SoilSample] = []
-    first_analysis: dict[tuple[LandClass, int], str] = {}
+    first_analysis: dict[tuple[str, int], str] = {}
     for reader in kinds.get("soil", ()):
         if len(reader.path) != 3:
             report.error(reader.name, "soil sections are [soil.<class>.<year>]")
@@ -478,7 +465,7 @@ def build_farm_model(doc: Document) -> tuple[FarmModel | None, ValidationReport]
         land_year = (sample.land_class, sample.year)
         if land_year in first_analysis:
             report.error(reader.name, f"two analyses of "
-                         f"{sample.land_class.value} land in {sample.year}: "
+                         f"{sample.land_class} land in {sample.year}: "
                          f"this one and [{first_analysis[land_year]}]")
             continue
         first_analysis[land_year] = reader.name
@@ -533,7 +520,7 @@ def validate_model(model: FarmModel) -> ValidationReport:
     # land bookkeeping: every hectare accounted for exactly once
     # a left fold, as in impact.characterize
     fixed = reduce(add, (p.area_ha for p in model.crops.values()
-                         if p.land_class is not LandClass.MARGINAL), 0.0)
+                         if p.land_class != "marginal"), 0.0)
     declared = fixed + model.marginal_area_ha
     if not math.isclose(declared, model.total_area_ha, rel_tol=1e-12,
                         abs_tol=1e-6):
@@ -542,7 +529,7 @@ def validate_model(model: FarmModel) -> ValidationReport:
                      f"declared total is {model.total_area_ha!r} ha")
 
     marginal = [p.name for p in model.crops.values()
-                if p.land_class is LandClass.MARGINAL]
+                if p.land_class == "marginal"]
     for crop_name in model.marginal_pair:
         if crop_name not in model.crops:
             report.error("farm.marginal_pair", f"unknown crop {crop_name!r}")
@@ -565,9 +552,9 @@ def validate_model(model: FarmModel) -> ValidationReport:
             report.warning(f"{where}.life_span",
                            "annual crop with multi-year span")
         if not plan.perennial and (
-                (plan.sowing_timing is Timing.ESTABLISHMENT
+                (plan.sowing_timing == "establishment"
                  and plan.sowing_dose_mg_ha)
-                or any(entry.timing is Timing.ESTABLISHMENT for entry in (
+                or any(entry.timing == "establishment" for entry in (
                     *plan.fertilizations, *plan.herbicides, *plan.operations))):
             report.error(where,
                          "establishment-only entries on a non-perennial crop")
@@ -581,9 +568,9 @@ def validate_model(model: FarmModel) -> ValidationReport:
                 elif product.kind != kind:
                     report.error(where, f"{application.product_id!r} "
                                         f"is not a {kind}")
-        if plan.seed_source is SeedSource.OWN and not plan.seed_yield_mg_ha:
+        if plan.seed_source == "own" and not plan.seed_yield_mg_ha:
             report.error(where, "own seed production needs seed_yield > 0")
-        if plan.seed_source is SeedSource.EXTERNAL and not plan.seed_flow:
+        if plan.seed_source == "external" and not plan.seed_flow:
             report.error(where, "external seed needs a seed_flow reference")
         if plan.grain_yield_mg_ha > 0 and plan.grain_price is None:
             report.error(where, f"no price for {plan.name!r} grain")
@@ -594,7 +581,7 @@ def validate_model(model: FarmModel) -> ValidationReport:
                            "soc_fixation is ignored for equilibrium crops")
 
     for sample in model.soil_samples:
-        where = f"soil.{sample.land_class.value}.{sample.year}"
+        where = f"soil.{sample.land_class}.{sample.year}"
         if sample.organic_carbon > sample.organic_matter:
             report.error(where, "organic carbon above organic matter")
 

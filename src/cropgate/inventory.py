@@ -39,7 +39,7 @@ from typing import NamedTuple
 from . import GASES, CropgateError, horizon_problem
 from .factors import ExhaustFactors, FactorDB, N2OParams
 from .farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, CropPlan, FarmModel,
-                       SeedSource, SoilSample, Timing)
+                       SoilSample)
 from .units import Quantity, UnitError, parse_unit
 
 __all__ = [
@@ -75,8 +75,6 @@ PHASES = tuple(Phase)
 _SEED, _FERTILIZER, _PESTICIDE, _FIELD_WORKS, _FIELD_EMISSIONS, _SOC = (
     Phase.SEED, Phase.FERTILIZER, Phase.PESTICIDE, Phase.FIELD_WORKS,
     Phase.FIELD_EMISSIONS, Phase.SOC)
-_ESTABLISHMENT = Timing.ESTABLISHMENT
-_OWN, _EXTERNAL = SeedSource.OWN, SeedSource.EXTERNAL
 # report names, read once: Enum's .value is a Python-level descriptor
 PHASE_NAMES = {phase: phase.value for phase in PHASES}
 
@@ -119,8 +117,8 @@ class AnnualizedPlan(NamedTuple):
     machinery_mg_ha: Mapping[str, float] = MappingProxyType({})  # by key
 
 
-def _spread(value, timing: Timing, horizon: float):
-    return value / horizon if timing is _ESTABLISHMENT else value
+def _spread(value, timing: str, horizon: float):
+    return value / horizon if timing == "establishment" else value
 
 
 def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
@@ -289,7 +287,7 @@ def _soc_flow(crop: CropPlan, model: FarmModel) -> tuple[Flow | None, str | None
         return _flow((_CO2, Quantity(-credit, _MG), _SOC)), None
     series = model.soil_series(crop.land_class)
     if len(series) < 2:
-        return None, (f"no soil analysis pair for {crop.land_class.value} "
+        return None, (f"no soil analysis pair for {crop.land_class} "
                       "land; soil carbon change taken as zero")
     first, last = series[0], series[-1]
     years = last.year - first.year
@@ -304,12 +302,12 @@ def build_lci(crop: CropPlan, model: FarmModel, db: FactorDB,
     production = _production_flows(model, ann, db.exhaust)
     flows: list[Flow] = []
 
-    if ann.sowing_dose_mg_ha and crop.seed_source is _OWN:
+    if ann.sowing_dose_mg_ha and crop.seed_source == "own":
         vector = _seed_vector(crop, ann, production, seed_one_level,
                               ann.sowing_dose_mg_ha)
         flows = [_flow((flow_id, vector[flow_id], _SEED))
                  for flow_id in sorted(vector)]
-    elif ann.sowing_dose_mg_ha and crop.seed_source is _EXTERNAL:
+    elif ann.sowing_dose_mg_ha and crop.seed_source == "external":
         flows.append(_flow((crop.seed_flow,
                             Quantity(ann.sowing_dose_mg_ha, _MG), _SEED)))
     flows.extend(production)

@@ -16,7 +16,6 @@ which converts each key to the type the file kind expects and collects every
 problem in a :class:`ValidationReport` instead of raising at the first one.
 """
 
-import enum
 import errno
 import math
 import os
@@ -48,8 +47,6 @@ class SectionSyntaxError(InputError):
 _HEADER_RE = re.compile(r"\[([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*)\]\s*$")
 # a quoted string up to its first unescaped quote, with the blanks around it
 _STRING_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"\s*')
-# value -> member, per enum class read by SectionReader.choice
-_CHOICES: dict[type[enum.Enum], dict[str, enum.Enum]] = {}
 
 
 def _scan(line: str) -> tuple[str, list[int], bool]:
@@ -322,17 +319,15 @@ class SectionReader:
     def boolean(self, key: str, default: bool = False) -> bool:
         return self._take(key, bool, "true or false", default)
 
-    def choice(self, key: str, kind: type[enum.Enum], default=None):
-        """One member of the enum ``kind``, written as its value; found in a
-        value-to-member mapping built once per class, not by ``kind(value)``."""
+    def choice(self, key: str, words: tuple[str, ...],
+               default: str | None = None) -> str | None:
+        """One of ``words``, as the file writes it."""
         value = self._take(key)
         if value is None:
             return default
-        members = _CHOICES.get(kind) or _CHOICES.setdefault(
-            kind, {member.value: member for member in kind})
-        if isinstance(value, str) and value in members:
-            return members[value]
-        *names, last = members
+        if isinstance(value, str) and value in words:
+            return value
+        *names, last = words
         self.error(key, f"expected {', '.join(names)} or {last}")
         return default
 

@@ -17,7 +17,7 @@ from test_inventory import seed_farm
 from cropgate.assess import assess_crop
 from cropgate.economics import crop_balance, farm_income, marginal_share_sweep
 from cropgate.factors import DEFAULT_EXHAUST, load_factor_db
-from cropgate.farmspec import SEED_CHAIN_FLOWS, Timing, parse_farm_document
+from cropgate.farmspec import SEED_CHAIN_FLOWS, parse_farm_document
 from cropgate.inventory import (CO2_PER_C, Phase, annualize_schedule,
                                 build_lci, soc_annual_change, soc_co2_credit,
                                 soc_stock)
@@ -244,7 +244,7 @@ def test_criterion_7_property_suites(farm_model, factor_db, farm_path,
     base = farm_model.crop("tall_wheatgrass")
     for horizon in (1, 2, 3, 4, 7):
         crop = base._replace(sowing_dose_mg_ha=10.0,
-                             sowing_timing=Timing.ESTABLISHMENT)
+                             sowing_timing="establishment")
         ann = annualize_schedule(crop, horizon)
         assert ann.sowing_dose_mg_ha * horizon == pytest.approx(10.0,
                                                                 rel=1e-12)

@@ -646,6 +646,52 @@ class TestFarmWarnings:
         assert err.count(self.WARNING) == 1
 
 
+class TestFactorWarnings:
+    """assess and compare warn on stderr about each [emissions.<name>] of
+    the factor file that names no crop of the farm, in file order, and
+    still run: one factor set may serve several farms."""
+
+    ENGINE_COMMANDS = [["assess", "--crop", "rye"], ["compare"]]
+
+    @staticmethod
+    def factors_with(tmp_path, *renames) -> str:
+        with open(SHIPPED_FACTORS, encoding="utf-8") as handle:
+            text = handle.read()
+        for old, new in renames:
+            assert text.count(f"[emissions.{old}]\n") == 1
+            text = text.replace(f"[emissions.{old}]\n", f"[emissions.{new}]\n")
+        path = tmp_path / "factors.cg"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_misspelt_header_warns_on_compare(self, farm_path, tmp_path,
+                                              capsys):
+        factors = self.factors_with(tmp_path, ("rye", "ryee"))
+        code, out, err = run(["compare", "--farm", farm_path, "--factors",
+                              factors, "--out", str(tmp_path / "out")], capsys)
+        assert (code, err) == (
+            EXIT_OK, "warning: [emissions.ryee] names no crop of the farm\n")
+        assert out and "warning" not in out
+
+    @pytest.mark.parametrize("argv", ENGINE_COMMANDS, ids=lambda argv: argv[0])
+    def test_one_line_per_header_in_file_order(self, farm_path, tmp_path,
+                                               capsys, argv):
+        factors = self.factors_with(tmp_path, ("rye", "ryee"),
+                                    ("tall_wheatgrass", "tall_wheatgras"))
+        code, _, err = run(argv + ["--farm", farm_path, "--factors", factors,
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert (code, err.splitlines()) == (EXIT_OK, [
+            "warning: [emissions.tall_wheatgras] names no crop of the farm",
+            "warning: [emissions.ryee] names no crop of the farm"])
+
+    @pytest.mark.parametrize("argv", ENGINE_COMMANDS, ids=lambda argv: argv[0])
+    def test_bundled_files_warn_of_nothing(self, farm_path, tmp_path, capsys,
+                                           argv):
+        code, _, err = run(argv + ["--farm", farm_path,
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert (code, err) == (EXIT_OK, "")
+
+
 class TestErrorPolicy:
     """Package errors choose the exit code; anything else is a bug."""
 

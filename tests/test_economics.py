@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cropgate import CropgateError
 from cropgate.economics import crop_balance, farm_income, marginal_share_sweep
-from cropgate.farmspec import LandClass, parse_farm_document
+from cropgate.farmspec import parse_farm_document
 
 money = st.floats(0, 1e6, allow_nan=False)
 
@@ -140,7 +140,7 @@ class TestShareSweep:
     def test_no_fixed_mix_rejected(self, farm_model):
         only_marginal = {
             name: crop for name, crop in farm_model.crops.items()
-            if crop.land_class is LandClass.MARGINAL}
+            if crop.land_class == "marginal"}
         stripped = farm_model._replace(
             crops=only_marginal, total_area_ha=farm_model.marginal_area_ha)
         with pytest.raises(ValueError):
@@ -262,5 +262,4 @@ class TestExactMoney:
                 <= gamma(n) * magnitude, choice
             assert set(income.by_crop) == {
                 crop.name for crop in farm_model.crops.values()
-                if crop.land_class is not LandClass.MARGINAL
-                or crop.name == choice}
+                if crop.land_class != "marginal" or crop.name == choice}

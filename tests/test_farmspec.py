@@ -4,10 +4,10 @@ import re
 
 import pytest
 
-from cropgate.farmspec import (Composition, FarmValidationError, LandClass,
-                               SeedSource, Timing, build_farm_model,
-                               parse_farm_document, parse_product_label,
-                               validate_model)
+from cropgate.farmspec import (LAND_CLASSES, SEED_SOURCES, TIMINGS,
+                               Composition, FarmValidationError,
+                               build_farm_model, parse_farm_document,
+                               parse_product_label, validate_model)
 from cropgate.sections import parse_document
 
 
@@ -134,17 +134,17 @@ class TestModelAssembly:
     def test_timings_and_sources(self):
         model = parse_farm_document(VALID)
         grass = model.crop("grass")
-        assert grass.sowing_timing is Timing.ESTABLISHMENT
-        assert grass.seed_source is SeedSource.EXTERNAL
-        assert grass.fertilizations[0].timing is Timing.ESTABLISHMENT
-        assert grass.herbicides[0].timing is Timing.ESTABLISHMENT
+        assert grass.sowing_timing == "establishment"
+        assert grass.seed_source == "external"
+        assert grass.fertilizations[0].timing == "establishment"
+        assert grass.herbicides[0].timing == "establishment"
         cereal = model.crop("cereal")
-        assert cereal.sowing_timing is Timing.RECURRENT
-        assert cereal.land_class is LandClass.MARGINAL
+        assert cereal.sowing_timing == "recurrent"
+        assert cereal.land_class == "marginal"
 
     def test_soil_series_sorted_by_year(self):
         model = parse_farm_document(VALID)
-        series = model.soil_series(LandClass.MARGINAL)
+        series = model.soil_series("marginal")
         assert [s.year for s in series] == [2013, 2016]
 
 
@@ -374,8 +374,8 @@ class TestValidation:
         ("straw = 40 EUR/Mg",
          "grass_straw = 40 EUR/Mg\ncereal_straw = 40 EUR/Mg",
          "crop.wheat", "no straw price for 'wheat'"),
-        # a choice takes a member's value only: not a list, a member's
-        # name, a number or a boolean
+        # a choice takes one of its words only: not a list, another case
+        # of the word, a number or a boolean
         ("land_class = non_marginal", "land_class = marginal, fallow",
          "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
         ("land_class = non_marginal", "land_class = NON_MARGINAL",
@@ -383,6 +383,12 @@ class TestValidation:
         ("land_class = non_marginal", "land_class = 3 ha",
          "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
         ("seed_source = external", "seed_source = true",
+         "crop.grass.seed_source", "expected own, external or none"),
+        ("land_class = non_marginal", "land_class = Marginal",
+         "crop.wheat.land_class", "expected marginal, non_marginal or fallow"),
+        ("sowing_timing = establishment", "sowing_timing = Recurrent",
+         "crop.grass.sowing_timing", "expected establishment or recurrent"),
+        ("seed_source = external", "seed_source = Own",
          "crop.grass.seed_source", "expected own, external or none"),
         # a product or seed flow named after a gas used to be characterized
         # through the gas's GWP, never through its [flow.*] record
@@ -439,7 +445,9 @@ class TestValidation:
             "subsection_without_crop", "undefined_herbicide",
             "herbicide_not_a_herbicide", "no_straw_price",
             "land_class_list", "land_class_member_name", "land_class_number",
-            "seed_source_bool", "gas_fertilizer", "gas_herbicide",
+            "seed_source_bool", "land_class_title_case",
+            "sowing_timing_title_case", "seed_source_title_case",
+            "gas_fertilizer", "gas_herbicide",
             "gas_seed_flow", "diesel_fertilizer", "seed_chain_fertilizer",
             "machinery_herbicide", "seed_chain_seed_flow",
             "machinery_seed_flow", "misspelled_price",
@@ -613,7 +621,32 @@ class TestShippedFarm:
         twg = farm_model.crop("tall_wheatgrass")
         assert twg.perennial
         assert twg.life_span_years == 4
-        assert twg.sowing_timing is Timing.ESTABLISHMENT
-        assert twg.seed_source is SeedSource.EXTERNAL
+        assert twg.sowing_timing == "establishment"
+        assert twg.seed_source == "external"
         assert twg.seed_flow == "seed_tall_wheatgrass"
         assert twg.soc_fixation_mg_c_ha == 0.765
+
+    def test_choices_hold_the_words_of_the_file(self, farm_model):
+        """Each closed choice is the plain str the file writes, and the
+        holding uses every word of each choice."""
+        crops = farm_model.crops.values()
+        samples = farm_model.soil_samples
+        timings = [timing for crop in crops for timing in (
+            crop.sowing_timing, *(entry.timing for entry in (
+                *crop.fertilizations, *crop.herbicides, *crop.operations)))]
+        for words, held in (
+                (LAND_CLASSES, [crop.land_class for crop in crops]),
+                (SEED_SOURCES, [crop.seed_source for crop in crops]),
+                (TIMINGS, timings),
+                (LAND_CLASSES, [sample.land_class for sample in samples])):
+            assert {type(word) for word in held} == {str}
+            assert set(held) <= set(words)
+        assert {crop.land_class for crop in crops} == set(LAND_CLASSES)
+        assert {crop.seed_source for crop in crops} == set(SEED_SOURCES)
+        assert set(timings) == set(TIMINGS)
+
+    def test_marginal_soil_series(self, farm_model):
+        assert [(s.land_class, s.year)
+                for s in farm_model.soil_series("marginal")] \
+            == [("marginal", 2013), ("marginal", 2016)]
+        assert farm_model.soil_series("non_marginal") == []

@@ -10,7 +10,7 @@ from oracles import _cultivation_flows, amount, by_phase, seed_inventory
 from cropgate import GASES
 from cropgate.factors import DEFAULT_EXHAUST, DEFAULT_GAS_GWP, ExhaustFactors
 from cropgate.farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, ProductSpec,
-                               Timing, parse_farm_document)
+                               parse_farm_document)
 from cropgate.inventory import (Flow, Inventory, InventoryError, Phase,
                                 SeedRecursionError, annualize_schedule,
                                 build_lci)
@@ -128,12 +128,12 @@ class TestSpreading:
         one-off totals; recurrent entries never change."""
         base = farm_model.crop("tall_wheatgrass")
         crop = base._replace(
-            sowing_dose_mg_ha=one_off, sowing_timing=Timing.ESTABLISHMENT,
+            sowing_dose_mg_ha=one_off, sowing_timing="establishment",
             fertilizations=(
                 base.fertilizations[0]._replace(dose_mg_ha=one_off,
-                                                timing=Timing.ESTABLISHMENT),
+                                                timing="establishment"),
                 base.fertilizations[1]._replace(dose_mg_ha=yearly,
-                                                timing=Timing.RECURRENT),
+                                                timing="recurrent"),
             ))
         ann = annualize_schedule(crop, horizon)
         assert ann.sowing_dose_mg_ha * horizon == pytest.approx(one_off)

@@ -35,8 +35,8 @@ import pytest
 from test_economics import exact_balance, gamma
 from cropgate.assess import assess_crop
 from cropgate.factors import FactorDB, N2OParams, load_factor_db
-from cropgate.farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, SeedSource,
-                               Timing, parse_farm_document)
+from cropgate.farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS,
+                               parse_farm_document)
 from cropgate.impact import POSITIVE_PHASES
 from cropgate.inventory import PHASES, Phase
 
@@ -111,8 +111,8 @@ def interventions(model, db, crop):
     B of one crop: A and f as lists, B as {(flow id, phase): [per process]}."""
     horizon = data(model.amortization_horizon_years)
 
-    def yearly(value: float, timing: Timing) -> Exact:
-        return data(value) / horizon if timing is Timing.ESTABLISHMENT \
+    def yearly(value: float, timing: str) -> Exact:
+        return data(value) / horizon if timing == "establishment" \
             else data(value)
 
     production = []  # (flow id, phase, amount per ha*y)
@@ -148,7 +148,7 @@ def interventions(model, db, crop):
 
     dose = yearly(crop.sowing_dose_mg_ha, crop.sowing_timing)
     matrix = [[ONE, data(0.0)], [data(0.0), ONE]]
-    if dose.value and crop.seed_source is SeedSource.OWN:
+    if dose.value and crop.seed_source == "own":
         seed_yield = data(crop.seed_yield_mg_ha)
         matrix = [[ONE, data(0.0)], [-dose, ONE - dose / seed_yield]]
         cultivation: dict[str, list[Exact]] = {}
@@ -158,7 +158,7 @@ def interventions(model, db, crop):
             add(flow_id, Phase.SEED, 1, total(amounts) / seed_yield)
         for flow_id in SEED_CHAIN_FLOWS:
             add(flow_id, Phase.SEED, 1, ONE)
-    elif dose.value and crop.seed_source is SeedSource.EXTERNAL:
+    elif dose.value and crop.seed_source == "external":
         add(crop.seed_flow, Phase.SEED, 0, dose)
 
     params = db.emissions.get(crop.name, N2OParams())
@@ -184,7 +184,7 @@ def interventions(model, db, crop):
                                    * CO2_PER_C))
     else:
         series = sorted((s for s in model.soil_samples
-                         if s.land_class is crop.land_class),
+                         if s.land_class == crop.land_class),
                         key=lambda s: s.year)
         if len(series) >= 2:
             def stock(s):

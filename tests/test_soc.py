@@ -2,13 +2,13 @@
 
 import pytest
 
-from cropgate.farmspec import LandClass, SoilSample
+from cropgate.farmspec import SoilSample
 from cropgate.inventory import CO2_PER_C, soc_annual_change, \
     soc_co2_credit, soc_stock
 
 
 def _sample(year: int, oc: float) -> SoilSample:
-    return SoilSample(land_class=LandClass.MARGINAL, year=year, depth_m=0.30,
+    return SoilSample(land_class="marginal", year=year, depth_m=0.30,
                       bulk_density_mg_m3=1.37, coarse_fraction=0.2958,
                       organic_matter=2 * oc, organic_carbon=oc)
 
@@ -25,7 +25,7 @@ class TestStock:
 
     def test_coarse_fraction_removes_stone_volume(self):
         stony = _sample(2013, 0.00313)
-        fine = SoilSample(land_class=LandClass.MARGINAL, year=2013,
+        fine = SoilSample(land_class="marginal", year=2013,
                           depth_m=0.30, bulk_density_mg_m3=1.37,
                           coarse_fraction=0.0, organic_matter=0.00626,
                           organic_carbon=0.00313)
