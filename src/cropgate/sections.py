@@ -7,8 +7,8 @@ Grammar (see docs/formats.md for the full description):
 * Entries are ``key = value``; keys are unique within their section and
   section paths are unique within the document. Order carries no meaning.
 * A value is a scalar or a comma-separated sequence of scalars. Scalars are
-  quantity literals ("0.15 Mg/ha"), quoted text, bare identifiers, or the
-  booleans ``true``/``false``.
+  numbers, a float when bare and a Quantity with a unit ("0.15 Mg/ha"),
+  quoted text, bare identifiers, or the booleans ``true``/``false``.
 
 A parsed document is plain data: ``{path: {key: value}}`` in file order.
 Farm and factor files read each section through a :class:`SectionReader`,
@@ -23,13 +23,12 @@ import re
 from typing import NamedTuple
 
 from . import InputError
-from .units import (DIMENSIONLESS, Quantity, UnitError, parse_quantity,
-                    parse_unit)
+from .units import Quantity, UnitError, parse_quantity, parse_unit
 
 __all__ = ["SectionSyntaxError", "Document", "read_text", "parse_document",
            "Diagnostic", "ValidationReport", "SectionReader"]
 
-Scalar = Quantity | str | bool
+Scalar = float | Quantity | str | bool
 Value = Scalar | list
 # section path -> key -> value, sections and keys in file order
 Document = dict[tuple[str, ...], dict[str, Value]]
@@ -227,7 +226,7 @@ class SectionReader:
         self.report = report
         self._consumed: set[str] = set()
 
-    def _take(self, key: str, kind: type = object, expected="", default=None):
+    def _take(self, key: str, kind=object, expected="", default=None):
         value = self.entries.get(key)  # a parsed value is never None
         if value is None:
             return default
@@ -244,35 +243,32 @@ class SectionReader:
                  ) -> float | None:
         """The finite value expressed in ``unit_text``; a bare number is
         taken as already written in that unit, a percent value is an error."""
-        value = self._take(key, Quantity, "a quantity")
+        value = self._take(key, (float, Quantity), "a quantity")
+        if value.__class__ is Quantity:
+            expected, scale = parse_unit(unit_text)
+            if value.unit != expected:
+                self.error(key, f"must be in {unit_text}")
+                return default
+            value = value.value / scale
         if value is None:
             return default
-        expected, scale = parse_unit(unit_text)
-        if value.unit == expected:
-            result = value.value / scale
-        elif value.unit == DIMENSIONLESS and not value.unit_written:
-            result = value.value
-        else:
-            self.error(key, f"must be in {unit_text}")
-            return default
-        if not math.isfinite(result):
+        if not math.isfinite(value):
             self.error(key, "must be finite")
             return default
-        return result
+        return value
 
     def _plain(self, key: str, percent: bool) -> float | None:
         """A finite dimensionless value, None if absent or reported."""
-        value = self._take(key, Quantity, "a quantity")
-        if value is None:
-            return None
-        if not value.unit.dimensionless or (value.unit_written
-                                            and not percent):
-            self.error(key, "must be a plain number")
-            return None
-        if not math.isfinite(value.value):
+        value = self._take(key, (float, Quantity), "a quantity")
+        if value.__class__ is Quantity:
+            if not (percent and value.unit.dimensionless):
+                self.error(key, "must be a plain number")
+                return None
+            value = value.value
+        if value is not None and not math.isfinite(value):
             self.error(key, "must be finite")
             return None
-        return value.value
+        return value
 
     def number(self, key: str, default: float | None = None) -> float | None:
         """A finite plain number; a value written with a unit, ``percent``
@@ -343,7 +339,8 @@ class SectionReader:
         return None
 
     def raw_quantity(self, key: str) -> Quantity | None:
-        return self._take(key, Quantity, "a quantity")
+        value = self._take(key, (float, Quantity), "a quantity")
+        return Quantity(value) if value.__class__ is float else value
 
     def require(self, *keys: str) -> None:
         """Report each of ``keys`` the section lacks as ``<key> is required``."""

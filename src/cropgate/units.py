@@ -1,13 +1,14 @@
 """Unit-bearing quantities for farm data files.
 
-Every numeric value read from a farm or factor file carries a unit, and the
-file readers check it against the dimension its key expects, so that a dose
-in ``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
+A number read from a farm or factor file is a float when bare and a
+:class:`Quantity` when a unit is written after it. The file readers check
+that unit against the dimension its key expects, so that a dose in
+``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
 readers the engine computes on floats in canonical units: the farm model
 keeps a :class:`Quantity` only for a herbicide dose (a volume or a mass per
-hectare), and each inventory flow carries one, which characterization divides
-by its basis unit's scale from the :func:`parse_unit` memo. The seed
-chain, the exhaust gases and the characterization sums are float arithmetic.
+hectare), and each inventory flow carries one, which characterization
+divides by its basis unit's scale from the :func:`parse_unit` memo. The
+seed chain, the exhaust gases and the characterization sums are floats.
 
 The unit system is deliberately small. Seven physical dimensions cover the
 whole domain (mass, volume, area, length, time, energy, currency) and each
@@ -185,17 +186,15 @@ class Quantity:
     """A float value bound to a canonical :class:`Unit`.
 
     Quantities compare equal when both value and unit match after
-    normalization, so "2 kg" == "0.002 Mg". ``unit_written`` tells a parsed
-    ``27 percent`` from a bare ``0.27``; it takes no part in equality.
-    Treat a quantity as immutable: arithmetic returns new ones.
+    normalization, so "2 kg" == "0.002 Mg". Treat a quantity as immutable:
+    arithmetic returns new ones.
     """
 
-    __slots__ = ("value", "unit", "unit_written")
+    __slots__ = ("value", "unit")
 
     def __init__(self, value: float, unit: Unit = DIMENSIONLESS):
         self.value = value
         self.unit = unit
-        self.unit_written = False  # set by parse_quantity only
 
     def __repr__(self) -> str:
         return f"Quantity(value={self.value!r}, unit={self.unit!r})"
@@ -255,8 +254,9 @@ class Quantity:
         return self.value / scale
 
 
-def parse_quantity(text: str) -> Quantity:
-    """Parse a quantity literal: a number followed by an optional unit.
+def parse_quantity(text: str) -> float | Quantity:
+    """Parse a number and its optional unit: a bare number is a float, and
+    any written unit, ``1`` and ``percent`` too, makes a :class:`Quantity`.
 
     Raises:
         UnitError: malformed number, unknown unit token, or trailing junk.
@@ -270,9 +270,7 @@ def parse_quantity(text: str) -> Quantity:
         number, rest = m.group(0), stripped[m.end():]
     value, rest = float(number), rest.strip()
     if not rest:
-        return Quantity(value, DIMENSIONLESS)
+        return value
     unit, scale = parse_unit(rest)
-    quantity = Quantity(value * scale, unit)
-    quantity.unit_written = True
-    return quantity
+    return Quantity(value * scale, unit)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cropgate.assess import bundled_data_path, load_factors, load_farm
 from cropgate.factors import FactorDB
 from cropgate.farmspec import FarmModel
-from cropgate.units import DIMENSIONLESS, Quantity, parse_unit
+from cropgate.units import Quantity, parse_unit
 
 SHIPPED_FARM = bundled_data_path("farm_soria.cg")
 SHIPPED_FACTORS = bundled_data_path("factors_calibrated.cg")
@@ -59,11 +59,11 @@ _TEXTS = st.text(
 
 
 @st.composite
-def quantities(draw) -> Quantity:
+def quantities(draw) -> float | Quantity:
     number = draw(_NUMBERS)
     unit_text = draw(_UNITS)
     if not unit_text:
-        return Quantity(number, DIMENSIONLESS)
+        return number
     unit, scale = parse_unit(unit_text)
     return Quantity(number * scale, unit)
 

@@ -97,17 +97,18 @@ def characterize_energy(inventory: Inventory, db: FactorDB,
 #  sections and units
 # ---------------------------------------------------------------------- #
 
-def format_quantity(q: Quantity) -> str:
-    """Shortest round-trip text for a quantity, in canonical units."""
-    if q.unit.dimensionless:
-        return repr(q.value)
+def format_quantity(q: float | Quantity) -> str:
+    """Shortest round-trip text for a parsed number: a float bare, a
+    quantity in canonical units (``1`` when dimensionless)."""
+    if q.__class__ is float:
+        return repr(q)
     return f"{q.value!r} {q.unit}"
 
 
 def _serialize_scalar(value: Scalar) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Quantity):
+    if isinstance(value, (float, Quantity)):
         return format_quantity(value)
     # plain text: emit bare identifiers unquoted so they read back identically
     if value.isidentifier() and value.isascii() and value not in ("true", "false"):

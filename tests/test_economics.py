@@ -197,6 +197,28 @@ def exact_balance(crop, aid: float, horizon: float) -> dict:
     return out
 
 
+def check_farm_income(model, choice: str) -> None:
+    """The farm income with ``choice`` on the marginal land, against the
+    exact area-weighted sum of the exact balances."""
+    aid = model.cap_aid_eur_ha
+    horizon = model.amortization_horizon_years
+    income = farm_income(model, choice)
+    exact = magnitude = Fraction(0)
+    for name, (area, balance) in income.by_crop.items():
+        crop = model.crop(name)
+        assert area == crop.area_ha
+        value, size, _ = exact_balance(crop, aid, horizon)["balance_with_cap"]
+        exact += Fraction(area) * value
+        magnitude += abs(Fraction(area)) * size
+    # 7 roundings per balance, 1 per product, 1 per fold step
+    n = 7 + 1 + len(income.by_crop) - 1
+    assert abs(Fraction(income.total_eur) - exact) \
+        <= gamma(n) * magnitude, choice
+    assert set(income.by_crop) == {
+        crop.name for crop in model.crops.values()
+        if crop.land_class != "marginal" or crop.name == choice}
+
+
 class TestExactMoney:
     """Each bundled crop's balance and both pair farm incomes, against the
     exact rational value of the same formula on the parsed floats."""
@@ -244,22 +266,5 @@ class TestExactMoney:
             assert error <= gamma(n) * magnitude, field
 
     def test_pair_farm_incomes_within_their_rounding_bound(self, farm_model):
-        aid = farm_model.cap_aid_eur_ha
-        horizon = farm_model.amortization_horizon_years
         for choice in farm_model.marginal_pair:
-            income = farm_income(farm_model, choice)
-            exact = magnitude = Fraction(0)
-            for name, (area, balance) in income.by_crop.items():
-                crop = farm_model.crop(name)
-                assert area == crop.area_ha
-                value, size, _ = exact_balance(crop, aid, horizon)[
-                    "balance_with_cap"]
-                exact += Fraction(area) * value
-                magnitude += abs(Fraction(area)) * size
-            # 7 roundings per balance, 1 per product, 1 per fold step
-            n = 7 + 1 + len(income.by_crop) - 1
-            assert abs(Fraction(income.total_eur) - exact) \
-                <= gamma(n) * magnitude, choice
-            assert set(income.by_crop) == {
-                crop.name for crop in farm_model.crops.values()
-                if crop.land_class != "marginal" or crop.name == choice}
+            check_farm_income(farm_model, choice)

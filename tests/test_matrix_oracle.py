@@ -224,12 +224,29 @@ def characterization(db, flow_id: str, phase: Phase):
             data(record.pe_nonrenewable) / scale / THOUSAND)
 
 
-def impacts(model, db, crop) -> dict[str, Exact]:
+def unrecorded(db, flow_id: str, phase: Phase) -> bool:
+    """Whether a flow needs a factor record that ``db`` lacks."""
+    return phase is not Phase.SOC and flow_id not in db.gases \
+        and flow_id not in db.records
+
+
+def cut_off(db, columns) -> list[str]:
+    """The flows of ``columns`` with an amount and no factor record, which
+    ``--cutoff-missing`` takes at zero burden and names, in name order."""
+    return sorted({flow_id for (flow_id, phase), column in columns.items()
+                   if unrecorded(db, flow_id, phase)
+                   and any(b.value for b in column)})
+
+
+def impacts(model, db, crop, cutoff_missing: bool = False,
+            ) -> dict[str, Exact]:
     """Every impact number of ``result.json`` for one crop, g = Q B s."""
     matrix, demand, columns = interventions(model, db, crop)
     scaling = solve(matrix, demand)
     kg, ren, non = ({phase: [] for phase in PHASES} for _ in range(3))
     for (flow_id, phase), column in columns.items():
+        if cutoff_missing and unrecorded(db, flow_id, phase):
+            continue
         amount = total([b * s for b, s in zip(column, scaling)])
         factors = characterization(db, flow_id, phase)
         if factors is None:
@@ -279,11 +296,21 @@ def engine_numbers(result) -> dict[str, float]:
     return out
 
 
-def check_crop(model, db, name: str) -> None:
+def check_crop(model, db, name: str, cutoff_missing: bool = False) -> None:
+    """Every impact and money number of one crop within its bound, and the
+    notes: a missing soil pair, then each flow cut off."""
     crop = model.crop(name)
-    result = assess_crop(model, db, name)
-    assert result.notes == () and result.gwp.missing == ()
-    expected = impacts(model, db, crop)
+    result = assess_crop(model, db, name, cutoff_missing=cutoff_missing)
+    columns = interventions(model, db, crop)[2]
+    cut = tuple(cut_off(db, columns)) if cutoff_missing else ()
+    no_pair = not crop.soc_equilibrium and crop.soc_fixation_mg_c_ha is None \
+        and ("co2", Phase.SOC) not in columns
+    notes = ((f"no soil analysis pair for {crop.land_class} land; soil "
+              "carbon change taken as zero",) if no_pair else ()) + tuple(
+        f"flow {flow_id!r} has no factor record; cut off at zero burden"
+        for flow_id in cut)
+    assert (result.notes, result.gwp.missing) == (notes, cut), name
+    expected = impacts(model, db, crop, cutoff_missing)
     got = engine_numbers(result)
     assert set(got) == set(expected), name
     outside = [(key, got[key], float(exact.value))

@@ -7,8 +7,9 @@ from conftest import documents
 from oracles import serialize_document
 from cropgate.factors import load_factor_db
 from cropgate.farmspec import parse_farm_document
-from cropgate.sections import SectionSyntaxError, parse_document, read_text
-from cropgate.units import Quantity
+from cropgate.sections import (SectionReader, SectionSyntaxError,
+                               ValidationReport, parse_document, read_text)
+from cropgate.units import Quantity, parse_unit
 
 
 SAMPLE = """
@@ -49,7 +50,7 @@ def test_comment_inside_string_is_kept():
 def test_comment_after_a_string_with_hash_and_escaped_quote():
     doc = parse_document('[s]\nk = "x \\"#\\" y" # note\nj = 1\n')
     assert doc["s",]["k"] == 'x "#" y'
-    assert doc["s",]["j"].value == 1.0
+    assert doc["s",]["j"] == 1.0
 
 
 def test_comma_inside_string_is_one_scalar():
@@ -98,7 +99,7 @@ ESCAPE_VALUES = [
     ('k = "a\\\\" # c', "a\\"),
     ('k = "a\\\\", b', ["a\\", "b"]),
     # a quote in a comment is inert
-    ('k = 1 # "', Quantity(1.0)),
+    ('k = 1 # "', 1.0),
 ]
 
 
@@ -129,8 +130,8 @@ def test_no_break_spaces_around_a_plain_entry():
     # str.strip takes U+00A0 as whitespace, as the grammar does
     doc = parse_document("[s]\n\u00a0k\u00a0=\u00a01\u00a0ha\u00a0")
     value = doc["s",]["k"]
+    assert value.__class__ is Quantity
     assert value.to("ha") == 1.0
-    assert value.unit_written
 
 
 class TestReadText:
@@ -225,3 +226,57 @@ def test_other_control_characters_round_trip(char, form, tmp_path):
     path = tmp_path / "doc.cg"
     path.write_bytes(written.encode("utf-8"))
     assert parse_document(read_text(path)) == mapping
+
+
+# what each typed read makes of a bare number, a written 1, a percent and
+# a real unit: the value, or the one diagnostic at the key
+_PER_HA = parse_unit("Mg/ha")[0]
+READING_RULES = [
+    ("0.27", "number", 0.27),
+    ("0.27", "fraction", 0.27),
+    ("0.27", "quantity", 0.27),
+    ("0.27", "raw_quantity", Quantity(0.27)),
+    ("0.27 1", "number", "must be a plain number"),
+    ("0.27 1", "fraction", 0.27),
+    ("0.27 1", "quantity", "must be in Mg/ha"),
+    ("0.27 1", "raw_quantity", Quantity(0.27)),
+    ("27 percent", "number", "must be a plain number"),
+    ("27 percent", "fraction", 0.27),
+    ("27 percent", "quantity", "must be in Mg/ha"),
+    ("27 percent", "raw_quantity", Quantity(0.27)),
+    ("270 kg/ha", "number", "must be a plain number"),
+    ("270 kg/ha", "fraction", "must be a plain number"),
+    ("270 kg/ha", "quantity", 0.27),
+    ("270 kg/ha", "raw_quantity", Quantity(0.27, _PER_HA)),
+]
+
+
+@pytest.mark.parametrize("text,read,expected", READING_RULES,
+                         ids=[f"{text}-{read}" for text, read, _
+                              in READING_RULES])
+def test_reading_rules(text, read, expected):
+    report = ValidationReport()
+    reader = SectionReader(("s",), parse_document(f"[s]\nk = {text}")["s",],
+                           report)
+    value = (reader.quantity("k", "Mg/ha") if read == "quantity"
+             else getattr(reader, read)("k"))
+    if isinstance(expected, str):
+        assert value is None
+        assert report.render() == f"error: [s.k] {expected}"
+    else:
+        assert value == expected
+        assert report.diagnostics == []
+
+
+def test_a_bare_number_parses_to_a_float():
+    """A written unit, ``1`` and ``percent`` too, makes a Quantity; a bare
+    number is a float, alone and in a comma list."""
+    doc = parse_document("[s]\na = 0.27\nb = 0.27 1\nc = 27 percent\n"
+                         "d = 270 kg/ha\nitems = 0.27, 0.27 1, 27 percent, "
+                         "270 kg/ha\n")
+    one = Quantity(0.27)
+    expected = [0.27, one, one, Quantity(0.27, _PER_HA)]
+    values = doc["s",]
+    assert [values[key] for key in "abcd"] == expected == values["items"]
+    assert [value.__class__ for value in values["items"]] \
+        == [float, Quantity, Quantity, Quantity]

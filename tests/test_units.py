@@ -100,8 +100,8 @@ class TestParseUnit:
 class TestParseQuantity:
     def test_plain_number_is_dimensionless(self):
         q = parse_quantity("42")
-        assert q.value == 42.0
-        assert q.unit == DIMENSIONLESS
+        assert q == 42.0
+        assert q.__class__ is float
 
     def test_value_is_rescaled_to_canonical(self):
         assert parse_quantity("2 kg/ha") == parse_quantity("0.002 Mg/ha")
@@ -189,10 +189,16 @@ class TestFormatting:
 class TestValueType:
     """Quantity is a plain class, not a tuple: what callers rely on."""
 
-    def test_equality_and_hash_ignore_unit_written(self):
+    def test_bare_number_is_a_float_and_equality_is_value_and_unit(self):
+        # a written unit, 1 included, makes a Quantity; a bare number is
+        # the float itself, so the two compare unequal
+        bare, one = parse_quantity("0.27"), parse_quantity("0.27 1")
+        assert bare.__class__ is float and bare == 0.27
+        assert one == Quantity(0.27, DIMENSIONLESS)
+        assert bare != one and one != bare
+        assert Quantity.__slots__ == ("value", "unit")
         written = parse_quantity("2 Mg")
         built = Quantity(2.0, parse_unit("Mg")[0])
-        assert (written.unit_written, built.unit_written) == (True, False)
         assert written == built
         assert hash(written) == hash(built)
         assert len({written, built}) == 1
