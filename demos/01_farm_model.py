@@ -44,7 +44,7 @@ def main():
                   f"{fert.dose_mg_ha * 1000:.0f} kg/ha ({fert.timing})")
         for herb in crop.herbicides:
             print(f"    herbicide     {herb.product_id}  "
-                  f"{herb.dose.value:g} {herb.dose.unit}")
+                  f"{herb.dose:g} {'L/ha' if herb.liquid else 'Mg/ha'}")
         print(f"    operations    {len(crop.operations)} schedule "
               f"entr{'y' if len(crop.operations) == 1 else 'ies'}")
     print()

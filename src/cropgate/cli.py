@@ -43,7 +43,7 @@ def _parse_share(text: str) -> float:
         raise InputError(f"bad share {text!r}") from exc
     if not math.isfinite(share):
         raise InputError(f"bad share {text!r}")
-    return share
+    return share or 0.0  # a negative zero reads as 0
 
 
 def _sweep_points(args) -> list[float]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
 from .sections import Document, SectionReader, ValidationReport, parse_document
-from .units import Quantity, parse_unit
+from .units import parse_unit
 
 __all__ = [
     "LAND_CLASSES", "TIMINGS", "SEED_SOURCES", "MACHINERY_FLOWS",
@@ -116,8 +116,9 @@ class FertilizerApplication(NamedTuple):
 
 class HerbicideApplication(NamedTuple):
     product_id: str
-    dose: Quantity  # per-ha dose, volume or mass basis
+    dose: float  # per ha: L when liquid, else Mg
     timing: str  # one of TIMINGS
+    liquid: bool  # the dose was written as a volume
 
 
 class FieldOperation(NamedTuple):
@@ -358,7 +359,8 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
             hreader.error("dose", "cannot be negative")
         else:
             herbicides.append(HerbicideApplication(
-                product_id=hreader.path[3], dose=dose, timing=timing))
+                product_id=hreader.path[3], dose=dose.value, timing=timing,
+                liquid=dose.unit == _PER_HA_DOSES[0]))  # L/ha
 
     operations = []
     for oreader in sub.get("op", []):

@@ -86,8 +86,7 @@ CO2_PER_C = 44.0 / 12.0  # molar mass ratio, exact by definition
 _N2O_PER_N = 44.0 / 28.0
 _M2_PER_HA = 10000.0
 
-_MG, _L, _HA = (parse_unit(text)[0] for text in ("Mg", "L", "ha"))
-_L_PER_HA, _MG_PER_HA = _L / _HA, _MG / _HA
+_MG, _L = (parse_unit(text)[0] for text in ("Mg", "L"))
 _KG_VALUE = 0.001  # one kg in canonical mass units
 
 
@@ -112,7 +111,7 @@ class AnnualizedPlan(NamedTuple):
     """Per-year input rates after spreading establishment-only entries."""
     sowing_dose_mg_ha: float
     fertilizations: tuple  # (product_id, dose_mg_ha) pairs
-    herbicides: tuple      # (product_id, per-ha dose Quantity) pairs
+    herbicides: tuple      # (product_id, dose, liquid) triples, as farmspec
     diesel_l_ha: float
     machinery_mg_ha: Mapping[str, float] = MappingProxyType({})  # by key
 
@@ -141,23 +140,9 @@ def annualize_schedule(crop: CropPlan, horizon_years: float) -> AnnualizedPlan:
         _spread(crop.sowing_dose_mg_ha, crop.sowing_timing, horizon_years),
         tuple([(f.product_id, _spread(f.dose_mg_ha, f.timing, horizon_years))
                for f in crop.fertilizations]),
-        tuple([(h.product_id, _spread(h.dose, h.timing, horizon_years))
-               for h in crop.herbicides]),
+        tuple([(h.product_id, _spread(h.dose, h.timing, horizon_years),
+                h.liquid) for h in crop.herbicides]),
         diesel, machinery))
-
-
-def _active_ingredient_kg(dose: Quantity, active_fraction: float) -> float:
-    """kg of active ingredient in a per-ha dose.
-
-    Liquid formulations state the fraction as kg a.i. per litre of product,
-    solid ones as a mass fraction.
-    """
-    if dose.unit == _L_PER_HA:
-        return dose.value * active_fraction
-    if dose.unit == _MG_PER_HA:
-        return dose.value / _KG_VALUE * active_fraction
-    raise UnitError(f"herbicide dose must be volume or mass per ha, got "
-                    f"{dose.unit}")
 
 
 def n2o_field_emissions(n_applied_kg_ha: float, params: N2OParams) -> float:
@@ -198,9 +183,10 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
     """
     flows = [_flow((product_id, Quantity(dose, _MG), _FERTILIZER))
              for product_id, dose in ann.fertilizations]
-    for product_id, dose in ann.herbicides:
-        product = model.products[product_id]
-        ai_kg = _active_ingredient_kg(dose, product.active_fraction)
+    for product_id, dose, liquid in ann.herbicides:
+        # the active fraction is kg a.i. per L of a liquid, per kg of a solid
+        ai_kg = ((dose if liquid else dose / _KG_VALUE)
+                 * model.products[product_id].active_fraction)
         flows.append(_flow((product_id, Quantity(ai_kg * _KG_VALUE, _MG),
                             _PESTICIDE)))
     if ann.diesel_l_ha:

@@ -5,10 +5,10 @@ A number read from a farm or factor file is a float when bare and a
 that unit against the dimension its key expects, so that a dose in
 ``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
 readers the engine computes on floats in canonical units: the farm model
-keeps a :class:`Quantity` only for a herbicide dose (a volume or a mass per
-hectare), and each inventory flow carries one, which characterization
-divides by its basis unit's scale from the :func:`parse_unit` memo. The
-seed chain, the exhaust gases and the characterization sums are floats.
+holds no :class:`Quantity`, and each inventory flow carries one, which
+characterization divides by its basis unit's scale from the
+:func:`parse_unit` memo. The seed chain, the exhaust gases and the
+characterization sums are floats.
 
 The unit system is deliberately small. Seven physical dimensions cover the
 whole domain (mass, volume, area, length, time, energy, currency) and each

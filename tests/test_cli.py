@@ -17,8 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cropgate import InputError, cli
 from cropgate.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
+from cropgate.units import Quantity
 
 from conftest import SHIPPED_FACTORS, SHIPPED_FARM
+from engine_digest import ROOT, gen
 from oracles import build_parser
 
 GASES_ONLY = """
@@ -547,6 +549,21 @@ class TestSweep:
         assert [line.split(",")[0] for line in lines[2:]] \
             == ["0.100000", "0.300000", "0.500000"]
 
+    @pytest.mark.parametrize("zero", ["-0", "-0.0", "0/-5", "-1e-400"])
+    def test_negative_zero_share_reads_as_zero(self, farm_path, tmp_path,
+                                               capsys, zero):
+        trees = []
+        for shares in (f"{zero},0.5", "0,0.5"):
+            out_dir = tmp_path / str(len(trees))
+            code, _, _ = run(["sweep", "--farm", farm_path,
+                              f"--shares={shares}", "--out", str(out_dir)],
+                             capsys)
+            assert code == EXIT_OK
+            trees.append({path.name: path.read_bytes()
+                          for path in out_dir.iterdir()})
+        assert trees[0] == trees[1]
+        assert b"-0.0" not in trees[0]["sweep.csv"]
+
     @pytest.mark.parametrize("argv_tail", [
         ["--shares", ""],
         ["--shares", "abc"],
@@ -773,6 +790,38 @@ class TestParser:
              farm_path], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "ok: 7 crops" in proc.stdout
+
+
+# the Quantity operators that bench/spans.py counts
+_QUANTITY_OPS = ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                 "__neg__", "__lt__", "__le__", "to")
+
+
+@pytest.mark.parametrize("holding", ["bundled", "farm_scaled_1"])
+def test_no_command_runs_quantity_arithmetic(tmp_path, capsys, monkeypatch,
+                                            holding):
+    """Past the readers the engine computes on floats: assess of every
+    crop, compare and sweep call no Quantity operator."""
+    if holding == "bundled":
+        farm = SHIPPED_FARM
+    else:  # as tests/engine_digest.py builds it
+        farm_text, factors_text, _ = gen.farm_scaled(ROOT, 1)
+        farm = gen.write_inputs(str(tmp_path / "in"), farm_text, factors_text)
+    with open(farm, encoding="utf-8") as handle:
+        crops = re.findall(r"(?m)^\[crop\.(\w+)\]$", handle.read())
+    calls = []
+    for name in _QUANTITY_OPS:
+        def counted(*args, _name=name, _op=getattr(Quantity, name)):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Quantity, name, counted)
+    argvs = [["assess", "--crop", crop] for crop in crops]
+    argvs += [["compare"], ["sweep", "--range", "0.1:0.9:0.1"]]
+    for index, argv in enumerate(argvs):
+        code, _, _ = run(argv + ["--farm", farm, "--out",
+                                 str(tmp_path / "out" / str(index))], capsys)
+        assert code == EXIT_OK
+    assert len(crops) >= 7 and calls == []
 
 
 # each command on the bundled farm, and an exit 1 and an exit 2 with the

@@ -142,6 +142,20 @@ class TestModelAssembly:
         assert cereal.sowing_timing == "recurrent"
         assert cereal.land_class == "marginal"
 
+    @pytest.mark.parametrize("written, dose, liquid", [
+        ("1 L/ha", 1.0, True),
+        ("0.001 m3/ha", 1.0, True),
+        ("20 g/ha", 20e-6, False),
+        ("0.02 kg/ha", 20e-6, False),
+        ("0 Mg/ha", 0.0, False),
+    ])
+    def test_herbicide_dose_in_canonical_units(self, written, dose, liquid):
+        # L/ha when written as a volume, Mg/ha when written as a mass
+        model = parse_farm_document(
+            VALID.replace("dose = 1 L/ha", f"dose = {written}"))
+        herb = model.crop("grass").herbicides[0]
+        assert herb.dose == pytest.approx(dose) and herb.liquid is liquid
+
     def test_soil_series_sorted_by_year(self):
         model = parse_farm_document(VALID)
         series = model.soil_series("marginal")

@@ -24,6 +24,7 @@ from cropgate.cli import EXIT_DOMAIN, EXIT_INPUT, main
 from conftest import SHIPPED_FACTORS, SHIPPED_FARM
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+DEMO_STDOUT = os.path.join(os.path.dirname(__file__), "demo_stdout")
 
 
 def _read(path: str) -> str:
@@ -163,4 +164,6 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, script)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    # the demos are deterministic: each prints its pinned text
+    assert proc.stdout == _read(os.path.join(
+        DEMO_STDOUT, script.replace(".py", ".txt")))

@@ -74,8 +74,8 @@ class TestSpreading:
         doses = dict(ann.fertilizations)
         assert doses["npk_8_24_8"] == pytest.approx(0.30 / 4)
         assert doses["can_27"] == pytest.approx(0.15)  # recurrent, untouched
-        herb = dict(ann.herbicides)
-        assert herb["d24_acid"].to("L/ha") == pytest.approx(1.0 / 4)
+        herb = {pid: (dose, liquid) for pid, dose, liquid in ann.herbicides}
+        assert herb["d24_acid"] == (pytest.approx(1.0 / 4), True)  # L/ha
 
     def test_recurrent_crop_passes_through(self, farm_model):
         rye = farm_model.crop("rye")
@@ -379,16 +379,8 @@ class TestBuildLci:
     def test_negative_amount_guard(self, farm_model, factor_db):
         twg = farm_model.crop("tall_wheatgrass")
         bad = twg._replace(herbicides=(twg.herbicides[0]._replace(
-            dose=parse_quantity("-1 L/ha")),))
+            dose=-1.0),))
         with pytest.raises(InventoryError):
-            build_lci(bad, farm_model, factor_db)
-
-    def test_dose_not_per_ha_guard(self, farm_model, factor_db):
-        # farm files reject such a dose; a model built in code meets this
-        twg = farm_model.crop("tall_wheatgrass")
-        bad = twg._replace(herbicides=(twg.herbicides[0]._replace(
-            dose=parse_quantity("1 L")),))
-        with pytest.raises(UnitError, match="volume or mass per ha, got L"):
             build_lci(bad, farm_model, factor_db)
 
     def test_inventory_amount_sums_across_phases(self, farm_model, factor_db):

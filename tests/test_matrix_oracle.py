@@ -121,10 +121,9 @@ def interventions(model, db, crop):
                            yearly(fert.dose_mg_ha, fert.timing)))
     for herb in crop.herbicides:
         share = data(model.products[herb.product_id].active_fraction)
-        dose = yearly(herb.dose.value, herb.timing)
+        dose = yearly(herb.dose, herb.timing)
         # kg a.i. per L of a liquid, a mass fraction of a solid
-        ai_kg = dose * share if str(herb.dose.unit) == "L/ha" \
-            else dose / KG * share
+        ai_kg = dose * share if herb.liquid else dose / KG * share
         production.append((herb.product_id, Phase.PESTICIDE, ai_kg * KG))
     diesel = total([yearly(op.diesel_l_ha, op.timing)
                     for op in crop.operations])
