@@ -39,7 +39,7 @@ class InputError(CropgateError):
 
 
 # the flows characterized through the IPCC 2013 GWP100 table, not through
-# [flow.*] records, in the field order of factors.ExhaustFactors
+# [flow.*] records
 GASES = ("co2", "ch4", "n2o")
 
 # an amortization horizon longer than this is a typo, not a question about

@@ -30,12 +30,14 @@ from .units import UnitError, parse_unit
 
 __all__ = [
     "FactorFileError", "MissingFlowError", "FactorRecord", "N2OParams",
-    "ExhaustFactors", "FactorDB", "load_factor_db",
+    "FactorDB", "load_factor_db",
     "DEFAULT_GAS_GWP", "DEFAULT_EXHAUST",
 ]
 
 # IPCC 2013 GWP100 values as commonly applied in LCA practice, in GASES order
 DEFAULT_GAS_GWP = dict(zip(GASES, (1.0, 30.5, 265.0)))
+# exhaust masses per litre of diesel burned, in kg of gas per L
+DEFAULT_EXHAUST = dict(zip(GASES, (2.64, 0.0, 0.0)))
 # the units of inventory flows: masses in Mg, volumes in L
 _FLOW_BASES = (parse_unit("Mg")[0], parse_unit("L")[0])
 
@@ -77,15 +79,6 @@ class N2OParams(NamedTuple):
     override_mg_ha: float | None = None
 
 
-class ExhaustFactors(NamedTuple):
-    """Exhaust masses per litre of diesel burned, all in kg/L, one field
-    per gas in ``GASES`` order."""
-    co2_kg_l: float = 2.64
-    ch4_kg_l: float = 0.0
-    n2o_kg_l: float = 0.0
-
-
-DEFAULT_EXHAUST = ExhaustFactors()
 _DEFAULT_N2O = N2OParams()  # the Tier 1 default of a crop without its own
 
 
@@ -93,11 +86,11 @@ class FactorDB:
     def __init__(self, records: dict[str, FactorRecord] | None = None,
                  gases: dict[str, float] | None = None,
                  emissions: dict[str, N2OParams] | None = None,
-                 exhaust: ExhaustFactors = DEFAULT_EXHAUST):
+                 exhaust: dict[str, float] | None = None):
         self.records = {} if records is None else records
         self.gases = {**DEFAULT_GAS_GWP, **(gases or {})}  # kg CO2e per kg
         self.emissions = {} if emissions is None else emissions
-        self.exhaust = exhaust
+        self.exhaust = {**DEFAULT_EXHAUST, **(exhaust or {})}  # kg per L
 
     def n2o_params(self, crop_name: str) -> N2OParams:
         return self.emissions.get(crop_name, _DEFAULT_N2O)
@@ -131,12 +124,6 @@ def _read_emissions(reader: SectionReader) -> N2OParams:
         override_mg_ha=reader.non_negative("override", "Mg/ha"))
 
 
-def _read_exhaust(reader: SectionReader) -> ExhaustFactors:
-    return ExhaustFactors._make(
-        reader.non_negative(gas, "kg/L", default)
-        for gas, default in zip(GASES, DEFAULT_EXHAUST))
-
-
 def load_factor_db(text: str) -> FactorDB:
     """Parse a factor file.
 
@@ -165,7 +152,8 @@ def load_factor_db(text: str) -> FactorDB:
                 reader.error("gwp100", "gas needs a finite gwp100")
             db.gases[name] = reader.number("gwp100")
         elif name == "exhaust":
-            db.exhaust = _read_exhaust(reader)
+            db.exhaust = {gas: reader.non_negative(gas, "kg/L", default)
+                          for gas, default in DEFAULT_EXHAUST.items()}
         else:
             db.emissions[name] = _read_emissions(reader)
         reader.finish()

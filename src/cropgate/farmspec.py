@@ -581,6 +581,9 @@ def validate_model(model: FarmModel) -> ValidationReport:
         if plan.soc_fixation_mg_c_ha is not None and plan.soc_equilibrium:
             report.warning(where,
                            "soc_fixation is ignored for equilibrium crops")
+        if plan.name == "exhaust":
+            report.warning(where, "field N2O takes the Tier 1 default: "
+                           "[emissions.exhaust] holds the diesel factors")
 
     for sample in model.soil_samples:
         where = f"soil.{sample.land_class}.{sample.year}"

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .factors import ExhaustFactors, FactorDB, N2OParams
+from .factors import FactorDB, N2OParams
 from .farmspec import (MACHINERY_FLOWS, SEED_CHAIN_FLOWS, CropPlan, FarmModel,
                        SoilSample)
 from .units import Quantity, UnitError, parse_unit
@@ -46,7 +46,7 @@ __all__ = [
     "Phase", "PHASES", "PHASE_NAMES", "Flow", "Inventory", "AnnualizedPlan",
     "InventoryError", "SeedRecursionError", "annualize_schedule",
     "build_lci", "CO2_PER_C", "soc_stock", "soc_annual_change",
-    "soc_co2_credit", "n2o_field_emissions", "exhaust_emissions",
+    "soc_co2_credit", "n2o_field_emissions",
 ]
 
 
@@ -168,15 +168,8 @@ def n2o_field_emissions(n_applied_kg_ha: float, params: N2OParams) -> float:
     return _N2O_PER_N * n2o_n / 1000.0  # kg -> Mg
 
 
-def exhaust_emissions(diesel_l: float,
-                      factors: ExhaustFactors) -> tuple[float, ...]:
-    """Exhaust gas masses in kg for a diesel amount in litres, in ``GASES``
-    order."""
-    return tuple([diesel_l * kg_l for kg_l in factors])
-
-
 def _production_flows(model: FarmModel, ann: AnnualizedPlan,
-                      exhaust: ExhaustFactors) -> list[Flow]:
+                      exhaust: Mapping[str, float]) -> list[Flow]:
     """Fertilizer, pesticide and field-work flows per ha*y, in report order.
 
     The order fixes the order of the per-phase float sums downstream.
@@ -189,11 +182,10 @@ def _production_flows(model: FarmModel, ann: AnnualizedPlan,
                  * model.products[product_id].active_fraction)
         flows.append(_flow((product_id, Quantity(ai_kg * _KG_VALUE, _MG),
                             _PESTICIDE)))
-    if ann.diesel_l_ha:
-        flows.append(_flow(("diesel", Quantity(ann.diesel_l_ha, _L),
-                            _FIELD_WORKS)))
-        for gas, kg in zip(GASES, exhaust_emissions(ann.diesel_l_ha, exhaust)):
-            if kg:
+    if diesel := ann.diesel_l_ha:
+        flows.append(_flow(("diesel", Quantity(diesel, _L), _FIELD_WORKS)))
+        for gas, kg_l in exhaust.items():
+            if kg := diesel * kg_l:
                 flows.append(_flow((gas, Quantity(kg * _KG_VALUE, _MG),
                                     _FIELD_WORKS)))
     for key, flow_id in MACHINERY_FLOWS.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 
 from cropgate import MAX_HORIZON_YEARS, __version__
-from cropgate.factors import DEFAULT_EXHAUST, ExhaustFactors, FactorDB
+from cropgate.factors import DEFAULT_EXHAUST, FactorDB
 from cropgate.farmspec import CropPlan, FarmModel
 from cropgate.impact import EnergyBreakdown, GwpBreakdown, characterize
 from cropgate.inventory import (AnnualizedPlan, Flow, Inventory, Phase,
@@ -37,13 +37,13 @@ def _by_flow_id(flows: list[Flow]) -> dict[str, Quantity]:
 
 
 def _cultivation_flows(crop: CropPlan, model: FarmModel, ann: AnnualizedPlan,
-                       exhaust: ExhaustFactors) -> dict[str, Quantity]:
+                       exhaust: dict[str, float]) -> dict[str, Quantity]:
     """The seed chain's cultivation vector c: production flows by flow id."""
     return _by_flow_id(_production_flows(model, ann, exhaust))
 
 
 def seed_inventory(crop: CropPlan, model: FarmModel,
-                   exhaust: ExhaustFactors = DEFAULT_EXHAUST,
+                   exhaust: dict[str, float] = DEFAULT_EXHAUST,
                    one_level: bool = False) -> dict[str, Quantity]:
     """Flow vector behind 1 Mg of farm-multiplied seed.
 

@@ -59,10 +59,16 @@ class TestLoading:
 
     def test_exhaust_factors(self):
         db = load_factor_db(SAMPLE)
-        assert db.exhaust.co2_kg_l == 2.64
-        assert db.exhaust.ch4_kg_l == 0.0
+        assert db.exhaust["co2"] == 2.64
+        assert db.exhaust["ch4"] == 0.0
         assert load_factor_db("[gas.co2]\ngwp100 = 1\n").exhaust \
             == DEFAULT_EXHAUST
+
+    def test_exhaust_reads_in_gas_order(self):
+        db = load_factor_db("[emissions.exhaust]\nn2o = 0.0001 kg/L\n"
+                            "co2 = 2.5 kg/L\n")
+        assert list(db.exhaust.items()) == [("co2", 2.5), ("ch4", 0.0),
+                                            ("n2o", 0.0001)]
 
     def test_emission_params(self):
         db = load_factor_db(SAMPLE)
@@ -178,4 +184,4 @@ class TestShippedFactors:
         assert factor_db.n2o_params("rye").override_mg_ha == 0.001757
 
     def test_exhaust(self, factor_db):
-        assert factor_db.exhaust.co2_kg_l == 2.64
+        assert factor_db.exhaust["co2"] == 2.64

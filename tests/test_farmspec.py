@@ -546,6 +546,16 @@ class TestValidation:
         assert model.crop("grass").soc_equilibrium
         assert any("ignored" in d.message for d in report.warnings)
 
+    def test_crop_named_exhaust_warns(self, farm_path):
+        # [emissions.exhaust] is the diesel section, never this crop's
+        with open(farm_path, encoding="utf-8") as handle:
+            text = re.sub(r"\bwheat(\b|_)", r"exhaust\1", handle.read())
+        model, report = build_farm_model(parse_document(text))
+        assert "exhaust" in model.crops
+        assert [tuple(d) for d in report.diagnostics] == [
+            ("warning", "crop.exhaust", "field N2O takes the Tier 1 default: "
+             "[emissions.exhaust] holds the diesel factors")]
+
 
 # "key = <number>[ <unit>]" at the start of a line
 _QUANTITY = re.compile(

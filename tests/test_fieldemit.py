@@ -2,8 +2,10 @@
 
 import pytest
 
-from cropgate.factors import ExhaustFactors, N2OParams
-from cropgate.inventory import exhaust_emissions, n2o_field_emissions
+from cropgate import GASES
+from cropgate.factors import FactorDB, N2OParams
+from cropgate.inventory import (AnnualizedPlan, Phase, _production_flows,
+                                n2o_field_emissions)
 
 
 class TestN2O:
@@ -35,16 +37,23 @@ class TestN2O:
 
 
 class TestExhaust:
-    def test_componentwise(self):
-        factors = ExhaustFactors(co2_kg_l=2.64, ch4_kg_l=0.001,
-                                 n2o_kg_l=0.0001)
-        co2_kg, ch4_kg, n2o_kg = exhaust_emissions(10.0, factors)
-        assert co2_kg == pytest.approx(26.4)
-        assert ch4_kg == pytest.approx(0.01)
-        assert n2o_kg == pytest.approx(0.001)
+    """10 L/ha of diesel and its exhaust gases, as field-works flows."""
 
-    def test_defaults_are_co2_only(self):
-        co2_kg, ch4_kg, n2o_kg = exhaust_emissions(55.39, ExhaustFactors())
-        assert co2_kg == pytest.approx(55.39 * 2.64)
-        assert ch4_kg == 0.0
-        assert n2o_kg == 0.0
+    @staticmethod
+    def gas_flows(model, exhaust):
+        ann = AnnualizedPlan(0.0, (), (), 10.0)
+        return [(f.flow_id, f.amount.value) for f in _production_flows(
+                    model, ann, FactorDB(exhaust=exhaust).exhaust)
+                if f.flow_id in GASES and f.phase is Phase.FIELD_WORKS]
+
+    def test_componentwise(self, farm_model):
+        flows = self.gas_flows(farm_model,
+                               {"co2": 2.64, "ch4": 0.001, "n2o": 0.0001})
+        assert [flow_id for flow_id, _ in flows] == list(GASES)
+        assert [mg for _, mg in flows] \
+            == pytest.approx([0.0264, 1e-05, 1e-06])
+
+    def test_defaults_are_co2_only(self, farm_model):
+        [(flow_id, mg)] = self.gas_flows(farm_model, None)
+        assert flow_id == "co2"
+        assert mg == pytest.approx(0.0264)

@@ -128,9 +128,8 @@ def interventions(model, db, crop):
     diesel = total([yearly(op.diesel_l_ha, op.timing)
                     for op in crop.operations])
     production.append(("diesel", Phase.FIELD_WORKS, diesel))
-    for gas, kg_l in db.exhaust._asdict().items():
-        production.append((gas.split("_")[0], Phase.FIELD_WORKS,
-                           diesel * data(kg_l) * KG))
+    for gas, kg_l in db.exhaust.items():
+        production.append((gas, Phase.FIELD_WORKS, diesel * data(kg_l) * KG))
     for key, flow_id in MACHINERY_FLOWS.items():
         production.append((flow_id, Phase.FIELD_WORKS, total([
             yearly(op.machinery_mg_ha[key], op.timing)
