@@ -60,11 +60,13 @@ def _sweep_points(args) -> list[float]:
         raise InputError("--range step must be positive")
     # count the points before building any: stop is inclusive up to 1e-12
     span = (stop + 1e-12 - start) / step
-    count = math.floor(span) + 1 if math.isfinite(span) else span
-    if count < 1:
+    if span < 0:
         raise InputError("--range produced no shares")
-    if count == math.inf:  # the span overflowed: no count to print
+    # from 2**53 on, and at an overflowed inf, a float's integer is not
+    # the number of points: there is no count to print
+    if span >= 2 ** 53:
         raise InputError(f"--range gives more than {MAX_SWEEP_POINTS} shares")
+    count = math.floor(span) + 1
     if count > MAX_SWEEP_POINTS:
         raise InputError(f"--range gives {count} shares, more than "
                          f"{MAX_SWEEP_POINTS}")

@@ -39,7 +39,7 @@ DEFAULT_GAS_GWP = dict(zip(GASES, (1.0, 30.5, 265.0)))
 # exhaust masses per litre of diesel burned, in kg of gas per L
 DEFAULT_EXHAUST = dict(zip(GASES, (2.64, 0.0, 0.0)))
 # the units of inventory flows: masses in Mg, volumes in L
-_FLOW_BASES = (parse_unit("Mg")[0], parse_unit("L")[0])
+_FLOW_BASES = ("Mg", "L")
 
 
 class FactorFileError(CropgateError):

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
 from .sections import Document, SectionReader, ValidationReport, parse_document
-from .units import parse_unit
 
 __all__ = [
     "LAND_CLASSES", "TIMINGS", "SEED_SOURCES", "MACHINERY_FLOWS",
@@ -295,7 +294,7 @@ def _read_soil(reader: SectionReader) -> SoilSample | None:
                       organic_matter=om, organic_carbon=oc)
 
 
-_PER_HA_DOSES = (parse_unit("L/ha")[0], parse_unit("Mg/ha")[0])
+_PER_HA_DOSES = ("L/ha", "Mg/ha")
 
 
 def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
@@ -353,14 +352,15 @@ def _read_crop(reader: SectionReader, sub: dict[str, list[SectionReader]],
         hreader.require("dose")
         if dose is None:
             continue
-        if dose.unit not in _PER_HA_DOSES or not math.isfinite(dose.value):
+        dose, unit = dose
+        if unit not in _PER_HA_DOSES or not math.isfinite(dose):
             hreader.error("dose", "must be a finite volume or mass per ha")
-        elif dose.value < 0:
+        elif dose < 0:
             hreader.error("dose", "cannot be negative")
         else:
             herbicides.append(HerbicideApplication(
-                product_id=hreader.path[3], dose=dose.value, timing=timing,
-                liquid=dose.unit == _PER_HA_DOSES[0]))  # L/ha
+                product_id=hreader.path[3], dose=dose, timing=timing,
+                liquid=unit == "L/ha"))
 
     operations = []
     for oreader in sub.get("op", []):

@@ -7,10 +7,12 @@ Grammar (see docs/formats.md for the full description):
 * Entries are ``key = value``; keys are unique within their section and
   section paths are unique within the document. Order carries no meaning.
 * A value is a scalar or a comma-separated sequence of scalars. Scalars are
-  numbers, a float when bare and a Quantity with a unit ("0.15 Mg/ha"),
-  quoted text, bare identifiers, or the booleans ``true``/``false``.
+  numbers, a float when bare and a ``(value, unit)`` pair with a unit
+  (``0.15 Mg/ha``), quoted text, bare identifiers, or the booleans
+  ``true``/``false``.
 
-A parsed document is plain data: ``{path: {key: value}}`` in file order.
+A parsed document is plain data: ``{path: {key: value}}`` in file order;
+a sequence is a ``list``, so it is never taken for a pair.
 Farm and factor files read each section through a :class:`SectionReader`,
 which converts each key to the type the file kind expects and collects every
 problem in a :class:`ValidationReport` instead of raising at the first one.
@@ -23,12 +25,13 @@ import re
 from typing import NamedTuple
 
 from . import InputError
-from .units import Quantity, UnitError, parse_quantity, parse_unit
+from .units import UnitError, parse_quantity, parse_unit
 
 __all__ = ["SectionSyntaxError", "Document", "read_text", "parse_document",
            "Diagnostic", "ValidationReport", "SectionReader"]
 
-Scalar = float | Quantity | str | bool
+# a pair is a number with a unit: its value and the unit's canonical text
+Scalar = float | tuple[float, str] | str | bool
 Value = Scalar | list
 # section path -> key -> value, sections and keys in file order
 Document = dict[tuple[str, ...], dict[str, Value]]
@@ -243,13 +246,14 @@ class SectionReader:
                  ) -> float | None:
         """The finite value expressed in ``unit_text``; a bare number is
         taken as already written in that unit, a percent value is an error."""
-        value = self._take(key, (float, Quantity), "a quantity")
-        if value.__class__ is Quantity:
+        value = self._take(key, (float, tuple), "a quantity")
+        if value.__class__ is tuple:
+            value, unit = value
             expected, scale = parse_unit(unit_text)
-            if value.unit != expected:
+            if unit != expected:
                 self.error(key, f"must be in {unit_text}")
                 return default
-            value = value.value / scale
+            value /= scale
         if value is None:
             return default
         if not math.isfinite(value):
@@ -259,12 +263,12 @@ class SectionReader:
 
     def _plain(self, key: str, percent: bool) -> float | None:
         """A finite dimensionless value, None if absent or reported."""
-        value = self._take(key, (float, Quantity), "a quantity")
-        if value.__class__ is Quantity:
-            if not (percent and value.unit.dimensionless):
+        value = self._take(key, (float, tuple), "a quantity")
+        if value.__class__ is tuple:
+            value, unit = value
+            if not (percent and unit == "1"):
                 self.error(key, "must be a plain number")
                 return None
-            value = value.value
         if value is not None and not math.isfinite(value):
             self.error(key, "must be finite")
             return None
@@ -338,9 +342,11 @@ class SectionReader:
         self.error(key, "expected identifiers")
         return None
 
-    def raw_quantity(self, key: str) -> Quantity | None:
-        value = self._take(key, (float, Quantity), "a quantity")
-        return Quantity(value) if value.__class__ is float else value
+    def raw_quantity(self, key: str) -> tuple[float, str] | None:
+        """The ``(value, unit)`` pair at ``key``, unit ``1`` for a bare
+        number."""
+        value = self._take(key, (float, tuple), "a quantity")
+        return (value, "1") if value.__class__ is float else value
 
     def require(self, *keys: str) -> None:
         """Report each of ``keys`` the section lacks as ``<key> is required``."""

@@ -1,11 +1,11 @@
 """Unit-bearing quantities for farm data files.
 
 A number read from a farm or factor file is a float when bare and a
-:class:`Quantity` when a unit is written after it. The file readers check
-that unit against the dimension its key expects, so that a dose in
+``(value, unit)`` pair when a unit is written after it. The file readers
+check that unit against the one its key expects, so that a dose in
 ``Mg/ha`` can never be taken for a diesel volume in ``L/ha``. Past the
 readers the engine computes on floats in canonical units: the farm model
-holds no :class:`Quantity`, and each inventory flow carries one, which
+holds no unit, and each inventory flow carries a :class:`Quantity`, which
 characterization divides by its basis unit's scale from the
 :func:`parse_unit` memo. The seed chain, the exhaust gases and the
 characterization sums are floats.
@@ -32,23 +32,21 @@ dimensionless fraction 0.27. Compound units are written with ``/`` and
 the first ``/`` belongs to the denominator, so ``Mg/ha·y`` means Mg per
 hectare and year.
 
+A unit is its canonical text, ``Mg/ha·y``, or ``1`` when dimensionless.
 Parsing rescales the value to canonical units immediately ("2 kg/ha" becomes
-0.002 Mg/ha), which makes two quantities equal exactly when they describe the
-same amount.
+``(0.002, "Mg/ha")``), which makes two parsed values equal exactly when they
+describe the same amount.
 """
 
 import re
-from typing import NamedTuple
 
 from . import CropgateError
 
 __all__ = [
     "UnitError",
-    "Unit",
     "Quantity",
     "parse_quantity",
     "parse_unit",
-    "DIMENSIONLESS",
 ]
 
 
@@ -56,71 +54,28 @@ class UnitError(CropgateError):
     """Malformed unit/quantity text or an operation mixing dimensions."""
 
 
-# canonical unit of each dimension; the order is that of a Unit's exponents
-# and of its formatted text
-_CANONICAL = {
-    "mass": "Mg",
-    "volume": "L",
-    "area": "ha",
-    "length": "m",
-    "time": "y",
-    "energy": "MJ",
-    "currency": "EUR",
-}
+# the canonical unit of mass, volume, area, length, time, energy and
+# currency, in the order of a unit's exponents and of its text
+_CANONICAL = ("Mg", "L", "ha", "m", "y", "MJ", "EUR")
 
-
-class Unit(NamedTuple):
-    """Canonical unit: a tuple of integer exponents over the fixed dimensions."""
-
-    exponents: tuple[int, ...]
-
-    def __mul__(self, other: "Unit") -> "Unit":
-        return Unit(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __truediv__(self, other: "Unit") -> "Unit":
-        return Unit(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    @property
-    def dimensionless(self) -> bool:
-        return not any(self.exponents)
-
-    def __str__(self) -> str:
-        """``Mg/ha·y``; a dimensionless unit is ``1``, which parses back."""
-        pairs = list(zip(_CANONICAL.values(), self.exponents))
-        num = [name for name, e in pairs if e > 0 for _ in range(e)]
-        den = [name for name, e in pairs if e < 0 for _ in range(-e)]
-        head = "·".join(num) or "1"
-        if den:
-            return head + "/" + "·".join(den)
-        return head
-
-
-DIMENSIONLESS = Unit((0,) * len(_CANONICAL))
-
-
-def _base_unit(dim: str | None) -> Unit:
-    return Unit(tuple(1 if d == dim else 0 for d in _CANONICAL))
-
-
-# token -> (canonical unit, scale to it), from token -> (dimension, scale);
-# dimension None is dimensionless
-_TOKENS = {token: (_base_unit(dim), scale) for token, (dim, scale) in {
-    "Mg": ("mass", 1.0),
-    "kg": ("mass", 1e-3),
-    "g": ("mass", 1e-6),
-    "L": ("volume", 1.0),
-    "m3": ("volume", 1000.0),
-    "ha": ("area", 1.0),
-    "m": ("length", 1.0),
-    "km": ("length", 1000.0),
-    "y": ("time", 1.0),
-    "MJ": ("energy", 1.0),
-    "GJ": ("energy", 1000.0),
-    "EUR": ("currency", 1.0),
+# token -> (canonical unit, scale to it); None is dimensionless
+_TOKENS = {
+    "Mg": ("Mg", 1.0),
+    "kg": ("Mg", 1e-3),
+    "g": ("Mg", 1e-6),
+    "L": ("L", 1.0),
+    "m3": ("L", 1000.0),
+    "ha": ("ha", 1.0),
+    "m": ("m", 1.0),
+    "km": ("m", 1000.0),
+    "y": ("y", 1.0),
+    "MJ": ("MJ", 1.0),
+    "GJ": ("MJ", 1000.0),
+    "EUR": ("EUR", 1.0),
     "percent": (None, 0.01),
     "%": (None, 0.01),
     "1": (None, 1.0),
-}.items()}
+}
 
 # one step of a unit expression: blanks, then a separator, a token, or any
 # other character, which starts no token; on stripped text the steps cover
@@ -131,27 +86,33 @@ _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # parse_unit results by written text; files use a few dozen spellings, the
 # bound only keeps a file of arbitrary unit strings from growing it forever
-_UNIT_CACHE: dict[str, tuple[Unit, float]] = {}
+_UNIT_CACHE: dict[str, tuple[str, float]] = {}
 _UNIT_CACHE_MAX = 1024
 
 
-def parse_unit(text: str) -> tuple[Unit, float]:
-    """Parse a unit expression, returning (canonical unit, scale factor).
+def parse_unit(text: str) -> tuple[str, float]:
+    """Parse a unit expression, returning (canonical text, scale factor).
 
-    The scale factor converts a value expressed in the written unit into the
-    canonical one, e.g. ``parse_unit("kg/ha")`` gives scale 0.001. The result
-    is memoized by ``text``: every ``Quantity.to`` call parses its target.
+    The canonical text writes each canonical unit as often as its exponent,
+    the numerator first: ``Mg/ha·y``, or ``1`` when dimensionless. It parses
+    back to itself with scale 1.0, so two units are the same exactly when
+    their texts are equal. The scale factor converts a value expressed in
+    the written unit into the canonical one: ``parse_unit("kg/ha")`` is
+    ``("Mg/ha", 0.001)``. The result is memoized by ``text``: every
+    ``Quantity.to`` call parses its target.
     """
     cached = _UNIT_CACHE.get(text)
     if cached is None:
-        cached = _parse_unit(text)
+        exponents, scale = _parse_unit(text)
+        cached = _format(exponents), scale
         if len(_UNIT_CACHE) < _UNIT_CACHE_MAX:
             _UNIT_CACHE[text] = cached
     return cached
 
 
-def _parse_unit(text: str) -> tuple[Unit, float]:
-    unit = DIMENSIONLESS
+def _parse_unit(text: str) -> tuple[dict[str, int], float]:
+    """The exponent of each canonical unit in ``text``, and its scale."""
+    exponents = dict.fromkeys(_CANONICAL, 0)
     scale = 1.0
     sign = 1  # +1 numerator, -1 denominator
     expect_token = True
@@ -174,16 +135,33 @@ def _parse_unit(text: str) -> tuple[Unit, float]:
             raise UnitError(f"unknown unit {token!r} in {text!r}")
         else:
             base, factor = _TOKENS[token]
-            unit = unit * base if sign > 0 else unit / base
+            if base is not None:
+                exponents[base] += sign
             scale *= factor if sign > 0 else 1.0 / factor
             expect_token = False
     if expect_token and text:
         raise UnitError(f"unit expression {text!r} ends with a separator")
-    return unit, scale
+    return exponents, scale
+
+
+def _format(exponents: dict[str, int]) -> str:
+    # a unit of exponent e is written e times: range(e) is empty below 1
+    num = "·".join(name for name, e in exponents.items() for _ in range(e))
+    den = "·".join(name for name, e in exponents.items() for _ in range(-e))
+    return (num or "1") + "/" + den if den else num or "1"
+
+
+def _combine(unit: str, other: str, sign: int) -> str:
+    """The canonical text of ``unit·other`` (sign 1) or ``unit/other``
+    (sign -1), for canonical texts."""
+    exponents = _parse_unit(unit)[0]
+    for name, e in _parse_unit(other)[0].items():
+        exponents[name] += sign * e
+    return _format(exponents)
 
 
 class Quantity:
-    """A float value bound to a canonical :class:`Unit`.
+    """A float value bound to the canonical text of its unit.
 
     Quantities compare equal when both value and unit match after
     normalization, so "2 kg" == "0.002 Mg". Treat a quantity as immutable:
@@ -192,7 +170,7 @@ class Quantity:
 
     __slots__ = ("value", "unit")
 
-    def __init__(self, value: float, unit: Unit = DIMENSIONLESS):
+    def __init__(self, value: float, unit: str = "1"):
         self.value = value
         self.unit = unit
 
@@ -223,14 +201,16 @@ class Quantity:
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
-            return Quantity(self.value * other.value, self.unit * other.unit)
+            return Quantity(self.value * other.value,
+                            _combine(self.unit, other.unit, 1))
         return Quantity(self.value * other, self.unit)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.unit / other.unit)
+            return Quantity(self.value / other.value,
+                            _combine(self.unit, other.unit, -1))
         return Quantity(self.value / other, self.unit)
 
     def __neg__(self) -> "Quantity":
@@ -254,9 +234,11 @@ class Quantity:
         return self.value / scale
 
 
-def parse_quantity(text: str) -> float | Quantity:
+def parse_quantity(text: str) -> float | tuple[float, str]:
     """Parse a number and its optional unit: a bare number is a float, and
-    any written unit, ``1`` and ``percent`` too, makes a :class:`Quantity`.
+    any written unit, ``1`` and ``percent`` too, makes a ``(value, unit)``
+    pair in the canonical unit of :func:`parse_unit`, so
+    ``parse_quantity("2 kg/ha") == (0.002, "Mg/ha")``.
 
     Raises:
         UnitError: malformed number, unknown unit token, or trailing junk.
@@ -272,5 +254,4 @@ def parse_quantity(text: str) -> float | Quantity:
     if not rest:
         return value
     unit, scale = parse_unit(rest)
-    return Quantity(value * scale, unit)
-
+    return value * scale, unit

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cropgate.assess import bundled_data_path, load_factors, load_farm
 from cropgate.factors import FactorDB
 from cropgate.farmspec import FarmModel
-from cropgate.units import Quantity, parse_unit
+from cropgate.units import parse_unit
 
 SHIPPED_FARM = bundled_data_path("farm_soria.cg")
 SHIPPED_FACTORS = bundled_data_path("factors_calibrated.cg")
@@ -59,13 +59,13 @@ _TEXTS = st.text(
 
 
 @st.composite
-def quantities(draw) -> float | Quantity:
+def quantities(draw) -> float | tuple[float, str]:
     number = draw(_NUMBERS)
     unit_text = draw(_UNITS)
     if not unit_text:
         return number
     unit, scale = parse_unit(unit_text)
-    return Quantity(number * scale, unit)
+    return number * scale, unit
 
 
 scalars = st.one_of(st.booleans(), idents, _TEXTS, quantities())

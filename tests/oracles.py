@@ -97,18 +97,19 @@ def characterize_energy(inventory: Inventory, db: FactorDB,
 #  sections and units
 # ---------------------------------------------------------------------- #
 
-def format_quantity(q: float | Quantity) -> str:
+def format_quantity(q: float | tuple[float, str]) -> str:
     """Shortest round-trip text for a parsed number: a float bare, a
-    quantity in canonical units (``1`` when dimensionless)."""
+    ``(value, unit)`` pair in canonical units (``1`` when dimensionless)."""
     if q.__class__ is float:
         return repr(q)
-    return f"{q.value!r} {q.unit}"
+    value, unit = q
+    return f"{value!r} {unit}"
 
 
 def _serialize_scalar(value: Scalar) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, Quantity)):
+    if isinstance(value, (float, tuple)):
         return format_quantity(value)
     # plain text: emit bare identifiers unquoted so they read back identically
     if value.isidentifier() and value.isascii() and value not in ("true", "false"):

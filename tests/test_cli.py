@@ -593,10 +593,12 @@ class TestSweep:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("spec", ["0:1:1e-320", "0:1e308:1e-10"])
+    @pytest.mark.parametrize("spec", ["0:1:1e-320", "0:1e308:1e-10",
+                                      "0:1:1e-300", "0:1:1e-17"])
     def test_range_count_overflow_exit_2(self, farm_path, tmp_path, capsys,
                                          spec):
-        # the point count used to overflow math.floor into a traceback
+        # the point count used to overflow math.floor into a traceback, and
+        # past 2**53 it printed a float's integer as the count
         code, _, err = run(
             ["sweep", "--farm", farm_path, "--range", spec,
              "--out", str(tmp_path)], capsys)

@@ -10,7 +10,7 @@ from cropgate.factors import FactorDB, MissingFlowError, load_factor_db
 from cropgate.impact import (ENERGY_PHASES, POSITIVE_PHASES, characterize,
                              phase_shares)
 from cropgate.inventory import Flow, Inventory, Phase, build_lci
-from cropgate.units import UnitError, parse_quantity
+from cropgate.units import Quantity, UnitError, parse_quantity
 
 
 def sample_factors(scale: float = 1.0) -> str:
@@ -48,7 +48,7 @@ gwp100 = {s(265.0)}
 
 
 def flow(flow_id: str, text: str, phase: Phase) -> Flow:
-    return Flow(flow_id, parse_quantity(text), phase)
+    return Flow(flow_id, Quantity(*parse_quantity(text)), phase)
 
 
 SAMPLE_FLOWS = (

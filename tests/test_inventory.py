@@ -400,7 +400,7 @@ def test_float_seed_chain_matches_quantity_arithmetic(farm_model, factor_db,
     one_level = {flow_id: amount / crop.seed_yield_mg_ha for flow_id, amount
                  in _cultivation_flows(crop, farm_model, ann,
                                        factor_db.exhaust).items()}
-    per_mg = parse_quantity("1 Mg")
+    per_mg = Quantity(*parse_quantity("1 Mg"))
     for flow_id in SEED_CHAIN_FLOWS:
         one_level[flow_id] = (one_level[flow_id] + per_mg
                               if flow_id in one_level else per_mg)

@@ -9,7 +9,6 @@ from cropgate.factors import load_factor_db
 from cropgate.farmspec import parse_farm_document
 from cropgate.sections import (SectionReader, SectionSyntaxError,
                                ValidationReport, parse_document, read_text)
-from cropgate.units import Quantity, parse_unit
 
 
 SAMPLE = """
@@ -30,11 +29,11 @@ def test_basic_document():
     assert list(doc) == [("farm",), ("crop", "rye", "costs")]
     farm = doc["farm",]
     assert farm["name"] == "Soria cereal holding"
-    assert farm["total_area"].to("ha") == 302.0
+    assert farm["total_area"] == (302.0, "ha")
     assert farm["marginal_pair"] == ["tall_wheatgrass", "rye"]
     costs = doc["crop", "rye", "costs"]
     assert costs["flag"] is True
-    assert costs["seed"].to("EUR/ha") == 31.0
+    assert costs["seed"] == (31.0, "EUR/ha")
 
 
 def test_crlf_and_order_independence():
@@ -130,8 +129,8 @@ def test_no_break_spaces_around_a_plain_entry():
     # str.strip takes U+00A0 as whitespace, as the grammar does
     doc = parse_document("[s]\n\u00a0k\u00a0=\u00a01\u00a0ha\u00a0")
     value = doc["s",]["k"]
-    assert value.__class__ is Quantity
-    assert value.to("ha") == 1.0
+    assert value.__class__ is tuple
+    assert value == (1.0, "ha")
 
 
 class TestReadText:
@@ -193,6 +192,31 @@ def test_round_trip_shipped_files(farm_path, factors_path):
         assert parse_document(serialize_document(doc)) == doc
 
 
+def test_parsed_values_are_plain_data(farm_path, factors_path):
+    """Each value of the bundled files and of the generated holdings is a
+    float, a str, a bool, a (float, str) pair or a list of the others: a
+    sequence is never a tuple, so it is never taken for a pair."""
+    import engine_digest
+    texts = [read_text(farm_path), read_text(factors_path)]
+    for kind in ("farm_scaled", "seed_chain"):
+        for seed in engine_digest.SEEDS:
+            texts += getattr(engine_digest.gen, kind)(engine_digest.ROOT,
+                                                      seed)[:2]
+    seen = set()
+    for text in texts:
+        for entries in parse_document(text).values():
+            for value in entries.values():
+                seen.add(value.__class__)
+                items = value if value.__class__ is list else [value]
+                for item in items:
+                    if item.__class__ is tuple:
+                        assert [part.__class__ for part in item] \
+                            == [float, str], item
+                    else:
+                        assert item.__class__ in (float, str, bool), item
+    assert seen == {float, str, bool, list, tuple}
+
+
 def test_comments_are_inert_in_shipped_files(farm_path, factors_path):
     """A quote, a backslash and a comma at the end of every comment leave
     the document as it was."""
@@ -230,24 +254,23 @@ def test_other_control_characters_round_trip(char, form, tmp_path):
 
 # what each typed read makes of a bare number, a written 1, a percent and
 # a real unit: the value, or the one diagnostic at the key
-_PER_HA = parse_unit("Mg/ha")[0]
 READING_RULES = [
     ("0.27", "number", 0.27),
     ("0.27", "fraction", 0.27),
     ("0.27", "quantity", 0.27),
-    ("0.27", "raw_quantity", Quantity(0.27)),
+    ("0.27", "raw_quantity", (0.27, "1")),
     ("0.27 1", "number", "must be a plain number"),
     ("0.27 1", "fraction", 0.27),
     ("0.27 1", "quantity", "must be in Mg/ha"),
-    ("0.27 1", "raw_quantity", Quantity(0.27)),
+    ("0.27 1", "raw_quantity", (0.27, "1")),
     ("27 percent", "number", "must be a plain number"),
     ("27 percent", "fraction", 0.27),
     ("27 percent", "quantity", "must be in Mg/ha"),
-    ("27 percent", "raw_quantity", Quantity(0.27)),
+    ("27 percent", "raw_quantity", (0.27, "1")),
     ("270 kg/ha", "number", "must be a plain number"),
     ("270 kg/ha", "fraction", "must be a plain number"),
     ("270 kg/ha", "quantity", 0.27),
-    ("270 kg/ha", "raw_quantity", Quantity(0.27, _PER_HA)),
+    ("270 kg/ha", "raw_quantity", (0.27, "Mg/ha")),
 ]
 
 
@@ -269,14 +292,14 @@ def test_reading_rules(text, read, expected):
 
 
 def test_a_bare_number_parses_to_a_float():
-    """A written unit, ``1`` and ``percent`` too, makes a Quantity; a bare
-    number is a float, alone and in a comma list."""
+    """A written unit, ``1`` and ``percent`` too, makes a (value, unit)
+    pair; a bare number is a float, alone and in a comma list."""
     doc = parse_document("[s]\na = 0.27\nb = 0.27 1\nc = 27 percent\n"
                          "d = 270 kg/ha\nitems = 0.27, 0.27 1, 27 percent, "
                          "270 kg/ha\n")
-    one = Quantity(0.27)
-    expected = [0.27, one, one, Quantity(0.27, _PER_HA)]
+    one = (0.27, "1")
+    expected = [0.27, one, one, (0.27, "Mg/ha")]
     values = doc["s",]
     assert [values[key] for key in "abcd"] == expected == values["items"]
     assert [value.__class__ for value in values["items"]] \
-        == [float, Quantity, Quantity, Quantity]
+        == [float, tuple, tuple, tuple]
