@@ -122,7 +122,7 @@ def resolve_factors_path(farm_path: str | os.PathLike, model: FarmModel,
                          explicit: str | None = None) -> str:
     """Factor file to use: an explicit path wins, then the farm's own
     ``factors`` reference resolved next to the farm file."""
-    if explicit:
+    if explicit is not None:
         return explicit
     if model.factors_ref:
         return os.path.join(os.path.dirname(os.fspath(farm_path)),

@@ -11,7 +11,9 @@ a ``CropgateError`` (invalid farm, unknown crop, missing factor record ...),
 2 for its subclass ``InputError`` (usage errors, grammar) and unreadable
 files. Either prints one line, a usage error ``error: ...``. The farm's
 warnings go to stderr, as ``validate`` prints them, and so does one for each
-``[emissions.<name>]`` that names no crop; neither stops a command.
+``[emissions.<name>]`` that names no crop; neither stops a command. Under
+``--cutoff-missing``, ``assess`` and ``compare`` then print a ``note: ...``
+line on stderr for each flow cut off, the notes that their reports hold.
 """
 
 import math
@@ -77,27 +79,22 @@ def _sweep_points(args) -> list[float]:
 #  subcommands
 # ---------------------------------------------------------------------- #
 
-def _read_farm(args):
-    """The farm's model and validation report; a grammar error raises."""
-    from .farmspec import build_farm_model
-    from .sections import parse_document, read_text
-    return build_farm_model(parse_document(read_text(args.farm, args.inputs)))
-
-
 def _valid_farm(args):
     """The farm's model once it validates; each warning goes to stderr as
     ``validate`` prints it, and the errors raise."""
-    from .farmspec import FarmValidationError
-    model, report = _read_farm(args)
-    if model is None or not report.ok:
-        raise FarmValidationError(report)
-    for warning in report.warnings:
+    from .farmspec import parse_farm_document
+    from .sections import read_text
+    model = parse_farm_document(read_text(args.farm, args.inputs))
+    for warning in model.warnings:
         print(warning.render(), file=sys.stderr)
     return model
 
 
 def _cmd_validate(args) -> int:
-    model, report = _read_farm(args)
+    from .farmspec import build_farm_model
+    from .sections import parse_document, read_text
+    model, report = build_farm_model(
+        parse_document(read_text(args.farm, args.inputs)))
     for diagnostic in report.diagnostics:
         print(diagnostic.render())
     if model is None or not report.ok:
@@ -175,8 +172,13 @@ def _cmd_compare(args) -> int:
     comparison = compare_pair(model, db, *crops,
                               cutoff_missing=args.cutoff_missing)
     pair = f"{comparison.first.crop_name},{comparison.second.crop_name}"
-    return _write(args, factors_path, _flags(args, crops=pair),
+    code = _write(args, factors_path, _flags(args, crops=pair),
                   write_comparison, comparison)
+    # the notes of comparison.json: the sorted union of the pair's
+    for note in sorted(set(comparison.first.notes)
+                       | set(comparison.second.notes)):
+        print(f"note: {note}", file=sys.stderr)
+    return code
 
 
 def _cmd_sweep(args) -> int:
@@ -315,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # _write turns failures to write into InputError: this is a read
         message = (f"cannot read {exc.filename}: {exc.strerror}"
-                   if exc.filename else exc)
+                   if exc.filename is not None else exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 

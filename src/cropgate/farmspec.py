@@ -24,7 +24,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import GASES, CropgateError, horizon_problem
-from .sections import Document, SectionReader, ValidationReport, parse_document
+from .sections import (Diagnostic, Document, SectionReader, ValidationReport,
+                       parse_document)
 
 __all__ = [
     "LAND_CLASSES", "TIMINGS", "SEED_SOURCES", "MACHINERY_FLOWS",
@@ -184,6 +185,7 @@ class FarmModel(NamedTuple):
     products: dict[str, ProductSpec]
     soil_samples: tuple[SoilSample, ...]
     factors_ref: str | None = None
+    warnings: tuple[Diagnostic, ...] = ()  # the file's, in report order
 
     def crop(self, name: str) -> CropPlan:
         if name not in self.crops:
@@ -594,14 +596,13 @@ def validate_model(model: FarmModel) -> ValidationReport:
 
 
 def parse_farm_document(text: str) -> FarmModel:
-    """Parse and validate a farm file, returning the model.
+    """Parse and validate a farm file: the model, its warnings included.
 
     Raises:
         SectionSyntaxError: grammar problems, with line and column.
         FarmValidationError: any error-severity diagnostic, all collected.
     """
-    doc = parse_document(text)
-    model, report = build_farm_model(doc)
+    model, report = build_farm_model(parse_document(text))
     if model is None or not report.ok:
         raise FarmValidationError(report)
-    return model
+    return model._replace(warnings=tuple(report.warnings))

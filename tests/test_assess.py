@@ -363,6 +363,12 @@ class TestInputResolution:
         assert resolve_factors_path("/x/farm.cg", farm_model,
                                     explicit="/y/f.cg") == "/y/f.cg"
 
+    def test_an_empty_explicit_path_wins(self, farm_model):
+        # an empty path is a path: it fails to open, and is not the
+        # farm's own factor file
+        assert resolve_factors_path("/x/farm.cg", farm_model,
+                                    explicit="") == ""
+
     def test_farm_reference_resolves_beside_the_farm_file(self, farm_model,
                                                           farm_path):
         resolved = resolve_factors_path(farm_path, farm_model)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cropgate import InputError, cli
+from cropgate.assess import load_farm
 from cropgate.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
 from cropgate.units import Quantity
 
@@ -458,6 +459,21 @@ class TestInputs:
                 assert manifest[key] == hashlib.sha256(
                     handle.read()).hexdigest()
 
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--crop", "rye", "--farm", "{farm}", "--factors=",
+         "--out", "{out}"],
+        ["validate", "--farm="]], ids=lambda argv: argv[0])
+    def test_an_empty_path_is_a_file_that_cannot_be_read(self, argv,
+                                                          tmp_path, capsys):
+        # not the farm's own factor file, and the same line as any other
+        # path that cannot be read
+        farm, out_dir = edited_copy(tmp_path), tmp_path / "out"
+        code, out, err = run([word.format(farm=farm, out=out_dir)
+                              for word in argv], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: cannot read : {os.strerror(errno.ENOENT)}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("damaged", ["farm", "factors"])
     def test_decode_offset_counts_the_byte_order_mark(self, damaged,
                                                       tmp_path, capsys):
@@ -505,6 +521,35 @@ class TestCompare:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err == "error: cannot compare crop 'rye' with itself\n"
         assert not out_dir.exists()
+
+    @staticmethod
+    def compare_cutting_off(tmp_path, capsys, factors_edit):
+        """Exit code, stderr and the notes of comparison.json of a compare
+        --cutoff-missing with the factor file passed through the edit."""
+        farm = edited_copy(tmp_path, factors_edit=factors_edit)
+        code, out, err = run(["compare", "--farm", farm, "--cutoff-missing",
+                              "--out", str(tmp_path / "out")], capsys)
+        assert out.splitlines()[-1].endswith("comparison.json")
+        report = tmp_path / "out" / "comparison.json"
+        return code, err, json.loads(report.read_text())["notes"]
+
+    def test_cutoff_missing_prints_the_notes_of_the_report(self, tmp_path,
+                                                           capsys):
+        code, err, notes = self.compare_cutting_off(
+            tmp_path, capsys, lambda text: GASES_ONLY)
+        assert code == EXIT_OK
+        assert len(notes) > 1 and notes == sorted(notes)
+        assert err.splitlines() == [f"note: {note}" for note in notes]
+
+    def test_a_renamed_flow_is_cut_off_with_a_note(self, tmp_path, capsys):
+        def rename_diesel(text):
+            assert text.count("\n[flow.diesel]\n") == 1
+            return text.replace("\n[flow.diesel]\n", "\n[flow.diesell]\n")
+
+        code, err, notes = self.compare_cutting_off(tmp_path, capsys,
+                                                    rename_diesel)
+        note = "flow 'diesel' has no factor record; cut off at zero burden"
+        assert (code, err, notes) == (EXIT_OK, f"note: {note}\n", [note])
 
 
 def huge_areas(text: str) -> str:
@@ -663,6 +708,27 @@ class TestFarmWarnings:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("invalid farm description:\nerror: ")
         assert err.count(self.WARNING) == 1
+
+    @pytest.mark.parametrize("farm_edit", [
+        rye_with_fixation,
+        lambda text: rye_with_fixation(re.sub(r"\bwheat_", "exhaust_", re.sub(
+            r"\bwheat\b", "exhaust", text))),
+    ], ids=["rye_fixation", "rye_fixation_and_exhaust"])
+    def test_library_holds_the_lines_assess_prints(self, tmp_path, capsys,
+                                                   farm_edit):
+        farm = edited_copy(tmp_path, farm_edit)
+        code, _, err = run(["assess", "--crop", "rye", "--farm", farm,
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == EXIT_OK
+        model = load_farm(farm)
+        assert [warning.render() + "\n" for warning in model.warnings] == \
+            err.splitlines(keepends=True)
+        assert self.WARNING in err
+        horizon_8 = model._replace(amortization_horizon_years=8)
+        assert horizon_8.warnings == model.warnings
+
+    def test_bundled_farm_holds_no_warnings(self, farm_path):
+        assert load_farm(farm_path).warnings == ()
 
 
 class TestFactorWarnings:
